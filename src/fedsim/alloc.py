@@ -2,21 +2,48 @@
 
 Maximizes the alpha-fair utility of the per-device bit counts, where the
 bits each device can afford are a concave increasing function of its
-bandwidth slice (delay constraint active at the optimum). Solved by dual
-bisection on the bandwidth price with per-device inversion of the marginal
-utility, then integer flooring and dropping of devices below the bit floor.
+bandwidth slice (delay constraint active at the optimum). At the optimum each
+device's marginal utility M_i(w) = U'(b_i(w)) b_i'(w) equals one bandwidth
+price lambda, unless the device sits at its zero-bit floor or at its cap
+(the budget less the other devices' floors).
+
+The price comes from a bracketed Illinois (regula falsi) iteration on
+log lambda. At each price every device's slice comes from safeguarded Newton
+on log M_i(w) = log lambda over [floor, cap], bisecting whenever a step
+leaves the bracket and warm-started from the device's slice at the previous
+price of the same solve. The zero-bit floors come from Newton on b_i(w) = 0.
+At m = 5 a solve tries about ten prices and evaluates the marginal about two
+hundred times, where nested bisection evaluated it about fifteen thousand
+times. Integer flooring and dropping of devices below the bit floor follow.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_INNER_ITERS = 80
-_OUTER_REL_TOL = 1e-10
+from .wireless import rate_bps
+
+_LN2 = math.log(2.0)
+_NEWTON_STEPS = 200     # per root; a safeguard, Newton needs a handful
+_W_REL_TOL = 1e-9       # Newton stops at a step below this share of w
+_OUTER_REL_TOL = 1e-13  # price search stops at |sum w - w_total| below this share
+_OUTER_STEPS = 200      # prices tried per solve; a safeguard
+
+
+class AllocationError(ValueError):
+    """A floored allocation breaks a device's delay budget."""
+
+
+def _check_number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,16 +58,27 @@ class AllocProblem:
     b_lower: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "gains", np.asarray(self.gains, dtype=np.float64))
-        object.__setattr__(self, "taus", np.asarray(self.taus, dtype=np.float64))
+        for name in ("gains", "taus"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a flat list of numbers")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
+        for name in ("w_total", "alpha", "d", "mu", "noise_psd", "b_lower"):
+            _check_number(name, getattr(self, name))
         if self.gains.size == 0:
             raise ValueError("need at least one device")
+        if self.taus.shape != self.gains.shape:
+            raise ValueError("need one delay budget per device")
         if np.any(self.gains <= 0) or np.any(self.taus <= 0):
             raise ValueError("gains and delay budgets must be positive")
         if self.w_total <= 0 or self.noise_psd <= 0:
             raise ValueError("w_total and noise_psd must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
+        if self.d < 1 or self.mu < 0:
+            raise ValueError("d must be >= 1 and mu >= 0")
         if self.b_lower < 1:
             raise ValueError("b_lower must be >= 1")
 
@@ -58,7 +96,7 @@ class AllocProblem:
     @classmethod
     def from_json(cls, text: str) -> "AllocProblem":
         d = json.loads(text)
-        return cls(gains=np.asarray(d["gains"]), taus=np.asarray(d["taus"]),
+        return cls(gains=d["gains"], taus=d["taus"],
                    w_total=d["w_total"], alpha=d["alpha"], d=d["d"],
                    mu=d["mu"], noise_psd=d["noise_psd"], b_lower=d["b_lower"])
 
@@ -73,6 +111,7 @@ class AllocSolution:
     kkt_residual: float = 0.0
     feasible: bool = True
     objective: float = -math.inf
+    iterations: int = 0     # prices at which the slices were summed
 
     def to_json(self) -> str:
         return json.dumps({
@@ -84,6 +123,7 @@ class AllocSolution:
             "kkt_residual": self.kkt_residual,
             "feasible": self.feasible,
             "objective": self.objective,
+            "iterations": self.iterations,
         })
 
     @classmethod
@@ -94,11 +134,7 @@ class AllocSolution:
                    bits_floored=np.asarray(d["bits_floored"], dtype=np.int64),
                    dropped=set(d["dropped"]), dual_lambda=d["dual_lambda"],
                    kkt_residual=d["kkt_residual"], feasible=d["feasible"],
-                   objective=d["objective"])
-
-
-def _rate(w: float, gain: float, noise_psd: float) -> float:
-    return w * math.log1p(gain / (w * noise_psd)) / math.log(2.0)
+                   objective=d["objective"], iterations=d["iterations"])
 
 
 def _rate_deriv(w: float, gain: float, noise_psd: float) -> float:
@@ -110,7 +146,7 @@ def b_of_w(w: float, gain: float, tau: float, d: int, mu: int, noise_psd: float)
     """Continuous bit count affordable at bandwidth w with the delay binding."""
     if w <= 0:
         raise ValueError("bandwidth must be positive")
-    return (tau * _rate(w, gain, noise_psd) - mu) / d - 1.0
+    return (tau * rate_bps(w, gain, noise_psd) - mu) / d - 1.0
 
 
 def _b_deriv(w: float, gain: float, tau: float, d: int, noise_psd: float) -> float:
@@ -141,32 +177,138 @@ def _marginal(p: AllocProblem, i: int, w: float) -> float:
     return _utility_deriv(b, p.alpha) * _b_deriv(w, p.gains[i], p.taus[i], p.d, p.noise_psd)
 
 
+def _newton(fn, w: float, lo: float, hi: float) -> float:
+    """Root of ``fn``, increasing on [lo, hi], by Newton from w in [lo, hi].
+
+    ``fn(w)`` returns the value and the derivative. Each evaluation narrows
+    the bracket; a step that leaves it is replaced by bisection.
+    """
+    for _ in range(_NEWTON_STEPS):
+        f, df = fn(w)
+        if f < 0.0:
+            lo = w
+        elif f > 0.0:
+            hi = w
+        else:
+            return w
+        step = f / df
+        if abs(step) <= _W_REL_TOL * w:
+            return w - step
+        w -= step
+        if not lo < w < hi:
+            w = 0.5 * (lo + hi)
+    return w
+
+
 def _w_zero(p: AllocProblem, i: int) -> float:
-    """Minimum bandwidth at which the device can afford zero-bit payloads."""
-    lo, hi = 1e-12 * p.w_total, p.w_total
-    for _ in range(_INNER_ITERS):
-        mid = 0.5 * (lo + hi)
-        if b_of_w(mid, p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Minimum bandwidth at which the device can afford zero-bit payloads.
+
+    b(w) is concave and increasing, and near w = 0 it is about -mu/d - 1, so
+    Newton started there climbs to the root monotonically; the last ulps are
+    walked so that b(w) >= 0.
+    """
+    gain, tau, noise_psd = float(p.gains[i]), float(p.taus[i]), p.noise_psd
+
+    def bits(w: float) -> tuple[float, float]:
+        return (b_of_w(w, gain, tau, p.d, p.mu, noise_psd),
+                _b_deriv(w, gain, tau, p.d, noise_psd))
+
+    w = _newton(bits, 1e-12 * p.w_total, 0.0, p.w_total)
+    while b_of_w(w, gain, tau, p.d, p.mu, noise_psd) < 0.0:
+        w = math.nextafter(w, math.inf)
+    return w
 
 
-def _w_of_lambda(p: AllocProblem, i: int, lam: float, w_floor: float) -> float:
-    """Invert the decreasing marginal-utility map, clamped to [w_floor, w_total]."""
-    if _marginal(p, i, p.w_total) >= lam:
-        return p.w_total
-    if _marginal(p, i, w_floor * (1 + 1e-12) + 1e-12) <= lam and p.alpha == 0.0:
-        return w_floor
-    lo, hi = w_floor, p.w_total
-    for _ in range(_INNER_ITERS):
-        mid = 0.5 * (lo + hi)
-        if _marginal(p, i, mid) > lam:
-            lo = mid
+def _log_marginal(w: float, gain: float, noise_psd: float, tau: float,
+                  d: int, mu: int, alpha: float) -> tuple[float, float]:
+    """log M(w) and its derivative M'(w)/M(w) = b''/b' - alpha b'/b.
+
+    With x = P/(w N0), b' = tau/d (log1p(x) - x/(1+x)) / ln2 and
+    b'' = -tau/d x^2 / (w (1+x)^2) / ln2. This is the analytic
+    M' = U''(b) b'^2 + U'(b) b'' divided by M.
+    """
+    x = gain / (w * noise_psd)
+    q = x / (1.0 + x)
+    slope = math.log1p(x) - q
+    dlog = -q * q / (w * slope)
+    log_db = math.log(tau * slope / (d * _LN2))
+    if alpha == 0.0:
+        return log_db, dlog
+    b = b_of_w(w, gain, tau, d, mu, noise_psd)
+    if b <= 0.0:
+        return math.inf, -1.0
+    return (log_db - alpha * math.log(b),
+            dlog - alpha * tau * slope / (d * _LN2 * b))
+
+
+def _price_search(p: AllocProblem, kept: list[int], floors: list[float]
+                  ) -> tuple[float, list[float], int]:
+    """Log price t at which the slices sum to the budget, the slices, and
+    the number of prices tried."""
+    w_total = p.w_total
+    devs = [(float(p.gains[i]), p.noise_psd, float(p.taus[i]), p.d, p.mu, p.alpha)
+            for i in kept]
+    need = sum(floors)
+    # a slice never exceeds its cap: the budget less the other floors
+    caps = [w_total - need + f for f in floors]
+    at_cap = [_log_marginal(c, *dev)[0] for c, dev in zip(caps, devs)]
+    # with alpha > 0 the marginal is infinite at the zero-bit floor
+    at_floor = [_log_marginal(f, *dev)[0] if p.alpha == 0.0 else math.inf
+                for f, dev in zip(floors, devs)]
+    spare = (w_total - need) / len(devs)
+    ws = [f + spare for f in floors]
+
+    def excess(t: float) -> float:
+        for j, dev in enumerate(devs):
+            if t <= at_cap[j]:
+                ws[j] = caps[j]
+            elif t >= at_floor[j]:
+                ws[j] = floors[j]
+            else:
+                def fn(w, dev=dev):
+                    val, dval = _log_marginal(w, *dev)
+                    return t - val, -dval
+                ws[j] = _newton(fn, ws[j], floors[j], caps[j])
+        return sum(ws) - w_total
+
+    tol = _OUTER_REL_TOL * w_total
+    # The price is at least every marginal at a cap and at most every
+    # marginal at a floor. The equal-spare points sum to the budget, so at
+    # the smallest marginal there every device takes at least its point, and
+    # at the largest at most.
+    at_spare = [_log_marginal(w, *dev)[0] for w, dev in zip(ws, devs)]
+    t_lo = max(min(at_spare), max(at_cap))
+    t_hi = min(max(at_spare), max(at_floor))
+    t, g = t_lo, excess(t_lo)
+    g_lo, steps = g, 1
+    if abs(g) > tol:
+        t, g = t_hi, excess(t_hi)
+        g_hi, steps = g, 2
+    side = 0
+    while abs(g) > tol and steps < _OUTER_STEPS:
+        t_next = (t_lo * g_hi - t_hi * g_lo) / (g_hi - g_lo)
+        if not t_lo < t_next < t_hi:
+            break
+        t = t_next
+        g = excess(t)
+        steps += 1
+        if g > 0.0:
+            t_lo, g_lo = t, g
+            if side == -1:
+                g_hi *= 0.5
+            side = -1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            t_hi, g_hi = t, g
+            if side == 1:
+                g_lo *= 0.5
+            side = 1
+    # The device whose marginal moves least per Hz absorbs the remaining
+    # slack, so the budget is spent exactly.
+    j = min(range(len(devs)),
+            key=lambda j: abs(_log_marginal(ws[j], *devs[j])[1])
+            if ws[j] > floors[j] else math.inf)
+    ws[j] += w_total - sum(ws)
+    return t, ws, steps
 
 
 def objective_value(p: AllocProblem, bands: np.ndarray, kept: list[int]) -> float:
@@ -200,45 +342,28 @@ def solve_alloc(p: AllocProblem) -> AllocSolution:
                              dropped=set(range(n)), feasible=False)
 
     w_floor = {i: _w_zero(p, i) for i in kept}
-    while kept and sum(w_floor[i] for i in kept) > p.w_total:
-        worst = max(kept, key=lambda i: w_floor[i])
+    need = sum(w_floor[i] for i in kept)
+    # neediest first; the sort is stable, so ties go in index order
+    for worst in sorted(kept, key=lambda i: -w_floor[i]):
+        if need <= p.w_total:
+            break
         kept.remove(worst)
         dropped.add(worst)
+        need -= w_floor[worst]
     if not kept:
         return AllocSolution(bandwidths=bands, bits_continuous=bits,
                              bits_floored=np.zeros(n, dtype=np.int64),
                              dropped=set(range(n)), feasible=False)
 
+    iterations = 0
     if len(kept) == 1:
         i = kept[0]
         bands[i] = p.w_total
         lam = _marginal(p, i, p.w_total)
     else:
-        lam_lo = min(_marginal(p, i, p.w_total) for i in kept)
-        lam_hi = max(lam_lo, 1e-300)
-        for _ in range(400):
-            total = sum(_w_of_lambda(p, i, lam_hi, w_floor[i]) for i in kept)
-            if total <= p.w_total:
-                break
-            lam_hi *= 2.0
-        for _ in range(_INNER_ITERS):
-            lam = math.sqrt(lam_lo * lam_hi) if lam_lo > 0 else 0.5 * (lam_lo + lam_hi)
-            total = sum(_w_of_lambda(p, i, lam, w_floor[i]) for i in kept)
-            if total > p.w_total:
-                lam_lo = lam
-            else:
-                lam_hi = lam
-            if abs(total - p.w_total) <= _OUTER_REL_TOL * p.w_total:
-                break
-            if lam_hi - lam_lo <= 1e-14 * lam_hi:
-                break
-        lam = lam_hi
-        for i in kept:
-            bands[i] = _w_of_lambda(p, i, lam, w_floor[i])
-        # Absorb the residual bisection slack into the least price-sensitive
-        # device; keeps the budget exactly spent.
-        slack = p.w_total - bands[[*kept]].sum()
-        bands[max(kept, key=lambda i: bands[i])] += slack
+        t, ws, iterations = _price_search(p, kept, [w_floor[i] for i in kept])
+        lam = math.exp(t)
+        bands[kept] = ws
 
     for i in kept:
         bits[i] = b_of_w(bands[i], p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd)
@@ -254,6 +379,7 @@ def solve_alloc(p: AllocProblem) -> AllocSolution:
         kkt_residual=residual,
         feasible=True,
         objective=objective_value(p, bands, kept),
+        iterations=iterations,
     )
     return floor_and_drop(p, sol)
 
@@ -272,9 +398,9 @@ def floor_and_drop(p: AllocProblem, sol: AllocSolution) -> AllocSolution:
             dropped.add(i)
             continue
         payload = p.d * (int(floored[i]) + 1) + p.mu
-        rate = _rate(sol.bandwidths[i], p.gains[i], p.noise_psd)
+        rate = rate_bps(sol.bandwidths[i], p.gains[i], p.noise_psd)
         if payload > p.taus[i] * rate * (1 + 1e-12):
-            raise AssertionError(
+            raise AllocationError(
                 f"device {i}: floored payload violates its delay budget")
     sol.bits_floored = floored
     sol.dropped = dropped

@@ -95,10 +95,14 @@ def _cmd_alloc(args) -> int:
         return EXIT_IO
     try:
         problem = alloc.AllocProblem.from_json(text)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         print(f"error: invalid problem: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    sol = alloc.solve_alloc(problem)
+    try:
+        sol = alloc.solve_alloc(problem)
+    except alloc.AllocationError as e:
+        print(f"error: allocation failed: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(sol.to_json())
     return EXIT_OK
 

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-INFINITE_DELAY = math.inf
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -18,9 +16,6 @@ class LinkBudget:
     total_bandwidth_hz: float = 1e8
     pathloss_exponent: float = 2.0
     pathloss_ref: float = 1e-3
-    # capacity log base: 2 for bits/s (default); natural log selectable for
-    # sensitivity studies
-    log_base: float = 2.0
 
     def __post_init__(self):
         if self.total_bandwidth_hz <= 0:
@@ -73,18 +68,20 @@ def place_devices(
     return np.sqrt(r_min**2 + u * (r_max**2 - r_min**2))
 
 
-def rate_bps(w_hz: float, budget: LinkBudget, gain: float) -> float:
-    """Shannon rate W * log(1 + P*gain / (W * N0)) in bits per second."""
+def rate_bps(w_hz: float, rx_power_w: float, noise_psd_w_hz: float) -> float:
+    """Shannon rate W * log2(1 + P_rx / (W * N0)) in bits per second.
+
+    The one rate function: the delay check and the allocator both use it.
+    """
     if w_hz <= 0:
         raise ValueError("bandwidth must be positive")
-    snr = budget.tx_power_w * gain / (w_hz * budget.noise_psd_w_hz)
-    return w_hz * math.log1p(snr) / math.log(budget.log_base)
+    return w_hz * math.log1p(rx_power_w / (w_hz * noise_psd_w_hz)) / math.log(2.0)
 
 
 def tx_delay(bits: int, rate: float) -> float:
     """Transmission delay in seconds; infinite if the rate is zero."""
     if rate <= 0:
-        return INFINITE_DELAY
+        return math.inf
     return bits / rate
 
 
@@ -98,7 +95,8 @@ def transmission_ok(
     """True iff the payload fits within the delay budget (inclusive)."""
     if tau <= 0:
         raise ValueError("delay budget must be positive")
-    return tx_delay(bits, rate_bps(w_hz, budget, gain)) <= tau
+    rate = rate_bps(w_hz, budget.tx_power_w * gain, budget.noise_psd_w_hz)
+    return tx_delay(bits, rate) <= tau
 
 
 def write_channel_trace(path: str, records: list[dict]) -> None:

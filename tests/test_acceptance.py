@@ -186,7 +186,8 @@ def test_criterion_06_gradient_correctness(spec):
 
 
 def test_criterion_07_allocation_matches_grid_oracle():
-    """Dual-bisection solution agrees with a zooming grid search and
+    """The Newton/Illinois dual solution (safeguarded Newton per device, an
+    Illinois step on the log price) agrees with a zooming grid search and
     satisfies the stationarity/budget conditions."""
     rng = np.random.default_rng(77)
     worst_gap = 0.0

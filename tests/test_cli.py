@@ -2,8 +2,8 @@ import json
 
 import numpy as np
 
-from fedsim import cli
-from fedsim.alloc import AllocProblem
+from fedsim import alloc, cli
+from fedsim.alloc import AllocProblem, AllocSolution
 
 
 BASE_CONFIG = {
@@ -85,6 +85,38 @@ class TestAlloc:
         path.write_text('{"gains": []}')
         assert cli.main(["alloc", "--problem", str(path)]) == 1
         assert cli.main(["alloc", "--problem", str(tmp_path / "nope")]) == 3
+
+    PROBLEM = AllocProblem(
+        gains=np.array([1e-6, 2e-7]), taus=np.array([1e-3, 1e-3]),
+        w_total=1e8, alpha=0.5, d=10_000, mu=384,
+        noise_psd=10 ** (-14.3) / 1e3)
+
+    def assert_one_line_rejection(self, tmp_path, capsys, **fields):
+        problem = json.loads(self.PROBLEM.to_json())
+        problem.update(fields)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert cli.main(["alloc", "--problem", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_null_alpha_is_validation_error(self, tmp_path, capsys):
+        self.assert_one_line_rejection(tmp_path, capsys, alpha=None)
+
+    def test_nan_gain_is_validation_error(self, tmp_path, capsys):
+        self.assert_one_line_rejection(tmp_path, capsys, gains=[float("nan"), 2e-7])
+
+    def test_failed_delay_recheck_is_validation_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def overspent(p):
+            sol = AllocSolution(bandwidths=np.full(p.num_devices, 1e3),
+                                bits_continuous=np.full(p.num_devices, 50.0),
+                                bits_floored=np.zeros(p.num_devices, dtype=np.int64))
+            return alloc.floor_and_drop(p, sol)
+
+        monkeypatch.setattr(alloc, "solve_alloc", overspent)
+        self.assert_one_line_rejection(tmp_path, capsys)
 
 
 class TestVerify:
