@@ -79,6 +79,10 @@ def _cmd_sweep(args) -> int:
             print(f"[{tag}] invalid: {e}", file=sys.stderr)
             status = EXIT_VALIDATION
             continue
+        except FloatingPointError as e:
+            print(f"[{tag}] divergence: {e}", file=sys.stderr)
+            status = EXIT_DIVERGENCE
+            continue
         print(f"[{tag}] accuracy={rows[-1].test_accuracy:.4f}")
     return status
 

@@ -198,6 +198,91 @@ def server_aggregate(
     return ServerState(theta=theta, c=c, round=server.round + 1)
 
 
+def _cohort(plan: RoundPlan) -> tuple[list[int], np.ndarray]:
+    """Active ids, longest local run first (ties in plan order), and their epochs.
+
+    With rows in this order, the clients still stepping at step t are a
+    prefix of the stacks.
+    """
+    if len(set(plan.active_set)) != len(plan.active_set):
+        raise ValueError("duplicate client id in active set")
+    if plan.batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    ids = sorted(plan.active_set, key=lambda cid: -plan.local_epochs[cid])
+    epochs = np.array([plan.local_epochs[cid] for cid in ids], dtype=np.int64)
+    if np.any(epochs < 1):
+        raise ValueError("epochs must be >= 1")
+    return ids, epochs
+
+
+def _stack_controls(clients: list[ClientState], ids: list[int], dim: int) -> np.ndarray:
+    """Client control variates as rows (len(ids), dim)."""
+    out = np.empty((len(ids), dim))
+    for j, cid in enumerate(ids):
+        if clients[cid].id != cid:
+            raise ValueError("clients list must be indexed by id")
+        out[j] = clients[cid].c_i
+    return out
+
+
+def _local_phase(
+    spec: ModelSpec,
+    start: np.ndarray,
+    ids: list[int],
+    epochs: np.ndarray,
+    datasets: list[tuple[np.ndarray, np.ndarray]],
+    batch_size: int,
+    master_seed: int,
+    round_index: int,
+    step,
+    collect_grad_logs: bool = False,
+) -> tuple[np.ndarray, list[np.random.Generator], list[list[np.ndarray]]]:
+    """Local iterations of the whole cohort as stacked arrays.
+
+    Row j is client ``ids[j]``; it starts at ``start`` and takes
+    ``epochs[j]`` steps. Each client first draws all its minibatches from
+    its own stream, one ``integers`` call per step as a single client does,
+    so the stream is left where the single-client code leaves it. Step t
+    gathers the features of the k clients still running, computes one
+    stacked gradient ``g`` for them and calls ``step(theta, g, k)``, which updates the first k rows in place
+    (it may overwrite ``g``). Returns the final iterates, each client's
+    stream, and per client the gradients it used if ``collect_grad_logs``.
+    """
+    m, bs = len(ids), batch_size
+    theta = np.tile(start, (m, 1))
+    rngs: list[np.random.Generator] = []
+    logs: list[list[np.ndarray]] = [[] for _ in ids] if collect_grad_logs else []
+    if m == 0:
+        return theta, rngs, logs
+    idx: list[np.ndarray] = []  # per client, its draws (epochs, batch)
+    ys = np.empty((epochs[0], m, bs), dtype=np.intp)
+    for j, cid in enumerate(ids):
+        X, y = datasets[cid]
+        if X.shape[0] == 0:
+            raise ValueError("empty client dataset")
+        rng = client_rng(master_seed, round_index, cid)
+        idx.append(np.array([rng.integers(0, X.shape[0], size=bs) for _ in range(epochs[j])]))
+        ys[:epochs[j], j] = y[idx[j]]
+        rngs.append(rng)
+    # one step's features at a time, so memory stays at m * batch * input
+    xb = np.empty((m, bs, spec.input_dim))
+    # overflow surfaces as the non-finite iterate check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(epochs[0]):
+            k = int(np.count_nonzero(epochs > t))
+            for j in range(k):
+                # the draws are in range; "clip" only spares take's buffered copy
+                np.take(datasets[ids[j]][0], idx[j][t], axis=0, out=xb[j], mode="clip")
+            g = learner.grad(spec, theta[:k], xb[:k], ys[t, :k])
+            if collect_grad_logs:
+                for j in range(k):
+                    logs[j].append(g[j].copy())
+            step(theta[:k], g, k)
+            if not np.isfinite(theta[:k]).all():
+                raise FloatingPointError("local update diverged to non-finite iterate")
+    return theta, rngs, logs
+
+
 def run_round_fedqvr(
     spec: ModelSpec,
     server: ServerState,
@@ -213,45 +298,55 @@ def run_round_fedqvr(
     Inactive clients keep their control variates. Clients in ``plan.failed``
     compute but their uploads are lost: the server skips them and their
     control variates roll back, exactly as if they had been inactive.
+    Every row reproduces ``local_update`` bit for bit.
     """
     theta0 = broadcast_point(server, plan.gamma)
+    ids, epochs = _cohort(plan)
+    c_rows = _stack_controls(clients, ids, spec.dim)
+    ge = plan.gamma * plan.eta
+    anchor = (ge / (1.0 + ge)) * theta0
+
+    def step(theta, g, k):
+        # theta <- (theta - eta * (g - c_i)) / (1 + ge) + (ge / (1 + ge)) * theta0
+        g -= c_rows[:k]
+        g *= plan.eta
+        theta -= g
+        theta /= 1.0 + ge
+        theta += anchor
+
+    theta, rngs, logs = _local_phase(spec, theta0, ids, epochs, datasets, plan.batch_size,
+                                     master_seed, server.round, step, collect_grad_logs)
     groups = spec.layer_groups() if qcfg.per_layer_grouping else None
     uploads: list[tuple[ClientUpload, float]] = []
     report_logs: dict[int, list[np.ndarray]] = {}
-    committed_c: dict[int, np.ndarray] = {}
-    for cid in plan.active_set:
-        client = clients[cid]
-        if client.id != cid:
-            raise ValueError("clients list must be indexed by id")
-        rng = client_rng(master_seed, server.round, cid)
-        E = plan.local_epochs[cid]
-        theta_new, logs = local_update(
-            spec, theta0, client.c_i, datasets[cid][0], datasets[cid][1],
-            E, plan.batch_size, plan.eta, plan.gamma, rng)
+    for j, cid in enumerate(ids):
         upload, c_new = client_finish(
-            theta_new, theta0, client.c_i, cid, plan.bits[cid],
-            plan.eta, e_tilde(plan.gamma, plan.eta, E), plan.a, rng,
+            theta[j], theta0, c_rows[j], cid, plan.bits[cid],
+            plan.eta, e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a, rngs[j],
             qcfg=qcfg, groups=groups, quantize_enabled=plan.quantize_enabled)
         if cid in plan.failed:
             continue
-        uploads.append((upload, client.p))
-        committed_c[cid] = c_new
-        if collect_grad_logs:
-            report_logs[cid] = logs
-    for cid, c_new in committed_c.items():
+        uploads.append((upload, clients[cid].p))
         clients[cid].c_i = c_new
+        if collect_grad_logs:
+            report_logs[cid] = logs[j]
     m = plan.m_sampled if plan.m_sampled is not None else len(plan.active_set)
     new_server = server_aggregate(server, theta0, uploads, m, len(clients))
     report = RoundReport(
         round=server.round,
         active_ids=list(plan.active_set),
-        delivered_ids=sorted(committed_c),
+        delivered_ids=sorted(u.client_id for u, _ in uploads),
         epochs={cid: plan.local_epochs[cid] for cid in plan.active_set},
         bits={cid: plan.bits[cid] for cid in plan.active_set},
         uplink_bits=sum(u.payload_bits for u, _ in uploads),
         grad_logs=report_logs,
     )
     return new_server, report
+
+
+def _delivered_rows(ids: list[int], plan: RoundPlan) -> list[tuple[int, int]]:
+    """(client id, row) of every upload that arrives, in client-id order."""
+    return sorted((cid, j) for j, cid in enumerate(ids) if cid not in plan.failed)
 
 
 def run_round_fedavg(
@@ -262,26 +357,23 @@ def run_round_fedavg(
     master_seed: int,
 ) -> tuple[ServerState, RoundReport]:
     """Vanilla local SGD with unweighted mean aggregation over delivered models."""
-    models: list[tuple[int, np.ndarray]] = []
-    for cid in plan.active_set:
-        rng = client_rng(master_seed, server.round, cid)
-        theta = server.theta.copy()
-        for _ in range(plan.local_epochs[cid]):
-            g = learner.stochastic_grad(
-                spec, theta, datasets[cid][0], datasets[cid][1],
-                plan.batch_size, rng)
-            theta -= plan.eta * g
-        if cid not in plan.failed:
-            models.append((cid, theta))
-    if models:
-        theta_new = np.mean([t for _, t in sorted(models)], axis=0)
+    ids, epochs = _cohort(plan)
+
+    def step(theta, g, k):
+        g *= plan.eta
+        theta -= g
+
+    theta, _, _ = _local_phase(spec, server.theta, ids, epochs, datasets, plan.batch_size,
+                               master_seed, server.round, step)
+    delivered = _delivered_rows(ids, plan)
+    if delivered:
+        theta_new = np.mean(theta[[j for _, j in delivered]], axis=0)
     else:
         theta_new = server.theta.copy()
-    delivered = sorted(cid for cid, _ in models)
     report = RoundReport(
         round=server.round,
         active_ids=list(plan.active_set),
-        delivered_ids=delivered,
+        delivered_ids=[cid for cid, _ in delivered],
         epochs={cid: plan.local_epochs[cid] for cid in plan.active_set},
         bits={},
         uplink_bits=RAW_BITS_PER_ELEMENT * spec.dim * len(delivered),
@@ -305,47 +397,35 @@ def run_round_scaffold(
     per-round uplink cost is twice the uncompressed model size.
     """
     eta_l = plan.eta
-    results: list[tuple[int, np.ndarray, np.ndarray]] = []
-    report_logs: dict[int, list[np.ndarray]] = {}
-    for cid in plan.active_set:
-        client = clients[cid]
-        rng = client_rng(master_seed, server.round, cid)
-        E = plan.local_epochs[cid]
-        theta = server.theta.copy()
-        logs = []
-        for _ in range(E):
-            g = learner.stochastic_grad(
-                spec, theta, datasets[cid][0], datasets[cid][1],
-                plan.batch_size, rng)
-            logs.append(g)
-            theta -= eta_l * (g + server.c - client.c_i)
-        c_i_new = client.c_i - server.c + (server.theta - theta) / (E * eta_l)
-        if cid in plan.failed:
-            continue
-        results.append((cid, theta, c_i_new))
-        if collect_grad_logs:
-            report_logs[cid] = logs
-    results.sort()
-    if results:
-        mean_theta = np.mean([t for _, t, _ in results], axis=0)
+    ids, epochs = _cohort(plan)
+    c_rows = _stack_controls(clients, ids, spec.dim)
+
+    def step(theta, g, k):
+        # theta <- theta - eta_l * ((g + c) - c_i)
+        g += server.c
+        g -= c_rows[:k]
+        g *= eta_l
+        theta -= g
+
+    theta, _, logs = _local_phase(spec, server.theta, ids, epochs, datasets, plan.batch_size,
+                                  master_seed, server.round, step, collect_grad_logs)
+    c_rows = c_rows - server.c + (server.theta - theta) / (epochs * eta_l)[:, None]
+    delivered = _delivered_rows(ids, plan)
+    theta_new, c_new = server.theta.copy(), server.c.copy()
+    if delivered:
+        mean_theta = np.mean(theta[[j for _, j in delivered]], axis=0)
         theta_new = server.theta + eta_g * (mean_theta - server.theta)
-        c_new = server.c.copy()
-        for cid, _, c_i_new in results:
-            c_new += (c_i_new - clients[cid].c_i) / len(clients)
-        for cid, _, c_i_new in results:
-            clients[cid].c_i = c_i_new
-    else:
-        theta_new = server.theta.copy()
-        c_new = server.c.copy()
-    delivered = [cid for cid, _, _ in results]
+        for cid, j in delivered:
+            c_new += (c_rows[j] - clients[cid].c_i) / len(clients)
+            clients[cid].c_i = c_rows[j].copy()
     report = RoundReport(
         round=server.round,
         active_ids=list(plan.active_set),
-        delivered_ids=delivered,
+        delivered_ids=[cid for cid, _ in delivered],
         epochs={cid: plan.local_epochs[cid] for cid in plan.active_set},
         bits={},
         uplink_bits=2 * RAW_BITS_PER_ELEMENT * spec.dim * len(delivered),
-        grad_logs=report_logs,
+        grad_logs={cid: logs[j] for cid, j in delivered} if collect_grad_logs else {},
     )
     return ServerState(theta=theta_new, c=c_new, round=server.round + 1), report
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -108,6 +109,18 @@ class ExperimentConfig:
             errors.append("fedqvr_e requires wireless.enabled = true")
         if self.hlu and not (1 <= self.hlu_range[0] <= self.hlu_range[1]):
             errors.append("hlu_range must be an increasing pair of positive ints")
+        if not self.hlu and self.local_epochs < 1:
+            errors.append("local_epochs must be >= 1")
+        w = self.wireless_cfg
+        if w.enabled:
+            if not 0 <= w.alpha < math.inf:
+                errors.append("wireless alpha must be finite and >= 0")
+            if not 0 < w.tau < math.inf:
+                errors.append("wireless tau must be positive and finite")
+            if not w.b_lower >= 1:
+                errors.append("wireless b_lower must be >= 1")
+            if not w.b_upper >= w.b_lower:
+                errors.append("wireless b_upper must be >= b_lower")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -151,8 +164,8 @@ def evaluate(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -
     """(accuracy, loss) on a held-out set; argmax ties break to the lowest class."""
     if X.shape[0] == 0:
         raise ValueError("empty evaluation set")
-    acc = float((learner.predict(spec, theta, X) == y).mean())
-    return acc, learner.loss(spec, theta, X, y)
+    pred, loss = learner.predict_and_loss(spec, theta, X, y)
+    return float((pred == y).mean()), loss
 
 
 def write_metrics_csv(rows: list[MetricsRow], path: str) -> None:

@@ -3,7 +3,8 @@
 Two model kinds are supported: multinomial logistic regression and a
 one-hidden-layer MLP with tanh activation (smooth, so finite-difference
 gradient checks hold everywhere). Parameters live in a single float64
-vector: per layer, weights row-major then biases.
+vector: per layer, weights row-major then biases. The gradient also takes a
+stack of such vectors, one per client, with one minibatch each.
 """
 
 from __future__ import annotations
@@ -49,19 +50,25 @@ class ModelSpec:
         return [(int(s), int(e)) for s, e in zip(starts, cuts)]
 
     def unpack(self, theta: np.ndarray):
-        if theta.size != self.dim:
-            raise ValueError(f"parameter vector length {theta.size}, expected {self.dim}")
+        """Views of the weight and bias blocks of ``theta``.
+
+        ``theta`` is one flat vector or a stack ``(..., dim)`` of them; every
+        block keeps the leading axes.
+        """
+        if theta.shape[-1:] != (self.dim,):
+            raise ValueError(f"parameters of shape {theta.shape}, expected length {self.dim}")
+        lead = theta.shape[:-1]
         if self.kind == LOGISTIC:
             w = self.num_classes * self.input_dim
-            W = theta[:w].reshape(self.num_classes, self.input_dim)
-            b = theta[w:]
+            W = theta[..., :w].reshape(*lead, self.num_classes, self.input_dim)
+            b = theta[..., w:]
             return W, b
         h, d, c = self.hidden_dim, self.input_dim, self.num_classes
         o = 0
-        W1 = theta[o:o + h * d].reshape(h, d); o += h * d
-        b1 = theta[o:o + h]; o += h
-        W2 = theta[o:o + c * h].reshape(c, h); o += c * h
-        b2 = theta[o:]
+        W1 = theta[..., o:o + h * d].reshape(*lead, h, d); o += h * d
+        b1 = theta[..., o:o + h]; o += h
+        W2 = theta[..., o:o + c * h].reshape(*lead, c, h); o += c * h
+        b2 = theta[..., o:]
         return W1, b1, W2, b2
 
 
@@ -81,23 +88,34 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return theta
 
 
+def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X @ W^T + b over stacks: X (..., n, in), W (..., out, in), b (..., out)."""
+    Z = X @ np.swapaxes(W, -1, -2)
+    Z += b[..., None, :]
+    return Z
+
+
 def _logits(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
+    """Logits (..., n, classes) and, for the MLP, the hidden activations."""
     if spec.kind == LOGISTIC:
         W, b = spec.unpack(theta)
-        return X @ W.T + b, None
+        return _affine(X, W, b), None
     W1, b1, W2, b2 = spec.unpack(theta)
-    H = np.tanh(X @ W1.T + b1)
-    return H @ W2.T + b2, H
+    H = _affine(X, W1, b1)
+    np.tanh(H, out=H)
+    return _affine(H, W2, b2), H
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log-probabilities over the last axis, computed in place in ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
 
 
-def predict(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    logits, _ = _logits(spec, theta, X)
-    return logits.argmax(axis=1)
+def _mean_nll(logits: np.ndarray, y: np.ndarray) -> float:
+    logp = _log_softmax(logits)
+    return float(-logp[np.arange(y.size), y].mean())
 
 
 def loss(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -105,34 +123,53 @@ def loss(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> fl
     if X.shape[0] == 0:
         raise ValueError("empty data slice")
     logits, _ = _logits(spec, theta, X)
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(y.size), y].mean())
+    return _mean_nll(logits, y)
+
+
+def predict_and_loss(spec: ModelSpec, theta: np.ndarray, X: np.ndarray,
+                     y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Predicted classes (argmax, ties to the lowest class) and ``loss``, from
+    one forward pass."""
+    if X.shape[0] == 0:
+        raise ValueError("empty data slice")
+    logits, _ = _logits(spec, theta, X)
+    pred = logits.argmax(axis=1)  # before _mean_nll overwrites logits
+    return pred, _mean_nll(logits, y)
 
 
 def grad(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact gradient of ``loss`` over the slice, flat layout."""
-    if X.shape[0] == 0:
+    """Exact gradient of ``loss`` over the slice, flat layout.
+
+    Also runs a whole cohort at once: ``theta`` (m, dim) with batches ``X``
+    (m, n, in) and ``y`` (m, n) gives the m gradients as rows (m, dim). Each
+    slice goes through the same BLAS call and the same element-wise steps as
+    a single gradient, so every row equals its own single-client result bit
+    for bit.
+    """
+    if X.shape[-2] == 0:
         raise ValueError("empty data slice")
-    n = X.shape[0]
-    logits, H = _logits(spec, theta, X)
-    p = np.exp(_log_softmax(logits))
-    p[np.arange(y.size), y] -= 1.0
+    n = X.shape[-2]
+    p, H = _logits(spec, theta, X)
+    np.exp(_log_softmax(p), out=p)
+    p.reshape(-1, spec.num_classes)[np.arange(y.size), y.ravel()] -= 1.0
     p /= n
-    g = np.empty(spec.dim)
+    pT = np.swapaxes(p, -1, -2)
+    g = np.empty(theta.shape)
     if spec.kind == LOGISTIC:
-        w = spec.num_classes * spec.input_dim
-        g[:w] = (p.T @ X).ravel()
-        g[w:] = p.sum(axis=0)
+        gW, gb = spec.unpack(g)
+        np.matmul(pT, X, out=gW)
+        p.sum(axis=-2, out=gb)
         return g
-    W1, b1, W2, b2 = spec.unpack(theta)
-    h, d, c = spec.hidden_dim, spec.input_dim, spec.num_classes
-    dH = p @ W2
-    dZ1 = dH * (1.0 - H * H)
-    o = 0
-    g[o:o + h * d] = (dZ1.T @ X).ravel(); o += h * d
-    g[o:o + h] = dZ1.sum(axis=0); o += h
-    g[o:o + c * h] = (p.T @ H).ravel(); o += c * h
-    g[o:] = p.sum(axis=0)
+    _, _, W2, _ = spec.unpack(theta)
+    gW1, gb1, gW2, gb2 = spec.unpack(g)
+    np.matmul(pT, H, out=gW2)
+    p.sum(axis=-2, out=gb2)
+    dZ1 = p @ W2  # dH, turned into dZ1 = dH * (1 - H^2) in place
+    H *= H
+    np.subtract(1.0, H, out=H)
+    dZ1 *= H
+    np.matmul(np.swapaxes(dZ1, -1, -2), X, out=gW1)
+    dZ1.sum(axis=-2, out=gb1)
     return g
 
 

@@ -97,26 +97,39 @@ def _check_groups(groups: list[tuple[int, int]] | None, d: int) -> list[tuple[in
     return list(groups)
 
 
-def _group_bounds(mags: np.ndarray, groups: list[tuple[int, int]]):
-    lows = np.empty(len(groups))
-    highs = np.empty(len(groups))
-    for g, (start, stop) in enumerate(groups):
-        lows[g] = mags[start:stop].min()
-        highs[g] = mags[start:stop].max()
-    return lows, highs
+_TINY = np.finfo(np.float64).tiny
 
 
-def _fractional_levels(mags: np.ndarray, lo: float, hi: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base level and fractional offset of each magnitude on the level grid."""
-    if hi == lo:
-        base = np.zeros(mags.shape, dtype=np.int64)
-        frac = np.zeros(mags.shape)
-        return base, frac
-    pos = (mags - lo) * (k / (hi - lo))
-    base = np.floor(pos).astype(np.int64)
-    np.clip(base, 0, k - 1, out=base)
-    frac = pos - base
-    return base, frac
+def _signs(z: np.ndarray) -> np.ndarray:
+    """-1 where z < 0, else +1, as int8."""
+    return 1 - 2 * (z < 0).view(np.int8)
+
+
+def _level_grid(lows: np.ndarray, highs: np.ndarray, sizes: list[int], k: int):
+    """Per-element lower bound and grid scale k / (hi - lo) of each group.
+
+    A group whose spread is too small for a finite scale (hi == lo, in
+    particular) gets scale 0, which puts all its elements on level 0.
+    """
+    spans = highs - lows
+    scale = k / np.where(spans > k * _TINY, spans, np.inf)
+    return np.repeat(lows, sizes), np.repeat(scale, sizes)
+
+
+def _draw_levels(mags: np.ndarray, lo: np.ndarray, scale: np.ndarray, k: int,
+                 u: np.ndarray) -> np.ndarray:
+    """Stochastically rounded level of each magnitude, given uniforms ``u``.
+
+    The grid position is held to [0, k] before rounding, so a magnitude at
+    or past an end lands on that end's level.
+    """
+    pos = mags - lo
+    pos *= scale
+    np.minimum(pos, k, out=pos)
+    np.maximum(pos, 0.0, out=pos)
+    base = np.floor(pos)
+    pos -= base
+    return base.astype(np.int64) + (u < pos)
 
 
 def quantize(
@@ -131,15 +144,16 @@ def quantize(
 
     ``groups`` lists contiguous ``(start, stop)`` index ranges sharing
     bounds (typically one per model layer). ``bounds`` overrides the
-    computed (lo, hi) for every group; intended for tests only.
+    computed (lo, hi) for every group; intended for tests only. All groups
+    go through one pass over the vector.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise ValueError("cannot quantize an empty vector")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
+    if not np.isfinite(z).all():
+        bad = np.flatnonzero(~np.isfinite(z))
         raise ValueError(f"non-finite element at index {int(bad[0])}")
     if rng is None:
         rng = np.random.default_rng()
@@ -147,22 +161,21 @@ def quantize(
         groups = None
     groups = _check_groups(groups, z.size)
 
-    signs = np.where(z < 0, -1, 1).astype(np.int8)
+    signs = _signs(z)
     mags = np.abs(z)
+    starts = [start for start, _ in groups]
     if bounds is not None:
         lows = np.full(len(groups), float(bounds[0]))
         highs = np.full(len(groups), float(bounds[1]))
     else:
-        lows, highs = _group_bounds(mags, groups)
+        lows = np.minimum.reduceat(mags, starts)
+        highs = np.maximum.reduceat(mags, starts)
 
     k = (1 << B) - 1
-    levels = np.empty(z.size, dtype=np.int64)
-    # One uniform draw per element regardless of branch, so RNG consumption
-    # does not depend on the data.
-    u = rng.random(z.size)
-    for g, (start, stop) in enumerate(groups):
-        base, frac = _fractional_levels(mags[start:stop], lows[g], highs[g], k)
-        levels[start:stop] = base + (u[start:stop] < frac)
+    lo, scale = _level_grid(lows, highs, [stop - start for start, stop in groups], k)
+    # One uniform draw per element regardless of the data, so RNG
+    # consumption does not depend on it.
+    levels = _draw_levels(mags, lo, scale, k, rng.random(z.size))
 
     return QuantizedDelta(
         level_indices=levels,
@@ -175,28 +188,29 @@ def quantize(
     )
 
 
+def _dequantize_levels(levels, signs, lows, highs, sizes, k):
+    """Signed values of ``levels`` on each group's grid."""
+    steps = (highs - lows) / k
+    return (np.repeat(lows, sizes) + levels * np.repeat(steps, sizes)) * signs
+
+
 def dequantize(q: QuantizedDelta) -> np.ndarray:
     """Reconstruct the real vector represented by ``q``."""
-    k = (1 << q.bits_per_element) - 1
-    out = np.empty(q.dim)
-    for g, (start, stop) in enumerate(q.group_boundaries):
-        lo, hi = q.lower_bounds[g], q.upper_bounds[g]
-        step = (hi - lo) / k
-        out[start:stop] = lo + q.level_indices[start:stop] * step
-    return out * q.sign_bits
+    sizes = [stop - start for start, stop in q.group_boundaries]
+    return _dequantize_levels(q.level_indices, q.sign_bits, q.lower_bounds,
+                              q.upper_bounds, sizes, (1 << q.bits_per_element) - 1)
 
 
 def _batched_dequantized(z, B, n, rng, bounds=None):
     """n independent dequantized draws of quantize(z, B), whole-vector bounds."""
     mags = np.abs(z)
-    signs = np.where(z < 0, -1.0, 1.0)
-    lo, hi = (mags.min(), mags.max()) if bounds is None else bounds
+    signs = _signs(z)
+    lows, highs = ((mags.min(keepdims=True), mags.max(keepdims=True)) if bounds is None
+                   else (np.array([float(bounds[0])]), np.array([float(bounds[1])])))
     k = (1 << B) - 1
-    base, frac = _fractional_levels(mags, lo, hi, k)
-    u = rng.random((n, z.size))
-    levels = base + (u < frac)
-    step = 0.0 if hi == lo else (hi - lo) / k
-    return (lo + levels * step) * signs
+    lo, scale = _level_grid(lows, highs, [z.size], k)
+    levels = _draw_levels(mags, lo, scale, k, rng.random((n, z.size)))
+    return _dequantize_levels(levels, signs, lows, highs, [z.size], k)
 
 
 def omega_bound(z: np.ndarray, B: int) -> float:

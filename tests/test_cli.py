@@ -1,6 +1,8 @@
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fedsim import alloc, cli
 from fedsim.alloc import AllocProblem, AllocSolution
@@ -13,6 +15,9 @@ BASE_CONFIG = {
     "num_clients": 6, "sample_size": 3, "rounds": 3, "batch_size": 10,
     "labels_per_client": 1, "eval_every": 2, "seed": 11,
 }
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, **extra):
@@ -48,6 +53,30 @@ class TestRun:
         cli.main(["run", "--config", cfg, "--seed", "2"])
         assert capsys.readouterr().out != first
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", -1), ("tau", 0), ("tau", -1), ("b_lower", 0), ("b_upper", 0),
+    ])
+    def test_out_of_range_wireless_field_is_validation_error(
+            self, tmp_path, capsys, field, value):
+        raw = json.loads((CONFIGS / "wireless_fedqvr_e.json").read_text())
+        raw["wireless_cfg"][field] = value
+        raw["rounds"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: invalid config: wireless {field}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("algorithm", ["scaffold", "fedavg"])
+    def test_overflowing_iterate_is_divergence(self, tmp_path, capsys, algorithm):
+        cfg = write_config(tmp_path, algorithm=algorithm, eta=1e308)
+        assert cli.main(["run", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: divergence: local update diverged to non-finite iterate\n"
+
 
 class TestSweep:
     def test_grid_produces_one_csv_per_combo(self, tmp_path, capsys):
@@ -58,6 +87,16 @@ class TestSweep:
                        "--out-dir", str(out_dir)])
         assert rc == 0
         assert len(list(out_dir.glob("metrics_*.csv"))) == 4
+
+    def test_diverging_combo_is_reported_and_the_rest_still_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, algorithm="scaffold")
+        out_dir = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", cfg, "--grid", '{"eta": [1e308, 0.01]}',
+                       "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "[eta-1e+308] divergence: local update diverged to non-finite iterate\n"
+        assert [p.name for p in out_dir.glob("metrics_*.csv")] == ["metrics_eta-0.01.csv"]
 
     def test_bad_grid_json(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,28 +1,34 @@
+import copy
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim import fed, learner
+from fedsim import fed, harness, learner
 from fedsim.fed import ClientState, RoundPlan, ServerState
-from fedsim.learner import LOGISTIC, ModelSpec
+from fedsim.learner import LOGISTIC, MLP, ModelSpec
 
 SPEC = ModelSpec(kind=LOGISTIC, input_dim=5, num_classes=3)
 
 
-def make_clients(n_clients, seed=0, n_samples=30):
+MLP_SPEC = ModelSpec(kind=MLP, input_dim=5, num_classes=3, hidden_dim=4)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def make_clients(n_clients, seed=0, n_samples=30, spec=SPEC):
     rng = np.random.default_rng(seed)
-    datasets = [(rng.normal(size=(n_samples, SPEC.input_dim)),
-                 rng.integers(0, SPEC.num_classes, size=n_samples))
+    datasets = [(rng.normal(size=(n_samples, spec.input_dim)),
+                 rng.integers(0, spec.num_classes, size=n_samples))
                 for _ in range(n_clients)]
-    clients = [ClientState(id=i, p=1.0 / n_clients, c_i=np.zeros(SPEC.dim))
+    clients = [ClientState(id=i, p=1.0 / n_clients, c_i=np.zeros(spec.dim))
                for i in range(n_clients)]
     return clients, datasets
 
 
-def fresh_server(seed=0):
-    return ServerState(theta=learner.init_params(SPEC, seed), c=np.zeros(SPEC.dim))
+def fresh_server(seed=0, spec=SPEC):
+    return ServerState(theta=learner.init_params(spec, seed), c=np.zeros(spec.dim))
 
 
 def uniform_plan(active, E=2, bits=2, **kw):
@@ -30,6 +36,118 @@ def uniform_plan(active, E=2, bits=2, **kw):
                      local_epochs={c: E for c in active},
                      bits={c: bits for c in active},
                      batch_size=10, eta=0.01, **kw)
+
+
+def uneven_plans(spec, rounds=4, **kw):
+    """Rounds of 5 of 8 clients with HLU epochs 1..5, bit widths 1..4 and
+    about a third of the uploads lost; every kind occurs at least once."""
+    rng = np.random.default_rng(spec.dim)
+    plans = []
+    for _ in range(rounds):
+        active = fed.sample_clients(8, 5, rng)
+        plans.append(RoundPlan(
+            active_set=active,
+            local_epochs={c: int(rng.integers(1, 6)) for c in active},
+            bits={c: int(rng.integers(1, 5)) for c in active},
+            batch_size=10, eta=0.05,
+            failed=frozenset(c for c in active if rng.random() < 0.35), **kw))
+    assert any(p.failed for p in plans)
+    assert all(len(set(p.local_epochs.values())) > 1 for p in plans)
+    assert all(len(set(p.bits.values())) > 1 for p in plans)
+    return plans
+
+
+def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
+    """Single-client reference: ``local_update`` and ``client_finish`` per
+    client, run concurrently in reverse order, then ``server_aggregate``."""
+    theta0 = fed.broadcast_point(server, plan.gamma)
+    groups = spec.layer_groups()
+
+    def one_client(cid):
+        rng = fed.client_rng(seed, server.round, cid)
+        E = plan.local_epochs[cid]
+        theta, logs = fed.local_update(
+            spec, theta0, clients[cid].c_i, *datasets[cid], E,
+            plan.batch_size, plan.eta, plan.gamma, rng)
+        upload, c_new = fed.client_finish(
+            theta, theta0, clients[cid].c_i, cid, plan.bits[cid], plan.eta,
+            fed.e_tilde(plan.gamma, plan.eta, E), plan.a, rng, groups=groups,
+            quantize_enabled=plan.quantize_enabled)
+        return upload, c_new, logs
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(one_client, reversed(plan.active_set)))
+    delivered = [r for r in results if r[0].client_id not in plan.failed]
+    new_server = fed.server_aggregate(
+        server, theta0, [(u, clients[u.client_id].p) for u, _, _ in delivered],
+        len(plan.active_set), len(clients))
+    for upload, c_new, _ in delivered:
+        clients[upload.client_id].c_i = c_new
+    return (new_server, sum(u.payload_bits for u, _, _ in delivered),
+            {u.client_id: logs for u, _, logs in delivered})
+
+
+def reference_scaffold_round(spec, server, clients, datasets, plan, seed, eta_g):
+    """Straight per-client loop of the SCAFFOLD round."""
+    eta = plan.eta
+    results, logs = [], {}
+    for cid in plan.active_set:
+        rng = fed.client_rng(seed, server.round, cid)
+        E = plan.local_epochs[cid]
+        theta = server.theta.copy()
+        grads = []
+        for _ in range(E):
+            g = learner.stochastic_grad(spec, theta, *datasets[cid], plan.batch_size, rng)
+            grads.append(g)
+            theta -= eta * (g + server.c - clients[cid].c_i)
+        c_i_new = clients[cid].c_i - server.c + (server.theta - theta) / (E * eta)
+        if cid not in plan.failed:
+            results.append((cid, theta, c_i_new))
+            logs[cid] = grads
+    results.sort()
+    theta_new, c_new = server.theta.copy(), server.c.copy()
+    if results:
+        mean_theta = np.mean([t for _, t, _ in results], axis=0)
+        theta_new = server.theta + eta_g * (mean_theta - server.theta)
+        for cid, _, c_i_new in results:
+            c_new += (c_i_new - clients[cid].c_i) / len(clients)
+        for cid, _, c_i_new in results:
+            clients[cid].c_i = c_i_new
+    return ServerState(theta=theta_new, c=c_new, round=server.round + 1), logs
+
+
+def reference_fedavg_round(spec, server, datasets, plan, seed):
+    """Straight per-client loop of the FedAvg round."""
+    models = []
+    for cid in plan.active_set:
+        rng = fed.client_rng(seed, server.round, cid)
+        theta = server.theta.copy()
+        for _ in range(plan.local_epochs[cid]):
+            theta -= plan.eta * learner.stochastic_grad(
+                spec, theta, *datasets[cid], plan.batch_size, rng)
+        if cid not in plan.failed:
+            models.append((cid, theta))
+    models.sort(key=lambda t: t[0])
+    theta_new = (np.mean([t for _, t in models], axis=0) if models
+                 else server.theta.copy())
+    return (ServerState(theta=theta_new, c=server.c.copy(), round=server.round + 1),
+            [cid for cid, _ in models])
+
+
+def assert_same_state(server, clients, ref_server, ref_clients):
+    np.testing.assert_array_equal(server.theta, ref_server.theta)
+    np.testing.assert_array_equal(server.c, ref_server.c)
+    assert server.round == ref_server.round
+    for cl, ref in zip(clients, ref_clients):
+        np.testing.assert_array_equal(cl.c_i, ref.c_i)
+
+
+def assert_same_logs(logs, ref_logs):
+    assert sorted(logs) == sorted(ref_logs)
+    for cid, grads in ref_logs.items():
+        assert len(logs[cid]) == len(grads)
+        for g, ref in zip(logs[cid], grads):
+            np.testing.assert_array_equal(g, ref)
 
 
 class TestPrimitives:
@@ -274,38 +392,59 @@ class TestFedqvrRound:
             np.testing.assert_allclose(server.c, mix, atol=1e-12)
 
     def test_result_independent_of_client_processing_order(self):
-        """Per-client work depends only on (seed, round, id): computing the
-        uploads concurrently and aggregating reproduces the sequential round."""
-        n = 6
-        clients, datasets = make_clients(n, seed=15)
-        server = fresh_server(15)
-        plan = uniform_plan(range(n))
+        """The stacked round engine equals the single-client reference bit for
+        bit: per-client ``local_update`` + ``client_finish`` computed
+        concurrently in reverse order, then aggregated. Rounds mix uneven
+        (HLU) epochs, lost uploads and per-client bit widths, for both model
+        kinds, quantized and not, with gradient logs collected."""
         seed = 77
-        theta0 = fed.broadcast_point(server, plan.gamma)
-        groups = SPEC.layer_groups()
+        for spec in (SPEC, MLP_SPEC):
+            for quantize in (True, False):
+                clients, datasets = make_clients(8, seed=15, spec=spec)
+                ref_clients = copy.deepcopy(clients)
+                server = ref_server = fresh_server(15, spec)
+                for plan in uneven_plans(spec, quantize_enabled=quantize):
+                    server, report = fed.run_round_fedqvr(
+                        spec, server, clients, datasets, plan, seed,
+                        collect_grad_logs=True)
+                    ref_server, ref_bits, ref_logs = reference_fedqvr_round(
+                        spec, ref_server, ref_clients, datasets, plan, seed)
+                    assert_same_state(server, clients, ref_server, ref_clients)
+                    assert report.uplink_bits == ref_bits
+                    assert report.delivered_ids == sorted(ref_logs)
+                    assert_same_logs(report.grad_logs, ref_logs)
 
-        def one_client(cid):
-            rng = fed.client_rng(seed, server.round, cid)
-            th, _ = fed.local_update(
-                SPEC, theta0, clients[cid].c_i, *datasets[cid],
-                plan.local_epochs[cid], plan.batch_size, plan.eta,
-                plan.gamma, rng)
-            upload, _ = fed.client_finish(
-                th, theta0, clients[cid].c_i, cid, plan.bits[cid], plan.eta,
-                fed.e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]),
-                plan.a, rng, groups=groups)
-            return upload
+    def test_empty_cohort_changes_nothing_but_the_anchor(self):
+        """A round whose cohort the allocator dropped entirely: no upload, no
+        control variate moves, and theta becomes the broadcast point, which is
+        the server update with an empty sum."""
+        clients, datasets = make_clients(6, seed=24)
+        server = fresh_server(24)
+        for r in range(3):  # make c and the c_i non-zero first
+            server, _ = fed.run_round_fedqvr(
+                SPEC, server, clients, datasets, uniform_plan([r, r + 3]), 0)
+        assert np.any(server.c != 0)
+        before = [cl.c_i.copy() for cl in clients]
+        plan = RoundPlan(active_set=[], local_epochs={}, bits={}, batch_size=10,
+                         eta=0.01, m_sampled=4)
+        out, report = fed.run_round_fedqvr(SPEC, server, clients, datasets, plan, 0)
+        np.testing.assert_array_equal(out.theta, fed.broadcast_point(server, plan.gamma))
+        np.testing.assert_array_equal(out.c, server.c)
+        for cl, c_i in zip(clients, before):
+            np.testing.assert_array_equal(cl.c_i, c_i)
+        assert out.round == server.round + 1
+        assert report.uplink_bits == 0
+        assert report.active_ids == report.delivered_ids == []
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            uploads = list(pool.map(one_client, reversed(range(n))))
-        parallel = fed.server_aggregate(
-            server, theta0, [(u, clients[u.client_id].p) for u in uploads],
-            m=n, num_clients=n)
-
-        sequential, _ = fed.run_round_fedqvr(
-            SPEC, server, clients, datasets, plan, seed)
-        np.testing.assert_array_equal(parallel.theta, sequential.theta)
-        np.testing.assert_array_equal(parallel.c, sequential.c)
+    def test_empty_cohort_in_a_wireless_run(self):
+        """The shipped fedqvr_e config at seed 0 drops all five devices in
+        round 41 (found from its round trace)."""
+        cfg = harness.parse_config(str(CONFIGS / "wireless_fedqvr_e.json"))
+        cfg.rounds, cfg.eval_every = 42, 1
+        rows = harness.run_experiment(cfg)
+        assert rows[42].dropped_count == cfg.sample_size
+        assert rows[42].active_count == 0
+        assert rows[42].cumulative_uplink_bits == rows[41].cumulative_uplink_bits
 
     def test_uplink_bits_accounting(self):
         clients, datasets = make_clients(4, seed=16)
@@ -331,6 +470,18 @@ class TestFedavgRound:
         out, report = fed.run_round_fedavg(SPEC, server, datasets, plan, seed)
         np.testing.assert_allclose(out.theta, expected, atol=1e-14)
         assert report.uplink_bits == n * 32 * SPEC.dim
+
+    def test_matches_straight_loop_reference(self):
+        for spec in (SPEC, MLP_SPEC):
+            _, datasets = make_clients(8, seed=25, spec=spec)
+            server = ref_server = fresh_server(25, spec)
+            for plan in uneven_plans(spec):
+                server, report = fed.run_round_fedavg(spec, server, datasets, plan, 4)
+                ref_server, delivered = reference_fedavg_round(
+                    spec, ref_server, datasets, plan, 4)
+                np.testing.assert_array_equal(server.theta, ref_server.theta)
+                assert report.delivered_ids == delivered
+                assert report.uplink_bits == 32 * spec.dim * len(delivered)
 
     def test_all_failed_keeps_model(self):
         _, datasets = make_clients(3, seed=18)
@@ -377,6 +528,29 @@ class TestScaffoldRound:
         expected = server.c + sum(
             (clients[cid].c_i - old_ci[cid]) / n for cid in (0, 2))
         np.testing.assert_allclose(out.c, expected, atol=1e-14)
+
+    def test_matches_straight_loop_reference(self):
+        for spec in (SPEC, MLP_SPEC):
+            clients, datasets = make_clients(8, seed=26, spec=spec)
+            ref_clients = copy.deepcopy(clients)
+            server = ref_server = fresh_server(26, spec)
+            for plan in uneven_plans(spec):
+                server, report = fed.run_round_scaffold(
+                    spec, server, clients, datasets, plan, 6, eta_g=0.9,
+                    collect_grad_logs=True)
+                ref_server, ref_logs = reference_scaffold_round(
+                    spec, ref_server, ref_clients, datasets, plan, 6, eta_g=0.9)
+                assert_same_state(server, clients, ref_server, ref_clients)
+                assert report.delivered_ids == sorted(ref_logs)
+                assert report.uplink_bits == 2 * 32 * spec.dim * len(ref_logs)
+                assert_same_logs(report.grad_logs, ref_logs)
+
+    def test_divergence_raises(self):
+        clients, datasets = make_clients(3, seed=27)
+        plan = RoundPlan(active_set=[0, 1], local_epochs={0: 3, 1: 3},
+                         bits={}, batch_size=10, eta=1e308)
+        with pytest.raises(FloatingPointError, match="diverged"):
+            fed.run_round_scaffold(SPEC, fresh_server(27), clients, datasets, plan, 0)
 
     def test_uplink_cost_is_double_raw(self):
         clients, datasets = make_clients(3, seed=22)

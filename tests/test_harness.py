@@ -52,6 +52,7 @@ class TestConfig:
         ("gamma", -1.0, "gamma"),
         ("a", 1.5, "a must lie"),
         ("bits", 0, "bits"),
+        ("local_epochs", 0, "local_epochs"),
     ])
     def test_field_validation(self, field, value, msg):
         cfg = small_config(**{field: value})

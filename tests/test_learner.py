@@ -110,6 +110,26 @@ class TestLossAndGrad:
         # bias gradient must vanish by symmetry
         assert np.allclose(g[16:], 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("spec", [LOG_SPEC, MLP_SPEC], ids=["logistic", "mlp"])
+    def test_stacked_grad_rows_equal_single_grads_bitwise(self, spec):
+        rng = np.random.default_rng(10)
+        for m, n in [(1, 7), (4, 1), (5, 12)]:
+            thetas = 0.3 * rng.normal(size=(m, spec.dim))
+            X = rng.normal(size=(m, n, spec.input_dim))
+            y = rng.integers(0, spec.num_classes, size=(m, n))
+            G = learner.grad(spec, thetas, X, y)
+            assert G.shape == (m, spec.dim)
+            for j in range(m):
+                np.testing.assert_array_equal(G[j], learner.grad(spec, thetas[j], X[j], y[j]))
+
+    def test_predict_and_loss_match_loss(self):
+        X, y = make_data(seed=11)
+        theta = learner.init_params(MLP_SPEC, 11)
+        pred, ls = learner.predict_and_loss(MLP_SPEC, theta, X, y)
+        assert ls == learner.loss(MLP_SPEC, theta, X, y)
+        assert pred.shape == y.shape
+        assert 0 <= pred.min() and pred.max() < MLP_SPEC.num_classes
+
     def test_empty_slice_rejected(self):
         X, y = make_data()
         with pytest.raises(ValueError):

@@ -46,6 +46,13 @@ class TestQuantizeDequantize:
                            bounds=(first.lower_bounds[0], first.upper_bounds[0]))
         np.testing.assert_array_equal(again.level_indices, first.level_indices)
 
+    def test_magnitudes_outside_forced_bounds_land_on_end_levels(self):
+        z = np.array([0.05, -0.1, 0.5, -2.0, 7.5])
+        for seed in range(5):
+            delta = q.quantize(z, 3, rng=rng(seed), bounds=(0.2, 1.0))
+            np.testing.assert_array_equal(delta.level_indices[[0, 1, 3, 4]], [0, 0, 7, 7])
+            delta.validate()
+
     def test_negative_values_keep_sign(self):
         z = np.array([-0.7, 0.7, -0.1, 0.1])
         out = q.dequantize(q.quantize(z, 8, rng=rng(6)))
