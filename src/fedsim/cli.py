@@ -9,6 +9,7 @@ import argparse
 import itertools
 import json
 import os
+import statistics
 import sys
 
 from . import alloc, harness, verify
@@ -66,11 +67,13 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     keys = sorted(grid)
     status = EXIT_OK
+    finals: dict[str, list[harness.MetricsRow]] = {}  # final rows by the non-seed values
     for combo in itertools.product(*(grid[k] for k in keys)):
         raw = json.loads(cfg_text)
         for k, v in zip(keys, combo):
             raw[k] = v
         tag = "_".join(f"{k}-{v}" for k, v in zip(keys, combo))
+        rest = "_".join(f"{k}-{v}" for k, v in zip(keys, combo) if k != "seed")
         raw["out"] = os.path.join(args.out_dir, f"metrics_{tag}.csv")
         try:
             cfg = harness.ExperimentConfig.from_json(json.dumps(raw))
@@ -83,7 +86,15 @@ def _cmd_sweep(args) -> int:
             print(f"[{tag}] divergence: {e}", file=sys.stderr)
             status = EXIT_DIVERGENCE
             continue
-        print(f"[{tag}] accuracy={rows[-1].test_accuracy:.4f}")
+        print(f"[{tag}] accuracy={rows[-1].test_accuracy:.4f} "
+              f"uplink_bits={rows[-1].cumulative_uplink_bits}")
+        finals.setdefault(rest, []).append(rows[-1])
+    if "seed" in grid:
+        for rest, rows in finals.items():
+            acc = statistics.median(r.test_accuracy for r in rows)
+            bits = statistics.median(r.cumulative_uplink_bits for r in rows)
+            print(f"[{rest or 'all'}] median over {len(rows)} seeds: "
+                  f"accuracy={acc:.4f} uplink_bits={bits:.0f}")
     return status
 
 

@@ -100,28 +100,6 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
     return Dataset(features=pixels.astype(np.float64) / 255.0, labels=labels)
 
 
-def synth_noniid(
-    num_classes: int,
-    dim: int,
-    samples_per_class: int,
-    separation: float,
-    rng: np.random.Generator,
-) -> Dataset:
-    """Gaussian class clusters with mean norm ``separation``; unit covariance."""
-    if num_classes <= 0 or dim <= 0 or samples_per_class <= 0:
-        raise ValueError("num_classes, dim, samples_per_class must be positive")
-    means = rng.normal(size=(num_classes, dim))
-    norms = np.linalg.norm(means, axis=1, keepdims=True)
-    means = separation * means / norms
-    X = np.concatenate([
-        means[c] + rng.normal(size=(samples_per_class, dim))
-        for c in range(num_classes)
-    ])
-    y = np.repeat(np.arange(num_classes), samples_per_class)
-    perm = rng.permutation(X.shape[0])
-    return Dataset(features=X[perm], labels=y[perm])
-
-
 def make_synth_task(
     num_classes: int,
     dim: int,
@@ -130,7 +108,11 @@ def make_synth_task(
     separation: float,
     seed: int,
 ) -> tuple[Dataset, Dataset]:
-    """Train/test datasets drawn from the same class clusters."""
+    """Train/test datasets drawn from the same class clusters: Gaussian with
+    unit covariance around class means of norm ``separation``."""
+    if min(num_classes, dim, samples_per_class, test_samples_per_class) < 1:
+        raise ValueError("num_classes, dim, samples_per_class and "
+                         "test_samples_per_class must be positive")
     rng = np.random.default_rng([seed, 0x5D])
     means = rng.normal(size=(num_classes, dim))
     means = separation * means / np.linalg.norm(means, axis=1, keepdims=True)
@@ -182,10 +164,3 @@ def client_weights_from_sizes(sizes) -> np.ndarray:
     if np.any(sizes <= 0):
         raise ValueError("every client must hold at least one sample")
     return sizes / sizes.sum()
-
-
-def client_weights(part: Partition) -> np.ndarray:
-    """p_i = n_i / n over the partitioned samples."""
-    if part.num_clients == 0:
-        raise ValueError("empty partition")
-    return client_weights_from_sizes([a.size for a in part.assignments])

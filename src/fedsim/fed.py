@@ -3,13 +3,18 @@
 Implements the quantized variance-reduced protocol (control variates at
 server and clients, geometric-weighted local updates, quantized uplink of
 model differences) alongside plain federated averaging and the SCAFFOLD
-baseline. All randomness flows through per-(seed, round, client) streams so
-results are independent of client scheduling order.
+baseline. The three share one round engine, ``run_round``; each algorithm is
+an object with its start point, local step, aggregate and upload cost. All
+randomness flows through per-(seed, round, client) streams so results are
+independent of client scheduling order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +49,7 @@ class RoundPlan:
     gamma: float = 0.3
     a: float = 0.3
     quantize_enabled: bool = True
+    eta_g: float = 1.0  # scaffold's server step toward the mean model
     # uploads from these clients are lost in transit; their state rolls back
     failed: frozenset[int] = frozenset()
     # original sampled-cohort size when active_set was thinned by allocation
@@ -56,7 +62,6 @@ class ClientUpload:
     delta: QuantizedDelta | None     # None when quantization is disabled
     delta_hat: np.ndarray            # dequantized (or raw) model difference
     step_scale: float                # a / (eta * E_tilde)
-    payload_bits: int
 
 
 @dataclass
@@ -141,7 +146,6 @@ def client_finish(
     e_tilde_val: float,
     a: float,
     rng: np.random.Generator,
-    qcfg: QuantizerConfig = QuantizerConfig(),
     groups: list[tuple[int, int]] | None = None,
     quantize_enabled: bool = True,
 ) -> tuple[ClientUpload, np.ndarray]:
@@ -155,20 +159,13 @@ def client_finish(
     diff = theta_new - theta0
     step_scale = a / (eta * e_tilde_val)
     if quantize_enabled:
-        q = quantizer.quantize(diff, bits, qcfg, rng, groups=groups)
+        q = quantizer.quantize(diff, bits, rng=rng, groups=groups)
         delta_hat = quantizer.dequantize(q)
-        bits_used = q.payload_bits
     else:
         q = None
         delta_hat = diff
-        bits_used = RAW_BITS_PER_ELEMENT * diff.size
-    upload = ClientUpload(
-        client_id=client_id,
-        delta=q,
-        delta_hat=delta_hat,
-        step_scale=step_scale,
-        payload_bits=bits_used,
-    )
+    upload = ClientUpload(client_id=client_id, delta=q, delta_hat=delta_hat,
+                          step_scale=step_scale)
     return upload, c_i - step_scale * delta_hat
 
 
@@ -283,151 +280,168 @@ def _local_phase(
     return theta, rngs, logs
 
 
-def run_round_fedqvr(
-    spec: ModelSpec,
-    server: ServerState,
-    clients: list[ClientState],
-    datasets: list[tuple[np.ndarray, np.ndarray]],
-    plan: RoundPlan,
-    master_seed: int,
-    qcfg: QuantizerConfig = QuantizerConfig(),
-    collect_grad_logs: bool = False,
-) -> tuple[ServerState, RoundReport]:
-    """One full round: broadcast, local updates, quantized uplink, aggregation.
+class Cohort(NamedTuple):
+    """A round's cohort after its local steps, one row per active client."""
 
+    epochs: np.ndarray                # local steps per row
+    start: np.ndarray                 # the point every row started from
+    theta: np.ndarray                 # final iterates, (m, dim)
+    c_rows: np.ndarray                # control variates at the start, (m, dim)
+    rngs: list[np.random.Generator]   # each client's stream after its draws
+    delivered: list[tuple[int, int]]  # (client id, row) of arriving uploads, by id
+
+    def mean_delivered(self) -> np.ndarray:
+        return np.mean(self.theta[[j for _, j in self.delivered]], axis=0)
+
+
+class FedAvg:
+    """Local SGD; the server takes the unweighted mean of the delivered models."""
+
+    name = "fedavg"
+    quantized = False
+
+    def payload_bits(self, spec: ModelSpec, bits: int | None) -> int:
+        """Uplink bits of one upload: the model, uncompressed."""
+        return RAW_BITS_PER_ELEMENT * spec.dim
+
+    def start(self, server: ServerState, plan: RoundPlan) -> np.ndarray:
+        return server.theta
+
+    def stepper(self, server, plan, start, c_rows):
+        """The round's local step: ``step(theta, g, k)`` updates the first k
+        rows of ``theta`` in place from their gradients ``g``."""
+        def step(theta, g, k):
+            g *= plan.eta
+            theta -= g
+        return step
+
+    def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
+        theta = cohort.mean_delivered() if cohort.delivered else server.theta.copy()
+        return ServerState(theta=theta, c=server.c.copy(), round=server.round + 1)
+
+
+class Scaffold(FedAvg):
+    """SCAFFOLD: SGD corrected by c - c_i, control-variate refresh, and a
+    server step ``plan.eta_g`` toward the mean of the delivered models."""
+
+    name = "scaffold"
+
+    def payload_bits(self, spec: ModelSpec, bits: int | None) -> int:
+        """Uplink bits of one upload: the model and the control variate."""
+        return 2 * RAW_BITS_PER_ELEMENT * spec.dim
+
+    def stepper(self, server, plan, start, c_rows):
+        def step(theta, g, k):
+            # theta <- theta - eta * ((g + c) - c_i)
+            g += server.c
+            g -= c_rows[:k]
+            g *= plan.eta
+            theta -= g
+        return step
+
+    def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
+        c_rows = (cohort.c_rows - server.c
+                  + (server.theta - cohort.theta) / (cohort.epochs * plan.eta)[:, None])
+        theta_new, c_new = server.theta.copy(), server.c.copy()
+        if cohort.delivered:
+            theta_new = server.theta + plan.eta_g * (cohort.mean_delivered() - server.theta)
+            for cid, j in cohort.delivered:
+                c_new += (c_rows[j] - clients[cid].c_i) / len(clients)
+                clients[cid].c_i = c_rows[j].copy()
+        return ServerState(theta=theta_new, c=c_new, round=server.round + 1)
+
+
+class FedQVR:
+    """Quantized variance reduction: every client starts from the broadcast
+    point, takes geometric-weighted steps corrected by its control variate,
+    and uploads its quantized model difference (``client_finish``)."""
+
+    name = "fedqvr"
+    quantized = True
+
+    def mu(self, spec: ModelSpec) -> int:
+        """Side bits of one upload: a (lo, hi) bound pair per layer."""
+        return 2 * QuantizerConfig.bits_per_bound * len(spec.layer_groups())
+
+    def payload_bits(self, spec: ModelSpec, bits: int | None) -> int:
+        """Uplink bits of one upload: d(B+1) + mu at ``bits`` = B, or the raw
+        model when the upload is not quantized (``bits`` None)."""
+        if bits is None:
+            return RAW_BITS_PER_ELEMENT * spec.dim
+        return quantizer.payload_bits(spec.dim, bits, self.mu(spec))
+
+    def start(self, server: ServerState, plan: RoundPlan) -> np.ndarray:
+        return broadcast_point(server, plan.gamma)
+
+    def stepper(self, server, plan, start, c_rows):
+        ge = plan.gamma * plan.eta
+        anchor = (ge / (1.0 + ge)) * start
+
+        def step(theta, g, k):
+            # theta <- (theta - eta * (g - c_i)) / (1 + ge) + (ge / (1 + ge)) * theta0
+            g -= c_rows[:k]
+            g *= plan.eta
+            theta -= g
+            theta /= 1.0 + ge
+            theta += anchor
+        return step
+
+    def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
+        groups = spec.layer_groups()
+        uploads: list[tuple[ClientUpload, float]] = []
+        for cid, j in cohort.delivered:  # each c_i is committed as soon as it is made
+            upload, clients[cid].c_i = client_finish(
+                cohort.theta[j], cohort.start, cohort.c_rows[j], cid, plan.bits[cid], plan.eta,
+                e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a, cohort.rngs[j],
+                groups=groups, quantize_enabled=plan.quantize_enabled)
+            uploads.append((upload, clients[cid].p))
+        m = plan.m_sampled if plan.m_sampled is not None else len(plan.active_set)
+        return server_aggregate(server, cohort.start, uploads, m, len(clients))
+
+
+FEDAVG, SCAFFOLD, FEDQVR = FedAvg(), Scaffold(), FedQVR()
+
+
+def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
+              clients: list[ClientState], datasets: list[tuple[np.ndarray, np.ndarray]],
+              plan: RoundPlan, master_seed: int,
+              collect_grad_logs: bool = False) -> tuple[ServerState, RoundReport]:
+    """One round of ``algo``: the cohort's local steps, its uploads, aggregation.
+
+    ``algo`` gives the start point, the in-place local step, the aggregate
+    and the upload cost; the round is otherwise the same for every algorithm.
     Inactive clients keep their control variates. Clients in ``plan.failed``
-    compute but their uploads are lost: the server skips them and their
-    control variates roll back, exactly as if they had been inactive.
-    Every row reproduces ``local_update`` bit for bit.
+    compute, but their uploads are lost: the server skips them and their
+    control variates stay as they were. Every row reproduces the
+    single-client computation (``local_update`` for fedqvr) bit for bit.
     """
-    theta0 = broadcast_point(server, plan.gamma)
     ids, epochs = _cohort(plan)
     c_rows = _stack_controls(clients, ids, spec.dim)
-    ge = plan.gamma * plan.eta
-    anchor = (ge / (1.0 + ge)) * theta0
-
-    def step(theta, g, k):
-        # theta <- (theta - eta * (g - c_i)) / (1 + ge) + (ge / (1 + ge)) * theta0
-        g -= c_rows[:k]
-        g *= plan.eta
-        theta -= g
-        theta /= 1.0 + ge
-        theta += anchor
-
-    theta, rngs, logs = _local_phase(spec, theta0, ids, epochs, datasets, plan.batch_size,
-                                     master_seed, server.round, step, collect_grad_logs)
-    groups = spec.layer_groups() if qcfg.per_layer_grouping else None
-    uploads: list[tuple[ClientUpload, float]] = []
-    report_logs: dict[int, list[np.ndarray]] = {}
-    for j, cid in enumerate(ids):
-        upload, c_new = client_finish(
-            theta[j], theta0, c_rows[j], cid, plan.bits[cid],
-            plan.eta, e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a, rngs[j],
-            qcfg=qcfg, groups=groups, quantize_enabled=plan.quantize_enabled)
-        if cid in plan.failed:
-            continue
-        uploads.append((upload, clients[cid].p))
-        clients[cid].c_i = c_new
-        if collect_grad_logs:
-            report_logs[cid] = logs[j]
-    m = plan.m_sampled if plan.m_sampled is not None else len(plan.active_set)
-    new_server = server_aggregate(server, theta0, uploads, m, len(clients))
+    start = algo.start(server, plan)
+    theta, rngs, logs = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size,
+                                     master_seed, server.round,
+                                     algo.stepper(server, plan, start, c_rows), collect_grad_logs)
+    delivered = sorted((cid, j) for j, cid in enumerate(ids) if cid not in plan.failed)
+    new_server = algo.aggregate(spec, server, clients, plan,
+                                Cohort(epochs, start, theta, c_rows, rngs, delivered))
+    bits = {cid: plan.bits[cid] for cid in plan.active_set} if algo.quantized else {}
+    sent = bits if plan.quantize_enabled else {}  # B of each upload; none when sent raw
+    widths = Counter(sent.get(cid) for cid, _ in delivered)  # one cost per width, not per upload
     report = RoundReport(
         round=server.round,
         active_ids=list(plan.active_set),
-        delivered_ids=sorted(u.client_id for u, _ in uploads),
+        delivered_ids=[cid for cid, _ in delivered],
         epochs={cid: plan.local_epochs[cid] for cid in plan.active_set},
-        bits={cid: plan.bits[cid] for cid in plan.active_set},
-        uplink_bits=sum(u.payload_bits for u, _ in uploads),
-        grad_logs=report_logs,
+        bits=bits,
+        uplink_bits=sum(n * algo.payload_bits(spec, b) for b, n in widths.items()),
+        grad_logs={cid: logs[j] for cid, j in delivered} if collect_grad_logs else {},
     )
     return new_server, report
 
 
-def _delivered_rows(ids: list[int], plan: RoundPlan) -> list[tuple[int, int]]:
-    """(client id, row) of every upload that arrives, in client-id order."""
-    return sorted((cid, j) for j, cid in enumerate(ids) if cid not in plan.failed)
-
-
-def run_round_fedavg(
-    spec: ModelSpec,
-    server: ServerState,
-    datasets: list[tuple[np.ndarray, np.ndarray]],
-    plan: RoundPlan,
-    master_seed: int,
-) -> tuple[ServerState, RoundReport]:
-    """Vanilla local SGD with unweighted mean aggregation over delivered models."""
-    ids, epochs = _cohort(plan)
-
-    def step(theta, g, k):
-        g *= plan.eta
-        theta -= g
-
-    theta, _, _ = _local_phase(spec, server.theta, ids, epochs, datasets, plan.batch_size,
-                               master_seed, server.round, step)
-    delivered = _delivered_rows(ids, plan)
-    if delivered:
-        theta_new = np.mean(theta[[j for _, j in delivered]], axis=0)
-    else:
-        theta_new = server.theta.copy()
-    report = RoundReport(
-        round=server.round,
-        active_ids=list(plan.active_set),
-        delivered_ids=[cid for cid, _ in delivered],
-        epochs={cid: plan.local_epochs[cid] for cid in plan.active_set},
-        bits={},
-        uplink_bits=RAW_BITS_PER_ELEMENT * spec.dim * len(delivered),
-    )
-    return ServerState(theta=theta_new, c=server.c.copy(), round=server.round + 1), report
-
-
-def run_round_scaffold(
-    spec: ModelSpec,
-    server: ServerState,
-    clients: list[ClientState],
-    datasets: list[tuple[np.ndarray, np.ndarray]],
-    plan: RoundPlan,
-    master_seed: int,
-    eta_g: float = 1.0,
-    collect_grad_logs: bool = False,
-) -> tuple[ServerState, RoundReport]:
-    """SCAFFOLD round: perturbed SGD, control-variate refresh, mean aggregation.
-
-    Each upload carries both the local model and the control variate, so the
-    per-round uplink cost is twice the uncompressed model size.
-    """
-    eta_l = plan.eta
-    ids, epochs = _cohort(plan)
-    c_rows = _stack_controls(clients, ids, spec.dim)
-
-    def step(theta, g, k):
-        # theta <- theta - eta_l * ((g + c) - c_i)
-        g += server.c
-        g -= c_rows[:k]
-        g *= eta_l
-        theta -= g
-
-    theta, _, logs = _local_phase(spec, server.theta, ids, epochs, datasets, plan.batch_size,
-                                  master_seed, server.round, step, collect_grad_logs)
-    c_rows = c_rows - server.c + (server.theta - theta) / (epochs * eta_l)[:, None]
-    delivered = _delivered_rows(ids, plan)
-    theta_new, c_new = server.theta.copy(), server.c.copy()
-    if delivered:
-        mean_theta = np.mean(theta[[j for _, j in delivered]], axis=0)
-        theta_new = server.theta + eta_g * (mean_theta - server.theta)
-        for cid, j in delivered:
-            c_new += (c_rows[j] - clients[cid].c_i) / len(clients)
-            clients[cid].c_i = c_rows[j].copy()
-    report = RoundReport(
-        round=server.round,
-        active_ids=list(plan.active_set),
-        delivered_ids=[cid for cid, _ in delivered],
-        epochs={cid: plan.local_epochs[cid] for cid in plan.active_set},
-        bits={},
-        uplink_bits=2 * RAW_BITS_PER_ELEMENT * spec.dim * len(delivered),
-        grad_logs={cid: logs[j] for cid, j in delivered} if collect_grad_logs else {},
-    )
-    return ServerState(theta=theta_new, c=c_new, round=server.round + 1), report
+run_round_fedavg = partial(run_round, FEDAVG)
+run_round_scaffold = partial(run_round, SCAFFOLD)
+run_round_fedqvr = partial(run_round, FEDQVR)
 
 
 def validate_stepsize_conditions(

@@ -1,10 +1,9 @@
-"""Experiment orchestration: config, algorithm dispatch, metrics, CSV output."""
+"""Experiment orchestration: config, round planning, metrics, CSV output."""
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -12,11 +11,18 @@ import numpy as np
 from . import alloc, data, fed, learner, wireless
 from .fed import ClientState, RoundPlan, ServerState
 from .learner import ModelSpec
-from .quantizer import QuantizerConfig, payload_bits
 
-ALGORITHMS = ("fedavg", "scaffold", "fedqvr", "fedqvr_e")
+# fedqvr_e runs fedqvr rounds on plans from the bandwidth/bit allocator
+ALGORITHMS = {"fedavg": fed.FEDAVG, "scaffold": fed.SCAFFOLD,
+              "fedqvr": fed.FEDQVR, "fedqvr_e": fed.FEDQVR}
 
 CSV_HEADER = "round,train_loss,test_accuracy,cumulative_uplink_bits,active_count,dropped_count"
+
+# keys each dataset kind needs
+_DATASET_KEYS = {
+    "synthetic": ("num_classes", "dim", "samples_per_class", "separation"),
+    "mnist": ("images_path", "labels_path", "test_images_path", "test_labels_path"),
+}
 
 # Stream labels for deriving independent RNG lineages from one master seed.
 _SEED_PARTITION = 1
@@ -87,7 +93,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         errors = []
         if self.algorithm not in ALGORITHMS:
-            errors.append(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+            errors.append(f"algorithm must be one of {tuple(ALGORITHMS)}, got {self.algorithm!r}")
         if not 1 <= self.sample_size <= self.num_clients:
             errors.append("sample_size must satisfy 1 <= m <= num_clients")
         if self.rounds < 0:
@@ -98,6 +104,19 @@ class ExperimentConfig:
             errors.append("eta must be positive")
         if self.eval_every < 1:
             errors.append("eval_every must be >= 1")
+        ds = self.dataset
+        if not isinstance(ds, dict):
+            errors.append("dataset must be a JSON object")
+        elif ds.get("kind") not in _DATASET_KEYS:
+            errors.append(f"unknown dataset kind {ds.get('kind')!r}")
+        elif missing := [k for k in _DATASET_KEYS[ds["kind"]] if k not in ds]:
+            errors.append(f"{ds['kind']} dataset needs {missing}")
+        if self.model_kind not in (learner.LOGISTIC, learner.MLP):
+            errors.append(f"model_kind must be {learner.LOGISTIC!r} or {learner.MLP!r}")
+        elif self.model_kind == learner.MLP and self.hidden_dim < 1:
+            errors.append("hidden_dim must be >= 1")
+        if self.labels_per_client < 1:
+            errors.append("labels_per_client must be >= 1")
         if self.algorithm in ("fedqvr", "fedqvr_e"):
             if self.gamma is None or self.gamma <= 0:
                 errors.append("gamma must be positive for variance-reduced algorithms")
@@ -107,7 +126,8 @@ class ExperimentConfig:
             errors.append("bits must be >= 1 for fedqvr")
         if self.algorithm == "fedqvr_e" and not self.wireless_cfg.enabled:
             errors.append("fedqvr_e requires wireless.enabled = true")
-        if self.hlu and not (1 <= self.hlu_range[0] <= self.hlu_range[1]):
+        if self.hlu and not (len(self.hlu_range) == 2
+                             and 1 <= self.hlu_range[0] <= self.hlu_range[1]):
             errors.append("hlu_range must be an increasing pair of positive ints")
         if not self.hlu and self.local_epochs < 1:
             errors.append("local_epochs must be >= 1")
@@ -153,19 +173,17 @@ class MetricsRow:
     cumulative_uplink_bits: int
     active_count: int
     dropped_count: int
-    wall_seconds: float = 0.0
 
     def csv_line(self) -> str:
         return (f"{self.round},{self.train_loss!r},{self.test_accuracy!r},"
                 f"{self.cumulative_uplink_bits},{self.active_count},{self.dropped_count}")
 
 
-def evaluate(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(accuracy, loss) on a held-out set; argmax ties break to the lowest class."""
+def evaluate(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+    """Accuracy on a held-out set; argmax ties break to the lowest class."""
     if X.shape[0] == 0:
         raise ValueError("empty evaluation set")
-    pred, loss = learner.predict_and_loss(spec, theta, X, y)
-    return float((pred == y).mean()), loss
+    return float((learner.predict(spec, theta, X) == y).mean())
 
 
 def write_metrics_csv(rows: list[MetricsRow], path: str) -> None:
@@ -180,19 +198,25 @@ def parse_config(path: str) -> ExperimentConfig:
         return ExperimentConfig.from_json(f.read())
 
 
-def _build_task(cfg: ExperimentConfig):
+def _build_task(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset, data.Partition]:
+    """Train and test sets and the clients' shards; a dataset that cannot be
+    built as configured raises ConfigError."""
     ds = cfg.dataset
-    if ds["kind"] == "synthetic":
-        return data.make_synth_task(
-            num_classes=ds["num_classes"], dim=ds["dim"],
-            samples_per_class=ds["samples_per_class"],
-            test_samples_per_class=ds.get("test_samples_per_class", 100),
-            separation=ds["separation"], seed=cfg.seed)
-    if ds["kind"] == "mnist":
-        train = data.load_mnist_idx(ds["images_path"], ds["labels_path"])
-        test = data.load_mnist_idx(ds["test_images_path"], ds["test_labels_path"])
-        return train, test
-    raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
+    try:
+        if ds["kind"] == "synthetic":
+            train, test = data.make_synth_task(
+                num_classes=ds["num_classes"], dim=ds["dim"],
+                samples_per_class=ds["samples_per_class"],
+                test_samples_per_class=ds.get("test_samples_per_class", 100),
+                separation=ds["separation"], seed=cfg.seed)
+        else:
+            train = data.load_mnist_idx(ds["images_path"], ds["labels_path"])
+            test = data.load_mnist_idx(ds["test_images_path"], ds["test_labels_path"])
+        part = data.shard_partition(train, cfg.num_clients, cfg.labels_per_client,
+                                    np.random.default_rng([cfg.seed, _SEED_PARTITION]))
+    except (ValueError, TypeError) as e:  # IdxFormatError is a ValueError
+        raise ConfigError(f"dataset: {e}") from e
+    return train, test, part
 
 
 def _model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> ModelSpec:
@@ -210,27 +234,58 @@ def _epochs_for(cfg: ExperimentConfig, active: list[int], round_index: int) -> d
     return {cid: int(e) for cid, e in zip(active, draws)}
 
 
+def _plan(cfg: ExperimentConfig, active: list[int], epochs: dict[int, int],
+          bits: dict[int, int], **kw) -> RoundPlan:
+    return RoundPlan(active_set=active, local_epochs={c: epochs[c] for c in active},
+                     bits=bits, batch_size=cfg.batch_size, eta=cfg.eta, gamma=cfg.gamma,
+                     a=cfg.a, eta_g=cfg.eta_g, **kw)
+
+
+def _equal_split_plan(cfg, algo, spec, budget, sampled, epochs, draws) -> tuple[RoundPlan, int]:
+    """Every sampled device sends at ``cfg.bits`` over an equal bandwidth
+    share; with the wireless layer on, an upload that misses the delay budget
+    is lost. Returns the plan and the number of lost uploads."""
+    failed: frozenset[int] = frozenset()
+    if cfg.wireless_cfg.enabled:
+        bits = algo.payload_bits(spec, cfg.bits)
+        w_each = budget.total_bandwidth_hz / cfg.sample_size
+        failed = frozenset(cid for cid in sampled if not wireless.transmission_ok(
+            bits, w_each, budget, draws[cid].gain, cfg.wireless_cfg.tau))
+    return _plan(cfg, sampled, epochs, {cid: cfg.bits for cid in sampled}, failed=failed), len(failed)
+
+
+def _allocated_plan(cfg, algo, spec, budget, sampled, epochs, draws) -> tuple[RoundPlan, int]:
+    """fedqvr_e: the allocator gives each device its bandwidth and bits, and
+    the devices it drops sit the round out. Returns the plan and the number
+    of dropped devices."""
+    w = cfg.wireless_cfg
+    sol = alloc.solve_alloc(alloc.AllocProblem(
+        gains=np.array([budget.tx_power_w * draws[c].gain for c in sampled]),
+        taus=np.full(len(sampled), w.tau), w_total=budget.total_bandwidth_hz,
+        alpha=w.alpha, d=spec.dim, mu=algo.mu(spec),
+        noise_psd=budget.noise_psd_w_hz, b_lower=w.b_lower))
+    bits = {sampled[j]: min(int(sol.bits_floored[j]), w.b_upper)
+            for j in range(len(sampled)) if j not in sol.dropped}
+    return _plan(cfg, list(bits), epochs, bits, m_sampled=cfg.sample_size), len(sol.dropped)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     cfg.validate()
-    train, test = _build_task(cfg)
+    train, test, part = _build_task(cfg)
     spec = _model_spec(cfg, train.features.shape[1], train.num_classes)
-    part = data.shard_partition(
-        train, cfg.num_clients, cfg.labels_per_client,
-        np.random.default_rng([cfg.seed, _SEED_PARTITION]))
     client_data = [(train.features[a], train.labels[a]) for a in part.assignments]
-    weights = part.weights
     # global training loss is evaluated over the partitioned samples only
     used = np.concatenate(part.assignments)
     train_X, train_y = train.features[used], train.labels[used]
 
     theta0 = learner.init_params(spec, cfg.seed)
     server = ServerState(theta=theta0.copy(), c=np.zeros(spec.dim))
-    clients = [ClientState(id=i, p=float(weights[i]), c_i=np.zeros(spec.dim))
+    clients = [ClientState(id=i, p=float(part.weights[i]), c_i=np.zeros(spec.dim))
                for i in range(cfg.num_clients)]
 
-    qcfg = QuantizerConfig()
-    groups = spec.layer_groups()
-    mu = 2 * qcfg.bits_per_bound * len(groups)
+    algo = ALGORITHMS[cfg.algorithm]
+    run_round = getattr(fed, f"run_round_{algo.name}")
+    plan_round = _allocated_plan if cfg.algorithm == "fedqvr_e" else _equal_split_plan
 
     wcfg = cfg.wireless_cfg
     budget = wcfg.budget()
@@ -244,19 +299,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     rows: list[MetricsRow] = []
     cumulative_bits = 0
 
-    def snapshot(round_index: int, active: int, dropped: int, wall: float) -> None:
-        acc, _ = evaluate(spec, server.theta, test.features, test.labels)
-        tloss = learner.loss(spec, server.theta, train_X, train_y)
-        rows.append(MetricsRow(round=round_index, train_loss=tloss,
-                               test_accuracy=acc,
-                               cumulative_uplink_bits=cumulative_bits,
-                               active_count=active, dropped_count=dropped,
-                               wall_seconds=wall))
+    def snapshot(round_index: int, active: int, dropped: int) -> None:
+        rows.append(MetricsRow(
+            round=round_index,
+            train_loss=learner.loss(spec, server.theta, train_X, train_y),
+            test_accuracy=evaluate(spec, server.theta, test.features, test.labels),
+            cumulative_uplink_bits=cumulative_bits,
+            active_count=active, dropped_count=dropped))
 
-    snapshot(0, 0, 0, 0.0)
+    snapshot(0, 0, 0)
 
     for r in range(cfg.rounds):
-        t_start = time.perf_counter()
         rng_sample = np.random.default_rng([cfg.seed, _SEED_SAMPLING, r])
         sampled = fed.sample_clients(cfg.num_clients, cfg.sample_size, rng_sample)
         epochs = _epochs_for(cfg, sampled, r)
@@ -274,58 +327,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                     "round": r, "device": cid,
                     "distance_m": draws[cid].distance_m, "gain": draws[cid].gain})
 
-        dropped_count = 0
-        if cfg.algorithm == "fedqvr_e":
-            problem = alloc.AllocProblem(
-                gains=np.array([budget.tx_power_w * draws[c].gain for c in sampled]),
-                taus=np.full(len(sampled), wcfg.tau),
-                w_total=budget.total_bandwidth_hz,
-                alpha=wcfg.alpha, d=spec.dim, mu=mu,
-                noise_psd=budget.noise_psd_w_hz, b_lower=wcfg.b_lower)
-            sol = alloc.solve_alloc(problem)
-            kept = [sampled[j] for j in range(len(sampled)) if j not in sol.dropped]
-            bits_map = {sampled[j]: min(int(sol.bits_floored[j]), wcfg.b_upper)
-                        for j in range(len(sampled)) if j not in sol.dropped}
-            dropped_count = len(sol.dropped)
-            plan = RoundPlan(active_set=kept,
-                             local_epochs={c: epochs[c] for c in kept},
-                             bits=bits_map, batch_size=cfg.batch_size,
-                             eta=cfg.eta, gamma=cfg.gamma, a=cfg.a,
-                             m_sampled=cfg.sample_size)
-            server, report = fed.run_round_fedqvr(
-                spec, server, clients, client_data, plan, cfg.seed, qcfg)
-        else:
-            failed = set()
-            if wcfg.enabled:
-                w_each = budget.total_bandwidth_hz / cfg.sample_size
-                for cid in sampled:
-                    if cfg.algorithm == "fedqvr":
-                        bits = payload_bits(spec.dim, cfg.bits, mu)
-                    elif cfg.algorithm == "fedavg":
-                        bits = fed.RAW_BITS_PER_ELEMENT * spec.dim
-                    else:
-                        bits = 2 * fed.RAW_BITS_PER_ELEMENT * spec.dim
-                    if not wireless.transmission_ok(
-                            bits, w_each, budget, draws[cid].gain, wcfg.tau):
-                        failed.add(cid)
-            plan = RoundPlan(active_set=sampled, local_epochs=epochs,
-                             bits={cid: cfg.bits for cid in sampled},
-                             batch_size=cfg.batch_size, eta=cfg.eta,
-                             gamma=cfg.gamma, a=cfg.a,
-                             failed=frozenset(failed))
-            if cfg.algorithm == "fedqvr":
-                server, report = fed.run_round_fedqvr(
-                    spec, server, clients, client_data, plan, cfg.seed, qcfg)
-            elif cfg.algorithm == "fedavg":
-                server, report = fed.run_round_fedavg(
-                    spec, server, client_data, plan, cfg.seed)
-            elif cfg.algorithm == "scaffold":
-                server, report = fed.run_round_scaffold(
-                    spec, server, clients, client_data, plan, cfg.seed,
-                    eta_g=cfg.eta_g)
-            else:
-                raise ConfigError(f"unhandled algorithm {cfg.algorithm!r}")
-            dropped_count = len(failed)
+        plan, dropped_count = plan_round(cfg, algo, spec, budget, sampled, epochs, draws)
+        server, report = run_round(spec, server, clients, client_data, plan, cfg.seed)
 
         cumulative_bits += report.uplink_bits
         round_trace.append({
@@ -335,9 +338,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             "bits": {str(k): v for k, v in report.bits.items()},
             "uplink_bits": report.uplink_bits,
         })
-        wall = time.perf_counter() - t_start
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
-            snapshot(r + 1, len(report.delivered_ids), dropped_count, wall)
+            snapshot(r + 1, len(report.delivered_ids), dropped_count)
 
     if cfg.out:
         write_metrics_csv(rows, cfg.out)

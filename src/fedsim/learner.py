@@ -113,28 +113,21 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _mean_nll(logits: np.ndarray, y: np.ndarray) -> float:
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(y.size), y].mean())
-
-
 def loss(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy over the slice."""
     if X.shape[0] == 0:
         raise ValueError("empty data slice")
     logits, _ = _logits(spec, theta, X)
-    return _mean_nll(logits, y)
+    logp = _log_softmax(logits)
+    return float(-logp[np.arange(y.size), y].mean())
 
 
-def predict_and_loss(spec: ModelSpec, theta: np.ndarray, X: np.ndarray,
-                     y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Predicted classes (argmax, ties to the lowest class) and ``loss``, from
-    one forward pass."""
+def predict(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Predicted classes: argmax of the logits, ties to the lowest class."""
     if X.shape[0] == 0:
         raise ValueError("empty data slice")
     logits, _ = _logits(spec, theta, X)
-    pred = logits.argmax(axis=1)  # before _mean_nll overwrites logits
-    return pred, _mean_nll(logits, y)
+    return logits.argmax(axis=1)
 
 
 def grad(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,33 @@ class TestRun:
         assert err.startswith(f"error: invalid config: wireless {field}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra,message", [
+        ({"dataset": {"kind": "synthetic", "num_classes": 3, "samples_per_class": 40,
+                      "separation": 3.0}}, "synthetic dataset needs ['dim']"),
+        ({"dataset": [3, 8]}, "dataset must be a JSON object"),
+        ({"dataset": {**BASE_CONFIG["dataset"], "dim": 0}}, "must be positive"),
+        ({"dataset": {**BASE_CONFIG["dataset"], "num_classes": 0}}, "must be positive"),
+        ({"dataset": {**BASE_CONFIG["dataset"], "test_samples_per_class": 0}},
+         "must be positive"),
+        ({"model_kind": "cnn"}, "model_kind"),
+        ({"hlu": True, "hlu_range": [3]}, "hlu_range"),
+        ({"labels_per_client": 0}, "labels_per_client"),
+        ({"num_clients": 2000}, "cannot build 2000 shards from 120 samples"),
+        ({"dataset": "idx"}, "bad image magic"),
+    ], ids=["no-dim", "dataset-list", "dim-0", "classes-0", "test-samples-0", "model-kind",
+            "hlu-range-of-one", "labels-0", "too-many-clients", "non-idx-file"])
+    def test_setup_defect_is_one_line_validation_error(self, tmp_path, capsys, extra, message):
+        if extra.get("dataset") == "idx":  # files that are not in IDX format
+            (tmp_path / "junk").write_bytes(b"not an idx file")
+            junk = str(tmp_path / "junk")
+            extra = {"dataset": {"kind": "mnist", "images_path": junk, "labels_path": junk,
+                                 "test_images_path": junk, "test_labels_path": junk}}
+        assert cli.main(["run", "--config", write_config(tmp_path, **extra)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("algorithm", ["scaffold", "fedavg"])
     def test_overflowing_iterate_is_divergence(self, tmp_path, capsys, algorithm):
         cfg = write_config(tmp_path, algorithm=algorithm, eta=1e308)
@@ -97,6 +125,32 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == "[eta-1e+308] divergence: local update diverged to non-finite iterate\n"
         assert [p.name for p in out_dir.glob("metrics_*.csv")] == ["metrics_eta-0.01.csv"]
+
+    def test_invalid_combo_is_one_line_and_the_rest_still_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        rc = cli.main(["sweep", "--config", cfg, "--grid", '{"labels_per_client": [0, 1]}',
+                       "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == "[labels_per_client-0] invalid: labels_per_client must be >= 1\n"
+        assert out.startswith("[labels_per_client-1] accuracy=")
+
+    def test_seed_key_prints_medians_of_the_per_run_csvs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", cfg, "--out-dir", str(out_dir), "--grid",
+                       '{"algorithm": ["fedavg", "fedqvr"], "seed": [1, 2, 3, 4]}'])
+        assert rc == 0
+        medians = [line for line in capsys.readouterr().out.splitlines() if "median" in line]
+        expected = []
+        for algorithm in ("fedavg", "fedqvr"):
+            finals = [(out_dir / f"metrics_algorithm-{algorithm}_seed-{seed}.csv")
+                      .read_text().splitlines()[-1].split(",") for seed in (1, 2, 3, 4)]
+            acc = statistics.median(float(f[2]) for f in finals)
+            bits = statistics.median(int(f[3]) for f in finals)
+            expected.append(f"[algorithm-{algorithm}] median over 4 seeds: "
+                            f"accuracy={acc:.4f} uplink_bits={bits:.0f}")
+        assert medians == expected
 
     def test_bad_grid_json(self, tmp_path):
         cfg = write_config(tmp_path)

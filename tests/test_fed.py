@@ -83,7 +83,9 @@ def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
         len(plan.active_set), len(clients))
     for upload, c_new, _ in delivered:
         clients[upload.client_id].c_i = c_new
-    return (new_server, sum(u.payload_bits for u, _, _ in delivered),
+    # the quantizer's own count of each payload it built, or the raw model
+    bits = [u.delta.payload_bits if u.delta else 32 * spec.dim for u, _, _ in delivered]
+    return (new_server, sum(bits),
             {u.client_id: logs for u, _, logs in delivered})
 
 
@@ -264,7 +266,6 @@ class TestClientFinish:
             np.random.default_rng(6), quantize_enabled=False)
         np.testing.assert_array_equal(upload.delta_hat, theta_new - theta0)
         assert upload.delta is None
-        assert upload.payload_bits == 32 * SPEC.dim
 
     def test_high_bit_quantization_is_near_exact(self):
         rng = np.random.default_rng(7)
@@ -294,8 +295,7 @@ class TestServerAggregate:
     def test_duplicate_client_rejected(self):
         s = fresh_server()
         up = fed.ClientUpload(client_id=1, delta=None,
-                              delta_hat=np.zeros(SPEC.dim), step_scale=1.0,
-                              payload_bits=0)
+                              delta_hat=np.zeros(SPEC.dim), step_scale=1.0)
         with pytest.raises(ValueError, match="duplicate"):
             fed.server_aggregate(s, s.theta, [(up, 0.5), (up, 0.5)], 2, 4)
 
@@ -305,8 +305,7 @@ class TestServerAggregate:
         for cid, vec, scale, p in [(0, np.array([1.0, 0.0]), 2.0, 0.25),
                                    (1, np.array([0.0, 2.0]), 3.0, 0.75)]:
             ups.append((fed.ClientUpload(client_id=cid, delta=None,
-                                         delta_hat=vec, step_scale=scale,
-                                         payload_bits=0), p))
+                                         delta_hat=vec, step_scale=scale), p))
         out = fed.server_aggregate(s, np.zeros(2), ups, m=2, num_clients=4)
         np.testing.assert_allclose(out.theta, [2 * 0.25 * 1.0, 2 * 0.75 * 2.0])
         np.testing.assert_allclose(out.c, [-0.25 * 2.0, -0.75 * 3.0 * 2.0])
@@ -458,7 +457,7 @@ class TestFedqvrRound:
 class TestFedavgRound:
     def test_single_epoch_equals_mean_of_one_step_models(self):
         n = 5
-        _, datasets = make_clients(n, seed=17)
+        clients, datasets = make_clients(n, seed=17)
         server = fresh_server(17)
         seed = 5
         plan = uniform_plan(range(n), E=1)
@@ -467,16 +466,16 @@ class TestFedavgRound:
                 SPEC, server.theta, *datasets[cid], plan.batch_size,
                 fed.client_rng(seed, 0, cid))
             for cid in range(n)], axis=0)
-        out, report = fed.run_round_fedavg(SPEC, server, datasets, plan, seed)
+        out, report = fed.run_round_fedavg(SPEC, server, clients, datasets, plan, seed)
         np.testing.assert_allclose(out.theta, expected, atol=1e-14)
         assert report.uplink_bits == n * 32 * SPEC.dim
 
     def test_matches_straight_loop_reference(self):
         for spec in (SPEC, MLP_SPEC):
-            _, datasets = make_clients(8, seed=25, spec=spec)
+            clients, datasets = make_clients(8, seed=25, spec=spec)
             server = ref_server = fresh_server(25, spec)
             for plan in uneven_plans(spec):
-                server, report = fed.run_round_fedavg(spec, server, datasets, plan, 4)
+                server, report = fed.run_round_fedavg(spec, server, clients, datasets, plan, 4)
                 ref_server, delivered = reference_fedavg_round(
                     spec, ref_server, datasets, plan, 4)
                 np.testing.assert_array_equal(server.theta, ref_server.theta)
@@ -484,10 +483,10 @@ class TestFedavgRound:
                 assert report.uplink_bits == 32 * spec.dim * len(delivered)
 
     def test_all_failed_keeps_model(self):
-        _, datasets = make_clients(3, seed=18)
+        clients, datasets = make_clients(3, seed=18)
         server = fresh_server(18)
         plan = uniform_plan([0, 1], failed=frozenset({0, 1}))
-        out, report = fed.run_round_fedavg(SPEC, server, datasets, plan, 0)
+        out, report = fed.run_round_fedavg(SPEC, server, clients, datasets, plan, 0)
         np.testing.assert_array_equal(out.theta, server.theta)
         assert report.delivered_ids == []
         assert report.uplink_bits == 0
@@ -499,9 +498,8 @@ class TestScaffoldRound:
         clients, datasets = make_clients(n, seed=19)
         server = fresh_server(19)
         plan = uniform_plan(range(n), E=1)
-        avg_out, _ = fed.run_round_fedavg(SPEC, server, datasets, plan, 3)
-        sca_out, _ = fed.run_round_scaffold(
-            SPEC, server, clients, datasets, plan, 3, eta_g=1.0)
+        avg_out, _ = fed.run_round_fedavg(SPEC, server, clients, datasets, plan, 3)
+        sca_out, _ = fed.run_round_scaffold(SPEC, server, clients, datasets, plan, 3)
         np.testing.assert_allclose(sca_out.theta, avg_out.theta, atol=1e-14)
 
     def test_client_control_becomes_mean_logged_gradient(self):
@@ -534,12 +532,11 @@ class TestScaffoldRound:
             clients, datasets = make_clients(8, seed=26, spec=spec)
             ref_clients = copy.deepcopy(clients)
             server = ref_server = fresh_server(26, spec)
-            for plan in uneven_plans(spec):
+            for plan in uneven_plans(spec, eta_g=0.9):
                 server, report = fed.run_round_scaffold(
-                    spec, server, clients, datasets, plan, 6, eta_g=0.9,
-                    collect_grad_logs=True)
+                    spec, server, clients, datasets, plan, 6, collect_grad_logs=True)
                 ref_server, ref_logs = reference_scaffold_round(
-                    spec, ref_server, ref_clients, datasets, plan, 6, eta_g=0.9)
+                    spec, ref_server, ref_clients, datasets, plan, 6, plan.eta_g)
                 assert_same_state(server, clients, ref_server, ref_clients)
                 assert report.delivered_ids == sorted(ref_logs)
                 assert report.uplink_bits == 2 * 32 * spec.dim * len(ref_logs)

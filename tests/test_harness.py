@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fedsim import harness, learner
+from fedsim import alloc, harness, learner, wireless
 from fedsim.harness import (ConfigError, ExperimentConfig, MetricsRow,
                             WirelessConfig)
 
@@ -84,7 +84,7 @@ class TestMetrics:
     def test_csv_line_has_no_wall_time(self):
         row = MetricsRow(round=3, train_loss=0.5, test_accuracy=0.75,
                          cumulative_uplink_bits=1024, active_count=5,
-                         dropped_count=1, wall_seconds=1.23)
+                         dropped_count=1)
         assert row.csv_line() == "3,0.5,0.75,1024,5,1"
 
     def test_write_metrics_csv(self, tmp_path):
@@ -102,9 +102,8 @@ class TestMetrics:
                                  num_classes=2)
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
-        acc, ls = harness.evaluate(spec, np.zeros(spec.dim), X, y)
+        acc = harness.evaluate(spec, np.zeros(spec.dim), X, y)
         assert acc == 0.5  # argmax ties break to class 0
-        assert ls == pytest.approx(np.log(2))
         with pytest.raises(ValueError):
             harness.evaluate(spec, np.zeros(spec.dim), X[:0], y[:0])
 
@@ -184,6 +183,39 @@ class TestRunExperiment:
         rows_replay = harness.run_experiment(cfg2)
         for a, b in zip(rows_record, rows_replay):
             assert a.csv_line() == b.csv_line()
+
+    @pytest.mark.parametrize("algorithm,tau", [
+        ("fedavg", 8e-6), ("scaffold", 1.6e-5), ("fedqvr", 2e-6), ("fedqvr_e", 2e-6)])
+    def test_uplink_cost_is_defined_once(self, tmp_path, monkeypatch, algorithm, tau):
+        """The algorithm's ``payload_bits`` is the cost the delay check tests,
+        the payload d(B+1) + mu the allocator plans with, and the cost each
+        round reports for its delivered uploads."""
+        algo = harness.ALGORITHMS[algorithm]
+        spec = learner.ModelSpec(kind=learner.LOGISTIC, input_dim=8, num_classes=3)
+        checked, problems = [], []
+        transmission_ok, solve_alloc = wireless.transmission_ok, alloc.solve_alloc
+        monkeypatch.setattr(wireless, "transmission_ok",
+                            lambda bits, *a: checked.append(bits) or transmission_ok(bits, *a))
+        monkeypatch.setattr(alloc, "solve_alloc",
+                            lambda problem: problems.append(problem) or solve_alloc(problem))
+        trace = tmp_path / "rounds.jsonl"
+        cfg = small_config(algorithm=algorithm, rounds=6, trace_rounds_out=str(trace))
+        cfg.wireless_cfg = wireless_on(tau=tau)
+        harness.run_experiment(cfg)
+        if algorithm == "fedqvr_e":
+            assert len(problems) == cfg.rounds and not checked
+            for problem in problems:
+                assert (problem.d, problem.mu) == (spec.dim, algo.mu(spec))
+                for B in range(1, 25):
+                    assert problem.d * (B + 1) + problem.mu == algo.payload_bits(spec, B)
+        else:
+            assert checked == [algo.payload_bits(spec, cfg.bits)] * (cfg.rounds * cfg.sample_size)
+        records = [json.loads(line) for line in trace.open()]
+        for rec in records:
+            assert rec["uplink_bits"] == sum(
+                algo.payload_bits(spec, rec["bits"].get(str(cid))) for cid in rec["delivered"])
+        delivered = sum(len(rec["delivered"]) for rec in records)
+        assert 0 < delivered < cfg.rounds * cfg.sample_size  # some uploads lost or dropped
 
     def test_unknown_dataset_kind_rejected(self):
         cfg = small_config()

@@ -122,13 +122,17 @@ class TestLossAndGrad:
             for j in range(m):
                 np.testing.assert_array_equal(G[j], learner.grad(spec, thetas[j], X[j], y[j]))
 
-    def test_predict_and_loss_match_loss(self):
+    def test_predict_is_the_most_likely_class(self):
         X, y = make_data(seed=11)
         theta = learner.init_params(MLP_SPEC, 11)
-        pred, ls = learner.predict_and_loss(MLP_SPEC, theta, X, y)
-        assert ls == learner.loss(MLP_SPEC, theta, X, y)
+        pred = learner.predict(MLP_SPEC, theta, X)
         assert pred.shape == y.shape
         assert 0 <= pred.min() and pred.max() < MLP_SPEC.num_classes
+        # the predicted class has the lowest loss of all classes on its row
+        for i in range(5):
+            losses = [learner.loss(MLP_SPEC, theta, X[i:i + 1], np.array([c]))
+                      for c in range(MLP_SPEC.num_classes)]
+            assert pred[i] == int(np.argmin(losses))
 
     def test_empty_slice_rejected(self):
         X, y = make_data()
