@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def main():
             equal_finals.append(row.test_accuracy)
 
             transmissions = drops = 0
-            for line in open(rounds_log):
+            for line in Path(rounds_log).read_text().splitlines():
                 rec = json.loads(line)
                 transmissions += len(rec["active"])
                 drops += len(rec["active"]) - len(rec["delivered"])

@@ -11,6 +11,7 @@ import json
 import os
 import statistics
 import sys
+from pathlib import Path
 
 from . import alloc, harness, verify
 
@@ -20,43 +21,59 @@ EXIT_DIVERGENCE = 2
 EXIT_IO = 3
 
 
+def _run_config(text: str, **overrides) -> tuple[int, str | harness.MetricsRow]:
+    """Parse the config in ``text``, set the ``overrides`` that are not None
+    on it and run it.
+
+    Returns (EXIT_OK, the final metrics row), or for each documented failure
+    its exit code and a one-line reason.
+    """
+    try:
+        cfg = harness.ExperimentConfig.from_json(text)
+    except (harness.ConfigError, json.JSONDecodeError, TypeError) as e:
+        return EXIT_VALIDATION, f"invalid config: {e}"
+    for name, value in overrides.items():
+        if value is not None:
+            setattr(cfg, name, value)
+    try:
+        return EXIT_OK, harness.run_experiment(cfg)[-1]
+    except harness.ConfigError as e:
+        return EXIT_VALIDATION, f"invalid config: {e}"
+    except FloatingPointError as e:
+        return EXIT_DIVERGENCE, f"divergence: {e}"
+    except OSError as e:
+        return EXIT_IO, f"I/O: {e}"
+
+
 def _cmd_run(args) -> int:
     try:
-        cfg = harness.parse_config(args.config)
+        text = Path(args.config).read_text()
     except OSError as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return EXIT_IO
-    except (harness.ConfigError, json.JSONDecodeError, TypeError) as e:
-        print(f"error: invalid config: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    try:
-        rows = harness.run_experiment(cfg)
-    except harness.ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FloatingPointError as e:
-        print(f"error: divergence: {e}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except OSError as e:
-        print(f"error: I/O: {e}", file=sys.stderr)
-        return EXIT_IO
-    final = rows[-1]
-    print(f"rounds={final.round} accuracy={final.test_accuracy:.4f} "
-          f"loss={final.train_loss:.4f} uplink_bits={final.cumulative_uplink_bits}")
+    status, result = _run_config(text, seed=args.seed, out=args.out)
+    if status != EXIT_OK:
+        print(f"error: {result}", file=sys.stderr)
+        return status
+    print(f"rounds={result.round} accuracy={result.test_accuracy:.4f} "
+          f"loss={result.train_loss:.4f} uplink_bits={result.cumulative_uplink_bits}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     try:
-        cfg_text = open(args.config).read()
-        grid = json.loads(args.grid)
+        base = json.loads(Path(args.config).read_text())
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
+    except json.JSONDecodeError as e:
+        print(f"error: invalid config: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if not isinstance(base, dict):
+        print("error: invalid config: config must be a JSON object", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
+        grid = json.loads(args.grid)
     except json.JSONDecodeError as e:
         print(f"error: bad grid JSON: {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -69,26 +86,18 @@ def _cmd_sweep(args) -> int:
     status = EXIT_OK
     finals: dict[str, list[harness.MetricsRow]] = {}  # final rows by the non-seed values
     for combo in itertools.product(*(grid[k] for k in keys)):
-        raw = json.loads(cfg_text)
-        for k, v in zip(keys, combo):
-            raw[k] = v
         tag = "_".join(f"{k}-{v}" for k, v in zip(keys, combo))
         rest = "_".join(f"{k}-{v}" for k, v in zip(keys, combo) if k != "seed")
-        raw["out"] = os.path.join(args.out_dir, f"metrics_{tag}.csv")
-        try:
-            cfg = harness.ExperimentConfig.from_json(json.dumps(raw))
-            rows = harness.run_experiment(cfg)
-        except harness.ConfigError as e:
-            print(f"[{tag}] invalid: {e}", file=sys.stderr)
-            status = EXIT_VALIDATION
+        raw = {**base, **dict(zip(keys, combo)),
+               "out": os.path.join(args.out_dir, f"metrics_{tag}.csv")}
+        code, result = _run_config(json.dumps(raw))
+        if code != EXIT_OK:
+            print(f"[{tag}] {result}", file=sys.stderr)
+            status = code
             continue
-        except FloatingPointError as e:
-            print(f"[{tag}] divergence: {e}", file=sys.stderr)
-            status = EXIT_DIVERGENCE
-            continue
-        print(f"[{tag}] accuracy={rows[-1].test_accuracy:.4f} "
-              f"uplink_bits={rows[-1].cumulative_uplink_bits}")
-        finals.setdefault(rest, []).append(rows[-1])
+        print(f"[{tag}] accuracy={result.test_accuracy:.4f} "
+              f"uplink_bits={result.cumulative_uplink_bits}")
+        finals.setdefault(rest, []).append(result)
     if "seed" in grid:
         for rest, rows in finals.items():
             acc = statistics.median(r.test_accuracy for r in rows)
@@ -104,7 +113,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_alloc(args) -> int:
     try:
-        text = open(args.problem).read()
+        text = Path(args.problem).read_text()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

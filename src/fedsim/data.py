@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 
@@ -45,22 +44,6 @@ class Partition:
     @property
     def num_clients(self) -> int:
         return len(self.assignments)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "assignments": [a.tolist() for a in self.assignments],
-            "dropped_indices": self.dropped_indices.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "Partition":
-        d = json.loads(text)
-        assignments = [np.asarray(a, dtype=np.int64) for a in d["assignments"]]
-        return cls(
-            assignments=assignments,
-            weights=client_weights_from_sizes([a.size for a in assignments]),
-            dropped_indices=np.asarray(d.get("dropped_indices", []), dtype=np.int64),
-        )
 
 
 def _read_be_u32(f, what: str, path: str) -> int:

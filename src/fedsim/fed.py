@@ -12,7 +12,7 @@ independent of client scheduling order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import learner, quantizer
 from .learner import ModelSpec
-from .quantizer import QuantizedDelta, QuantizerConfig
+from .quantizer import QuantizedDelta
 
 RAW_BITS_PER_ELEMENT = 32  # uncompressed float32 wire cost per parameter
 
@@ -48,7 +48,6 @@ class RoundPlan:
     eta: float
     gamma: float = 0.3
     a: float = 0.3
-    quantize_enabled: bool = True
     eta_g: float = 1.0  # scaffold's server step toward the mean model
     # uploads from these clients are lost in transit; their state rolls back
     failed: frozenset[int] = frozenset()
@@ -59,8 +58,8 @@ class RoundPlan:
 @dataclass
 class ClientUpload:
     client_id: int
-    delta: QuantizedDelta | None     # None when quantization is disabled
-    delta_hat: np.ndarray            # dequantized (or raw) model difference
+    delta: QuantizedDelta
+    delta_hat: np.ndarray            # dequantized model difference
     step_scale: float                # a / (eta * E_tilde)
 
 
@@ -72,7 +71,6 @@ class RoundReport:
     epochs: dict[int, int]
     bits: dict[int, int]
     uplink_bits: int
-    grad_logs: dict[int, list[np.ndarray]] = field(default_factory=dict)
 
 
 def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.Generator:
@@ -147,7 +145,6 @@ def client_finish(
     a: float,
     rng: np.random.Generator,
     groups: list[tuple[int, int]] | None = None,
-    quantize_enabled: bool = True,
 ) -> tuple[ClientUpload, np.ndarray]:
     """Quantize the model difference and advance the client control variate.
 
@@ -158,12 +155,8 @@ def client_finish(
         raise ValueError("a must lie in (0, 1)")
     diff = theta_new - theta0
     step_scale = a / (eta * e_tilde_val)
-    if quantize_enabled:
-        q = quantizer.quantize(diff, bits, rng=rng, groups=groups)
-        delta_hat = quantizer.dequantize(q)
-    else:
-        q = None
-        delta_hat = diff
+    q = quantizer.quantize(diff, bits, rng=rng, groups=groups)
+    delta_hat = quantizer.dequantize(q)
     upload = ClientUpload(client_id=client_id, delta=q, delta_hat=delta_hat,
                           step_scale=step_scale)
     return upload, c_i - step_scale * delta_hat
@@ -232,8 +225,7 @@ def _local_phase(
     master_seed: int,
     round_index: int,
     step,
-    collect_grad_logs: bool = False,
-) -> tuple[np.ndarray, list[np.random.Generator], list[list[np.ndarray]]]:
+) -> tuple[np.ndarray, list[np.random.Generator]]:
     """Local iterations of the whole cohort as stacked arrays.
 
     Row j is client ``ids[j]``; it starts at ``start`` and takes
@@ -241,16 +233,15 @@ def _local_phase(
     its own stream, one ``integers`` call per step as a single client does,
     so the stream is left where the single-client code leaves it. Step t
     gathers the features of the k clients still running, computes one
-    stacked gradient ``g`` for them and calls ``step(theta, g, k)``, which updates the first k rows in place
-    (it may overwrite ``g``). Returns the final iterates, each client's
-    stream, and per client the gradients it used if ``collect_grad_logs``.
+    stacked gradient ``g`` for them and calls ``step(theta, g, k)``, which
+    updates the first k rows in place (it may overwrite ``g``). Returns the
+    final iterates and each client's stream.
     """
     m, bs = len(ids), batch_size
     theta = np.tile(start, (m, 1))
     rngs: list[np.random.Generator] = []
-    logs: list[list[np.ndarray]] = [[] for _ in ids] if collect_grad_logs else []
     if m == 0:
-        return theta, rngs, logs
+        return theta, rngs
     idx: list[np.ndarray] = []  # per client, its draws (epochs, batch)
     ys = np.empty((epochs[0], m, bs), dtype=np.intp)
     for j, cid in enumerate(ids):
@@ -271,13 +262,10 @@ def _local_phase(
                 # the draws are in range; "clip" only spares take's buffered copy
                 np.take(datasets[ids[j]][0], idx[j][t], axis=0, out=xb[j], mode="clip")
             g = learner.grad(spec, theta[:k], xb[:k], ys[t, :k])
-            if collect_grad_logs:
-                for j in range(k):
-                    logs[j].append(g[j].copy())
             step(theta[:k], g, k)
             if not np.isfinite(theta[:k]).all():
                 raise FloatingPointError("local update diverged to non-finite iterate")
-    return theta, rngs, logs
+    return theta, rngs
 
 
 class Cohort(NamedTuple):
@@ -361,13 +349,10 @@ class FedQVR:
 
     def mu(self, spec: ModelSpec) -> int:
         """Side bits of one upload: a (lo, hi) bound pair per layer."""
-        return 2 * QuantizerConfig.bits_per_bound * len(spec.layer_groups())
+        return quantizer.side_bits(len(spec.layer_groups()))
 
-    def payload_bits(self, spec: ModelSpec, bits: int | None) -> int:
-        """Uplink bits of one upload: d(B+1) + mu at ``bits`` = B, or the raw
-        model when the upload is not quantized (``bits`` None)."""
-        if bits is None:
-            return RAW_BITS_PER_ELEMENT * spec.dim
+    def payload_bits(self, spec: ModelSpec, bits: int) -> int:
+        """Uplink bits of one upload: d(B+1) + mu at ``bits`` = B."""
         return quantizer.payload_bits(spec.dim, bits, self.mu(spec))
 
     def start(self, server: ServerState, plan: RoundPlan) -> np.ndarray:
@@ -393,7 +378,7 @@ class FedQVR:
             upload, clients[cid].c_i = client_finish(
                 cohort.theta[j], cohort.start, cohort.c_rows[j], cid, plan.bits[cid], plan.eta,
                 e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a, cohort.rngs[j],
-                groups=groups, quantize_enabled=plan.quantize_enabled)
+                groups=groups)
             uploads.append((upload, clients[cid].p))
         m = plan.m_sampled if plan.m_sampled is not None else len(plan.active_set)
         return server_aggregate(server, cohort.start, uploads, m, len(clients))
@@ -404,8 +389,7 @@ FEDAVG, SCAFFOLD, FEDQVR = FedAvg(), Scaffold(), FedQVR()
 
 def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
               clients: list[ClientState], datasets: list[tuple[np.ndarray, np.ndarray]],
-              plan: RoundPlan, master_seed: int,
-              collect_grad_logs: bool = False) -> tuple[ServerState, RoundReport]:
+              plan: RoundPlan, master_seed: int) -> tuple[ServerState, RoundReport]:
     """One round of ``algo``: the cohort's local steps, its uploads, aggregation.
 
     ``algo`` gives the start point, the in-place local step, the aggregate
@@ -418,15 +402,13 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
     ids, epochs = _cohort(plan)
     c_rows = _stack_controls(clients, ids, spec.dim)
     start = algo.start(server, plan)
-    theta, rngs, logs = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size,
-                                     master_seed, server.round,
-                                     algo.stepper(server, plan, start, c_rows), collect_grad_logs)
+    theta, rngs = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size,
+                               master_seed, server.round, algo.stepper(server, plan, start, c_rows))
     delivered = sorted((cid, j) for j, cid in enumerate(ids) if cid not in plan.failed)
     new_server = algo.aggregate(spec, server, clients, plan,
                                 Cohort(epochs, start, theta, c_rows, rngs, delivered))
     bits = {cid: plan.bits[cid] for cid in plan.active_set} if algo.quantized else {}
-    sent = bits if plan.quantize_enabled else {}  # B of each upload; none when sent raw
-    widths = Counter(sent.get(cid) for cid, _ in delivered)  # one cost per width, not per upload
+    widths = Counter(bits.get(cid) for cid, _ in delivered)  # one cost per width, not per upload
     report = RoundReport(
         round=server.round,
         active_ids=list(plan.active_set),
@@ -434,7 +416,6 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
         epochs={cid: plan.local_epochs[cid] for cid in plan.active_set},
         bits=bits,
         uplink_bits=sum(n * algo.payload_bits(spec, b) for b, n in widths.items()),
-        grad_logs={cid: logs[j] for cid, j in delivered} if collect_grad_logs else {},
     )
     return new_server, report
 

@@ -152,7 +152,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = json.loads(text)
-        wcfg = raw.pop("wireless_cfg", None) or raw.pop("wireless", None) or {}
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        wcfg = raw.pop("wireless_cfg", None) or {}
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(raw) - known
         if unknown:

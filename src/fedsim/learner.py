@@ -10,6 +10,7 @@ stack of such vectors, one per client, with one minibatch each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -32,22 +33,18 @@ class ModelSpec:
         if self.kind == MLP and self.hidden_dim <= 0:
             raise ValueError("MLP requires hidden_dim > 0")
 
+    def _block_sizes(self) -> list[int]:
+        """Sizes of the weight and bias blocks, in layout order."""
+        h, d, c = self.hidden_dim, self.input_dim, self.num_classes
+        return [c * d, c] if self.kind == LOGISTIC else [h * d, h, c * h, c]
+
     @property
     def dim(self) -> int:
-        if self.kind == LOGISTIC:
-            return self.num_classes * self.input_dim + self.num_classes
-        h, d, c = self.hidden_dim, self.input_dim, self.num_classes
-        return h * d + h + c * h + c
+        return sum(self._block_sizes())
 
     def layer_groups(self) -> list[tuple[int, int]]:
         """Contiguous (start, stop) ranges: one group per weight/bias block."""
-        if self.kind == LOGISTIC:
-            w = self.num_classes * self.input_dim
-            return [(0, w), (w, w + self.num_classes)]
-        h, d, c = self.hidden_dim, self.input_dim, self.num_classes
-        cuts = np.cumsum([h * d, h, c * h, c])
-        starts = [0, *cuts[:-1]]
-        return [(int(s), int(e)) for s, e in zip(starts, cuts)]
+        return list(pairwise(accumulate(self._block_sizes(), initial=0)))
 
     def unpack(self, theta: np.ndarray):
         """Views of the weight and bias blocks of ``theta``.

@@ -3,25 +3,22 @@
 Magnitudes within each group are probabilistically rounded onto the
 boundaries of ``2**B - 1`` uniform sub-intervals of ``[lo, hi]``, where
 ``lo``/``hi`` are the min/max absolute values within the group. Signs are
-stored separately, one bit per element, and each group's two bounds cost
-``bits_per_bound`` bits apiece in the payload accounting.
+stored separately, one bit per element, and each group's (lo, hi) pair is
+the upload's side information, ``side_bits`` in the payload accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+BITS_PER_BOUND = 32  # each group bound is sent as a float32
 
-@dataclass(frozen=True)
-class QuantizerConfig:
-    per_layer_grouping: bool = True
-    bits_per_bound: int = 32
 
-    def __post_init__(self):
-        if self.bits_per_bound <= 0:
-            raise ValueError("bits_per_bound must be positive")
+def side_bits(num_groups: int) -> int:
+    """mu: the bits of one upload's (lo, hi) bound pairs, one pair per group."""
+    return 2 * BITS_PER_BOUND * num_groups
 
 
 @dataclass
@@ -33,8 +30,7 @@ class QuantizedDelta:
     lower_bounds: np.ndarray         # float64, one per group
     upper_bounds: np.ndarray         # float64, one per group
     bits_per_element: int
-    group_boundaries: list[tuple[int, int]] = field(default_factory=list)
-    aux_bits: int = 0
+    group_boundaries: list[tuple[int, int]]
 
     @property
     def dim(self) -> int:
@@ -42,7 +38,8 @@ class QuantizedDelta:
 
     @property
     def payload_bits(self) -> int:
-        return payload_bits(self.dim, self.bits_per_element, self.aux_bits)
+        return payload_bits(self.dim, self.bits_per_element,
+                            side_bits(len(self.group_boundaries)))
 
     def validate(self) -> None:
         k_max = (1 << self.bits_per_element) - 1
@@ -52,29 +49,6 @@ class QuantizedDelta:
             raise ValueError("lower bound exceeds upper bound")
         if not np.all(np.isin(self.sign_bits, (-1, 1))):
             raise ValueError("sign bits must be -1 or +1")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "level_indices": self.level_indices.tolist(),
-            "sign_bits": self.sign_bits.tolist(),
-            "lower_bounds": self.lower_bounds.tolist(),
-            "upper_bounds": self.upper_bounds.tolist(),
-            "bits_per_element": self.bits_per_element,
-            "group_boundaries": [list(g) for g in self.group_boundaries],
-            "aux_bits": self.aux_bits,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QuantizedDelta":
-        return cls(
-            level_indices=np.asarray(d["level_indices"], dtype=np.int64),
-            sign_bits=np.asarray(d["sign_bits"], dtype=np.int8),
-            lower_bounds=np.asarray(d["lower_bounds"], dtype=np.float64),
-            upper_bounds=np.asarray(d["upper_bounds"], dtype=np.float64),
-            bits_per_element=int(d["bits_per_element"]),
-            group_boundaries=[tuple(g) for g in d["group_boundaries"]],
-            aux_bits=int(d["aux_bits"]),
-        )
 
 
 def payload_bits(d: int, B: int, mu: int) -> int:
@@ -135,7 +109,6 @@ def _draw_levels(mags: np.ndarray, lo: np.ndarray, scale: np.ndarray, k: int,
 def quantize(
     z: np.ndarray,
     B: int,
-    cfg: QuantizerConfig = QuantizerConfig(),
     rng: np.random.Generator | None = None,
     groups: list[tuple[int, int]] | None = None,
     bounds: tuple[float, float] | None = None,
@@ -157,8 +130,6 @@ def quantize(
         raise ValueError(f"non-finite element at index {int(bad[0])}")
     if rng is None:
         rng = np.random.default_rng()
-    if not cfg.per_layer_grouping:
-        groups = None
     groups = _check_groups(groups, z.size)
 
     signs = _signs(z)
@@ -184,7 +155,6 @@ def quantize(
         upper_bounds=highs,
         bits_per_element=B,
         group_boundaries=groups,
-        aux_bits=2 * cfg.bits_per_bound * len(groups),
     )
 
 

@@ -6,6 +6,7 @@ criterion. Each test prints a one-line summary with the measured values
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def test_criterion_11_allocation_beats_equal_split_under_drops(tmp_path):
             wireless=WirelessConfig(enabled=True, tau=tau, trace_out=chan))
         cfg.trace_rounds_out = rounds_log
         finals_equal.append(harness.run_experiment(cfg)[-1].test_accuracy)
-        for line in open(rounds_log):
+        for line in Path(rounds_log).read_text().splitlines():
             rec = json.loads(line)
             transmissions += len(rec["active"])
             drops += len(rec["active"]) - len(rec["delivered"])
@@ -347,7 +348,7 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
             wireless=WirelessConfig(enabled=True, tau=4e-6))
         cfg.out = out
         harness.run_experiment(cfg)
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     ok = outs[0] == outs[1] and len(outs[0]) > 0
     report("byte-identical-reruns", ok,
            f"{len(outs[0])} CSV bytes identical across independent reruns")

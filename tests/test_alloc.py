@@ -260,7 +260,7 @@ class TestGolden:
         same problems as the shipped config), recorded from the solver that
         preceded the Newton/Illinois one. The integer outcome must match
         exactly, the bandwidths to 1e-6 relative."""
-        records = [json.loads(line) for line in GOLDEN.open()]
+        records = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
         assert len(records) == 450
         for n, rec in enumerate(records):
             sol = alloc.solve_alloc(AllocProblem.from_json(json.dumps(rec["problem"])))

@@ -33,7 +33,7 @@ class TestRun:
         out = str(tmp_path / "metrics.csv")
         assert cli.main(["run", "--config", cfg, "--out", out]) == 0
         assert "accuracy=" in capsys.readouterr().out
-        assert open(out).readline().startswith("round,")
+        assert Path(out).read_text().startswith("round,")
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 3
@@ -83,15 +83,26 @@ class TestRun:
         ({"labels_per_client": 0}, "labels_per_client"),
         ({"num_clients": 2000}, "cannot build 2000 shards from 120 samples"),
         ({"dataset": "idx"}, "bad image magic"),
+        ('"abc"', "config must be a JSON object, got str"),
+        ("null", "config must be a JSON object, got NoneType"),
+        ("3", "config must be a JSON object, got int"),
     ], ids=["no-dim", "dataset-list", "dim-0", "classes-0", "test-samples-0", "model-kind",
-            "hlu-range-of-one", "labels-0", "too-many-clients", "non-idx-file"])
+            "hlu-range-of-one", "labels-0", "too-many-clients", "non-idx-file",
+            "string-config", "null-config", "number-config"])
     def test_setup_defect_is_one_line_validation_error(self, tmp_path, capsys, extra, message):
-        if extra.get("dataset") == "idx":  # files that are not in IDX format
+        if isinstance(extra, str):  # the whole config file is this JSON text
+            path = tmp_path / "cfg.json"
+            path.write_text(extra)
+            config = str(path)
+        elif extra.get("dataset") == "idx":  # files that are not in IDX format
             (tmp_path / "junk").write_bytes(b"not an idx file")
             junk = str(tmp_path / "junk")
-            extra = {"dataset": {"kind": "mnist", "images_path": junk, "labels_path": junk,
-                                 "test_images_path": junk, "test_labels_path": junk}}
-        assert cli.main(["run", "--config", write_config(tmp_path, **extra)]) == 1
+            config = write_config(tmp_path, dataset={
+                "kind": "mnist", "images_path": junk, "labels_path": junk,
+                "test_images_path": junk, "test_labels_path": junk})
+        else:
+            config = write_config(tmp_path, **extra)
+        assert cli.main(["run", "--config", config]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and message in err
@@ -132,8 +143,43 @@ class TestSweep:
                        "--out-dir", str(tmp_path / "sweep")])
         assert rc == 1
         out, err = capsys.readouterr()
-        assert err == "[labels_per_client-0] invalid: labels_per_client must be >= 1\n"
+        assert err == "[labels_per_client-0] invalid config: labels_per_client must be >= 1\n"
         assert out.startswith("[labels_per_client-1] accuracy=")
+
+    def test_wrongly_typed_value_is_one_line_and_the_rest_still_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        rc = cli.main(["sweep", "--config", cfg, "--grid", '{"eta": ["x", 0.01]}',
+                       "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("[eta-x] invalid config: ") and err.count("\n") == 1
+        assert out.startswith("[eta-0.01] accuracy=")
+
+    def test_missing_data_files_are_one_io_line_per_combination(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        cfg = write_config(tmp_path, dataset={
+            "kind": "mnist", "images_path": missing, "labels_path": missing,
+            "test_images_path": missing, "test_labels_path": missing})
+        rc = cli.main(["sweep", "--config", cfg, "--grid", '{"seed": [1, 2]}',
+                       "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line.split(": ")[0] for line in err.splitlines()] == [
+            "[seed-1] I/O", "[seed-2] I/O"]
+        assert cli.main(["run", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith("error: I/O: ")
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    def test_config_that_is_not_an_object_is_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = cli.main(["sweep", "--config", str(path), "--grid", '{"seed": [1]}',
+                       "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid config: ") and err.count("\n") == 1
 
     def test_seed_key_prints_medians_of_the_per_run_csvs(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

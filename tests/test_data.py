@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsim import data
-from fedsim.data import Dataset, IdxFormatError, Partition
+from fedsim.data import Dataset, IdxFormatError
 
 
 def write_idx_pair(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801,
@@ -151,18 +151,6 @@ class TestShardPartition:
         for x, y in zip(a.assignments, b.assignments):
             np.testing.assert_array_equal(x, y)
 
-
-class TestPartitionSerialization:
-    def test_json_roundtrip(self):
-        ds = data.make_synth_task(4, 3, 25, 1, 2.0, seed=13)[0]
-        part = data.shard_partition(ds, 4, 2, np.random.default_rng(14))
-        restored = Partition.from_json(part.to_json())
-        assert restored.num_clients == part.num_clients
-        for x, y in zip(restored.assignments, part.assignments):
-            np.testing.assert_array_equal(x, y)
-        np.testing.assert_allclose(restored.weights, part.weights)
-        np.testing.assert_array_equal(restored.dropped_indices,
-                                      part.dropped_indices)
 
     def test_weights_helpers(self):
         w = data.client_weights_from_sizes([10, 30])

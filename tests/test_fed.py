@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim import fed, harness, learner
+from fedsim import fed, harness, learner, quantizer
 from fedsim.fed import ClientState, RoundPlan, ServerState
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
 
@@ -66,27 +66,25 @@ def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
     def one_client(cid):
         rng = fed.client_rng(seed, server.round, cid)
         E = plan.local_epochs[cid]
-        theta, logs = fed.local_update(
+        theta, _ = fed.local_update(
             spec, theta0, clients[cid].c_i, *datasets[cid], E,
             plan.batch_size, plan.eta, plan.gamma, rng)
-        upload, c_new = fed.client_finish(
+        return fed.client_finish(
             theta, theta0, clients[cid].c_i, cid, plan.bits[cid], plan.eta,
-            fed.e_tilde(plan.gamma, plan.eta, E), plan.a, rng, groups=groups,
-            quantize_enabled=plan.quantize_enabled)
-        return upload, c_new, logs
+            fed.e_tilde(plan.gamma, plan.eta, E), plan.a, rng, groups=groups)
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(one_client, reversed(plan.active_set)))
-    delivered = [r for r in results if r[0].client_id not in plan.failed]
+    delivered = sorted((r for r in results if r[0].client_id not in plan.failed),
+                       key=lambda r: r[0].client_id)
     new_server = fed.server_aggregate(
-        server, theta0, [(u, clients[u.client_id].p) for u, _, _ in delivered],
+        server, theta0, [(u, clients[u.client_id].p) for u, _ in delivered],
         len(plan.active_set), len(clients))
-    for upload, c_new, _ in delivered:
+    for upload, c_new in delivered:
         clients[upload.client_id].c_i = c_new
-    # the quantizer's own count of each payload it built, or the raw model
-    bits = [u.delta.payload_bits if u.delta else 32 * spec.dim for u, _, _ in delivered]
-    return (new_server, sum(bits),
-            {u.client_id: logs for u, _, logs in delivered})
+    # the quantizer's own count of each payload it built
+    return (new_server, sum(u.delta.payload_bits for u, _ in delivered),
+            [u.client_id for u, _ in delivered])
 
 
 def reference_scaffold_round(spec, server, clients, datasets, plan, seed, eta_g):
@@ -142,14 +140,6 @@ def assert_same_state(server, clients, ref_server, ref_clients):
     assert server.round == ref_server.round
     for cl, ref in zip(clients, ref_clients):
         np.testing.assert_array_equal(cl.c_i, ref.c_i)
-
-
-def assert_same_logs(logs, ref_logs):
-    assert sorted(logs) == sorted(ref_logs)
-    for cid, grads in ref_logs.items():
-        assert len(logs[cid]) == len(grads)
-        for g, ref in zip(logs[cid], grads):
-            np.testing.assert_array_equal(g, ref)
 
 
 class TestPrimitives:
@@ -257,16 +247,6 @@ class TestClientFinish:
             c_new, c_i - upload.step_scale * upload.delta_hat, atol=1e-15)
         assert upload.step_scale == pytest.approx(0.3 / (0.01 * et))
 
-    def test_unquantized_path_uses_raw_difference(self):
-        rng = np.random.default_rng(5)
-        theta0 = rng.normal(size=SPEC.dim)
-        theta_new = theta0 + rng.normal(size=SPEC.dim)
-        upload, _ = fed.client_finish(
-            theta_new, theta0, np.zeros(SPEC.dim), 0, 2, 0.01, 2.0, 0.3,
-            np.random.default_rng(6), quantize_enabled=False)
-        np.testing.assert_array_equal(upload.delta_hat, theta_new - theta0)
-        assert upload.delta is None
-
     def test_high_bit_quantization_is_near_exact(self):
         rng = np.random.default_rng(7)
         theta0 = rng.normal(size=SPEC.dim)
@@ -323,11 +303,12 @@ class TestFedqvrRound:
             np.testing.assert_allclose(server.c, mix, atol=1e-12)
 
     def test_full_participation_unquantized_matches_reference(self):
-        """Straight-line single-loop re-implementation of the protocol."""
+        """Straight-line single-loop re-implementation of the protocol; each
+        client quantizes its difference from its own stream after its steps."""
         n = 4
         clients, datasets = make_clients(n, seed=11)
         server = fresh_server(11)
-        eta, gamma, a, E, bs, seed = 0.01, 0.3, 0.3, 2, 10, 123
+        eta, gamma, a, E, bs, B, seed = 0.01, 0.3, 0.3, 2, 10, 2, 123
 
         # independent reference trajectory
         ref_theta = server.theta.copy()
@@ -345,13 +326,14 @@ class TestFedqvrRound:
                     g = learner.stochastic_grad(SPEC, th, *datasets[i], bs, rng)
                     th = (th - eta * (g - ref_ci[i])) / (1 + ge) \
                         + ge / (1 + ge) * theta0
-                deltas.append(th - theta0)
+                deltas.append(quantizer.dequantize(quantizer.quantize(
+                    th - theta0, B, rng=rng, groups=SPEC.layer_groups())))
                 ref_ci[i] = ref_ci[i] - (a / (eta * et)) * deltas[i]
             ref_theta = theta0 + sum((1.0 / n) * d for d in deltas)
             ref_c = ref_c - sum((a / (eta * et)) * (1.0 / n) * d for d in deltas)
 
         for r in range(5):
-            plan = uniform_plan(range(n), E=E, quantize_enabled=False)
+            plan = uniform_plan(range(n), E=E, bits=B)
             server, _ = fed.run_round_fedqvr(
                 SPEC, server, clients, datasets, plan, seed)
 
@@ -395,23 +377,20 @@ class TestFedqvrRound:
         bit: per-client ``local_update`` + ``client_finish`` computed
         concurrently in reverse order, then aggregated. Rounds mix uneven
         (HLU) epochs, lost uploads and per-client bit widths, for both model
-        kinds, quantized and not, with gradient logs collected."""
+        kinds."""
         seed = 77
         for spec in (SPEC, MLP_SPEC):
-            for quantize in (True, False):
-                clients, datasets = make_clients(8, seed=15, spec=spec)
-                ref_clients = copy.deepcopy(clients)
-                server = ref_server = fresh_server(15, spec)
-                for plan in uneven_plans(spec, quantize_enabled=quantize):
-                    server, report = fed.run_round_fedqvr(
-                        spec, server, clients, datasets, plan, seed,
-                        collect_grad_logs=True)
-                    ref_server, ref_bits, ref_logs = reference_fedqvr_round(
-                        spec, ref_server, ref_clients, datasets, plan, seed)
-                    assert_same_state(server, clients, ref_server, ref_clients)
-                    assert report.uplink_bits == ref_bits
-                    assert report.delivered_ids == sorted(ref_logs)
-                    assert_same_logs(report.grad_logs, ref_logs)
+            clients, datasets = make_clients(8, seed=15, spec=spec)
+            ref_clients = copy.deepcopy(clients)
+            server = ref_server = fresh_server(15, spec)
+            for plan in uneven_plans(spec):
+                server, report = fed.run_round_fedqvr(
+                    spec, server, clients, datasets, plan, seed)
+                ref_server, ref_bits, ref_delivered = reference_fedqvr_round(
+                    spec, ref_server, ref_clients, datasets, plan, seed)
+                assert_same_state(server, clients, ref_server, ref_clients)
+                assert report.uplink_bits == ref_bits
+                assert report.delivered_ids == ref_delivered
 
     def test_empty_cohort_changes_nothing_but_the_anchor(self):
         """A round whose cohort the allocator dropped entirely: no upload, no
@@ -509,10 +488,11 @@ class TestScaffoldRound:
         server = fresh_server(20)
         server.c = np.full(SPEC.dim, 0.01)
         plan = uniform_plan(range(n), E=4)
-        _, report = fed.run_round_scaffold(
-            SPEC, server, clients, datasets, plan, 9, collect_grad_logs=True)
+        _, logs = reference_scaffold_round(
+            SPEC, server, copy.deepcopy(clients), datasets, plan, 9, plan.eta_g)
+        fed.run_round_scaffold(SPEC, server, clients, datasets, plan, 9)
         for cid in range(n):
-            mean_g = np.mean(report.grad_logs[cid], axis=0)
+            mean_g = np.mean(logs[cid], axis=0)
             np.testing.assert_allclose(clients[cid].c_i, mean_g, atol=1e-12)
 
     def test_server_control_update_rule(self):
@@ -534,13 +514,12 @@ class TestScaffoldRound:
             server = ref_server = fresh_server(26, spec)
             for plan in uneven_plans(spec, eta_g=0.9):
                 server, report = fed.run_round_scaffold(
-                    spec, server, clients, datasets, plan, 6, collect_grad_logs=True)
+                    spec, server, clients, datasets, plan, 6)
                 ref_server, ref_logs = reference_scaffold_round(
                     spec, ref_server, ref_clients, datasets, plan, 6, plan.eta_g)
                 assert_same_state(server, clients, ref_server, ref_clients)
                 assert report.delivered_ids == sorted(ref_logs)
                 assert report.uplink_bits == 2 * 32 * spec.dim * len(ref_logs)
-                assert_same_logs(report.grad_logs, ref_logs)
 
     def test_divergence_raises(self):
         clients, datasets = make_clients(3, seed=27)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,11 +92,11 @@ class TestMetrics:
         path = str(tmp_path / "m.csv")
         harness.write_metrics_csv(
             [MetricsRow(0, 1.0986, 0.33, 0, 0, 0)], path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == harness.CSV_HEADER
         assert lines[1].startswith("0,1.0986,0.33,0,0,0")
         harness.write_metrics_csv([], path)
-        assert open(path).read().splitlines() == [harness.CSV_HEADER]
+        assert Path(path).read_text().splitlines() == [harness.CSV_HEADER]
 
     def test_evaluate_accuracy_and_loss(self):
         spec = learner.ModelSpec(kind=learner.LOGISTIC, input_dim=2,
@@ -124,7 +125,7 @@ class TestRunExperiment:
         out_b = str(tmp_path / "b.csv")
         harness.run_experiment(small_config(out=out_a))
         harness.run_experiment(small_config(out=out_b))
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
     def test_different_seeds_differ(self, tmp_path):
         rows_a = harness.run_experiment(small_config())
@@ -148,7 +149,7 @@ class TestRunExperiment:
         cfg = small_config(hlu=True, hlu_range=(1, 5), trace_rounds_out=trace)
         harness.run_experiment(cfg)
         seen = set()
-        for line in open(trace):
+        for line in Path(trace).read_text().splitlines():
             rec = json.loads(line)
             seen.update(rec["epochs"].values())
         assert seen <= set(range(1, 6))
@@ -168,7 +169,7 @@ class TestRunExperiment:
         cfg.wireless_cfg = wireless_on(b_upper=6)
         rows = harness.run_experiment(cfg)
         assert rows[-1].cumulative_uplink_bits > 0
-        for line in open(trace):
+        for line in Path(trace).read_text().splitlines():
             for b in json.loads(line)["bits"].values():
                 assert 1 <= b <= 6
 
@@ -210,7 +211,7 @@ class TestRunExperiment:
                     assert problem.d * (B + 1) + problem.mu == algo.payload_bits(spec, B)
         else:
             assert checked == [algo.payload_bits(spec, cfg.bits)] * (cfg.rounds * cfg.sample_size)
-        records = [json.loads(line) for line in trace.open()]
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
         for rec in records:
             assert rec["uplink_bits"] == sum(
                 algo.payload_bits(spec, rec["bits"].get(str(cid))) for cid in rec["delivered"])

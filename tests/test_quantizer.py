@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsim import quantizer as q
-from fedsim.quantizer import QuantizedDelta, QuantizerConfig
+from fedsim.quantizer import QuantizedDelta
 
 
 def rng(seed=0):
@@ -63,14 +61,14 @@ class TestQuantizeDequantize:
             level_indices=np.zeros(4, dtype=np.int64),
             sign_bits=np.ones(4, dtype=np.int8),
             lower_bounds=np.array([0.0]), upper_bounds=np.array([1.0]),
-            bits_per_element=2, group_boundaries=[(0, 4)], aux_bits=64)
+            bits_per_element=2, group_boundaries=[(0, 4)])
         np.testing.assert_array_equal(q.dequantize(delta), np.zeros(4))
 
     def test_per_layer_groups_have_per_group_bounds(self):
         z = np.concatenate([np.full(3, 0.1), np.full(3, 5.0)])
         delta = q.quantize(z, 2, rng=rng(7), groups=[(0, 3), (3, 6)])
         np.testing.assert_array_equal(q.dequantize(delta), z)
-        assert delta.aux_bits == 2 * 32 * 2
+        assert delta.payload_bits == 6 * 3 + 2 * 32 * 2  # a bound pair per group
 
     def test_non_finite_input_names_index(self):
         z = np.array([0.0, np.nan, 1.0])
@@ -83,29 +81,12 @@ class TestQuantizeDequantize:
         with pytest.raises(ValueError):
             q.quantize(np.array([1.0]), 0, rng=rng())
 
-    def test_config_validation_and_grouping_toggle(self):
-        with pytest.raises(ValueError):
-            QuantizerConfig(bits_per_bound=0)
-        z = np.concatenate([np.full(3, 0.1), np.full(3, 5.0)])
-        flat = q.quantize(z, 2, QuantizerConfig(per_layer_grouping=False),
-                          rng=rng(20), groups=[(0, 3), (3, 6)])
-        assert flat.group_boundaries == [(0, 6)]  # groups ignored when off
-        assert flat.aux_bits == 2 * 32
-
     def test_determinism_same_seed(self):
         z = rng(8).normal(size=32)
         a = q.quantize(z, 3, rng=rng(99))
         b = q.quantize(z, 3, rng=rng(99))
         np.testing.assert_array_equal(a.level_indices, b.level_indices)
         np.testing.assert_array_equal(a.sign_bits, b.sign_bits)
-
-    def test_json_roundtrip(self):
-        z = rng(9).normal(size=10)
-        delta = q.quantize(z, 2, rng=rng(10))
-        restored = QuantizedDelta.from_json_dict(
-            json.loads(json.dumps(delta.to_json_dict())))
-        np.testing.assert_array_equal(q.dequantize(restored), q.dequantize(delta))
-        assert restored.payload_bits == delta.payload_bits
 
 
 class TestPayloadBits:
@@ -123,7 +104,7 @@ class TestPayloadBits:
         delta = q.quantize(z, 3, rng=rng(12))
         sign_bits = delta.sign_bits.size
         level_bits = delta.level_indices.size * delta.bits_per_element
-        assert delta.payload_bits == sign_bits + level_bits + delta.aux_bits
+        assert delta.payload_bits == sign_bits + level_bits + 2 * 32  # one bound pair
 
     def test_rejects_bad_args(self):
         for d, B, mu in [(0, 2, 0), (1, 0, 0), (1, 1, -1)]:
@@ -174,7 +155,7 @@ def test_level_indices_and_bounds_invariants(data, bits):
     assert delta.level_indices.min() >= 0
     assert delta.level_indices.max() <= 2**bits - 1
     assert np.all(delta.lower_bounds <= delta.upper_bounds)
-    assert delta.payload_bits == z.size * (bits + 1) + delta.aux_bits
+    assert delta.payload_bits == z.size * (bits + 1) + 2 * 32
     delta.validate()
 
 
