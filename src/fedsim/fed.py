@@ -230,37 +230,42 @@ def _local_phase(
 
     Row j is client ``ids[j]``; it starts at ``start`` and takes
     ``epochs[j]`` steps. Each client first draws all its minibatches from
-    its own stream, one ``integers`` call per step as a single client does,
-    so the stream is left where the single-client code leaves it. Step t
-    gathers the features of the k clients still running, computes one
-    stacked gradient ``g`` for them and calls ``step(theta, g, k)``, which
-    updates the first k rows in place (it may overwrite ``g``). Returns the
-    final iterates and each client's stream.
+    its own stream in one ``integers`` call of shape (epochs, batch). That
+    call yields the same indices as one call per step and leaves the stream
+    in the same state, since the bit generator keeps any spare 32-bit half
+    between calls; ``test_fed.py::test_merged_minibatch_draw_keeps_the_stream``
+    pins this. Step t gathers the features of the k clients still running,
+    computes one stacked gradient ``g`` for them and calls
+    ``step(theta, g, k)``, which updates the first k rows in place (it may
+    overwrite ``g``). Returns the final iterates and each client's stream.
     """
     m, bs = len(ids), batch_size
     theta = np.tile(start, (m, 1))
     rngs: list[np.random.Generator] = []
     if m == 0:
         return theta, rngs
-    idx: list[np.ndarray] = []  # per client, its draws (epochs, batch)
+    feats: list[np.ndarray] = []  # per client, its features
+    idx: list[np.ndarray] = []    # per client, its draws (epochs, batch)
     ys = np.empty((epochs[0], m, bs), dtype=np.intp)
     for j, cid in enumerate(ids):
         X, y = datasets[cid]
         if X.shape[0] == 0:
             raise ValueError("empty client dataset")
         rng = client_rng(master_seed, round_index, cid)
-        idx.append(np.array([rng.integers(0, X.shape[0], size=bs) for _ in range(epochs[j])]))
+        idx.append(rng.integers(0, X.shape[0], size=(epochs[j], bs)))
         ys[:epochs[j], j] = y[idx[j]]
+        feats.append(X)
         rngs.append(rng)
+    # k at each step t: the clients still stepping, a prefix of the rows
+    ks = np.count_nonzero(epochs > np.arange(epochs[0])[:, None], axis=1).tolist()
     # one step's features at a time, so memory stays at m * batch * input
     xb = np.empty((m, bs, spec.input_dim))
     # overflow surfaces as the non-finite iterate check below
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(epochs[0]):
-            k = int(np.count_nonzero(epochs > t))
+        for t, k in enumerate(ks):
             for j in range(k):
                 # the draws are in range; "clip" only spares take's buffered copy
-                np.take(datasets[ids[j]][0], idx[j][t], axis=0, out=xb[j], mode="clip")
+                feats[j].take(idx[j][t], axis=0, out=xb[j], mode="clip")
             g = learner.grad(spec, theta[:k], xb[:k], ys[t, :k])
             step(theta[:k], g, k)
             if not np.isfinite(theta[:k]).all():

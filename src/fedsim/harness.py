@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -23,6 +24,37 @@ _DATASET_KEYS = {
     "synthetic": ("num_classes", "dim", "samples_per_class", "separation"),
     "mnist": ("images_path", "labels_path", "test_images_path", "test_labels_path"),
 }
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# The check each config field gets from its declared type (as written in the
+# dataclass), with the phrase that names the type in an error.
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and math.isfinite(v), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "a JSON object"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[int, int]": (lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v)),
+                        "a pair of integers"),
+}
+
+
+def _type_errors(obj, prefix: str = "") -> list[str]:
+    """One message per field of the dataclass ``obj`` whose value does not
+    have the field's declared type; fields of other types are not checked."""
+    errors = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in _TYPE_CHECKS and not _TYPE_CHECKS[f.type][0](value):
+            errors.append(f"{prefix}{f.name} must be {_TYPE_CHECKS[f.type][1]}, got {value!r}")
+    return errors
+
 
 # Stream labels for deriving independent RNG lineages from one master seed.
 _SEED_PARTITION = 1
@@ -91,7 +123,9 @@ class ExperimentConfig:
     trace_rounds_out: str | None = None
 
     def validate(self) -> None:
-        errors = []
+        errors = _type_errors(self) + _type_errors(self.wireless_cfg, "wireless ")
+        if errors:  # the range checks below assume the declared types
+            raise ConfigError("; ".join(errors))
         if self.algorithm not in ALGORITHMS:
             errors.append(f"algorithm must be one of {tuple(ALGORITHMS)}, got {self.algorithm!r}")
         if not 1 <= self.sample_size <= self.num_clients:
@@ -105,9 +139,7 @@ class ExperimentConfig:
         if self.eval_every < 1:
             errors.append("eval_every must be >= 1")
         ds = self.dataset
-        if not isinstance(ds, dict):
-            errors.append("dataset must be a JSON object")
-        elif ds.get("kind") not in _DATASET_KEYS:
+        if ds.get("kind") not in _DATASET_KEYS:
             errors.append(f"unknown dataset kind {ds.get('kind')!r}")
         elif missing := [k for k in _DATASET_KEYS[ds["kind"]] if k not in ds]:
             errors.append(f"{ds['kind']} dataset needs {missing}")
@@ -118,28 +150,27 @@ class ExperimentConfig:
         if self.labels_per_client < 1:
             errors.append("labels_per_client must be >= 1")
         if self.algorithm in ("fedqvr", "fedqvr_e"):
-            if self.gamma is None or self.gamma <= 0:
+            if self.gamma <= 0:
                 errors.append("gamma must be positive for variance-reduced algorithms")
-            if self.a is None or not 0 < self.a < 1:
+            if not 0 < self.a < 1:
                 errors.append("a must lie in (0, 1)")
-        if self.algorithm == "fedqvr" and (self.bits is None or self.bits < 1):
+        if self.algorithm == "fedqvr" and self.bits < 1:
             errors.append("bits must be >= 1 for fedqvr")
         if self.algorithm == "fedqvr_e" and not self.wireless_cfg.enabled:
             errors.append("fedqvr_e requires wireless.enabled = true")
-        if self.hlu and not (len(self.hlu_range) == 2
-                             and 1 <= self.hlu_range[0] <= self.hlu_range[1]):
+        if self.hlu and not 1 <= self.hlu_range[0] <= self.hlu_range[1]:
             errors.append("hlu_range must be an increasing pair of positive ints")
         if not self.hlu and self.local_epochs < 1:
             errors.append("local_epochs must be >= 1")
         w = self.wireless_cfg
         if w.enabled:
-            if not 0 <= w.alpha < math.inf:
-                errors.append("wireless alpha must be finite and >= 0")
-            if not 0 < w.tau < math.inf:
-                errors.append("wireless tau must be positive and finite")
-            if not w.b_lower >= 1:
+            if w.alpha < 0:
+                errors.append("wireless alpha must be >= 0")
+            if w.tau <= 0:
+                errors.append("wireless tau must be positive")
+            if w.b_lower < 1:
                 errors.append("wireless b_lower must be >= 1")
-            if not w.b_upper >= w.b_lower:
+            if w.b_upper < w.b_lower:
                 errors.append("wireless b_upper must be >= b_lower")
         if errors:
             raise ConfigError("; ".join(errors))
@@ -161,7 +192,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**{k: v for k, v in raw.items() if k != "wireless_cfg"})
         cfg.wireless_cfg = WirelessConfig(**wcfg)
-        if "hlu_range" in raw:
+        if isinstance(raw.get("hlu_range"), list):
             cfg.hlu_range = tuple(raw["hlu_range"])
         cfg.validate()
         return cfg
@@ -275,10 +306,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     cfg.validate()
     train, test, part = _build_task(cfg)
     spec = _model_spec(cfg, train.features.shape[1], train.num_classes)
-    client_data = [(train.features[a], train.labels[a]) for a in part.assignments]
     # global training loss is evaluated over the partitioned samples only
     used = np.concatenate(part.assignments)
     train_X, train_y = train.features[used], train.labels[used]
+    # each client's shard is a view of its rows, which ``used`` holds in client order
+    offsets = np.cumsum([a.size for a in part.assignments])[:-1]
+    client_data = list(zip(np.split(train_X, offsets), np.split(train_y, offsets)))
 
     theta0 = learner.init_params(spec, cfg.seed)
     server = ServerState(theta=theta0.copy(), c=np.zeros(spec.dim))
@@ -295,6 +328,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         cfg.num_clients, np.random.default_rng([cfg.seed, _SEED_PLACEMENT]),
         r_min=wcfg.r_min, r_max=wcfg.r_max)
     replay = wireless.read_channel_trace(wcfg.trace_in) if wcfg.trace_in else None
+    record_channel = bool(wcfg.trace_out) and replay is None
     trace_records: list[dict] = []
     round_trace: list[dict] = []
 
@@ -325,27 +359,29 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                     rng_ch = np.random.default_rng([cfg.seed, _SEED_CHANNEL, r, cid])
                     draws[cid] = wireless.sample_channel(
                         float(distances[cid]), budget, rng_ch)
-                trace_records.append({
-                    "round": r, "device": cid,
-                    "distance_m": draws[cid].distance_m, "gain": draws[cid].gain})
+                if record_channel:
+                    trace_records.append({
+                        "round": r, "device": cid,
+                        "distance_m": draws[cid].distance_m, "gain": draws[cid].gain})
 
         plan, dropped_count = plan_round(cfg, algo, spec, budget, sampled, epochs, draws)
         server, report = run_round(spec, server, clients, client_data, plan, cfg.seed)
 
         cumulative_bits += report.uplink_bits
-        round_trace.append({
-            "round": r, "active": report.active_ids,
-            "delivered": report.delivered_ids,
-            "epochs": {str(k): v for k, v in report.epochs.items()},
-            "bits": {str(k): v for k, v in report.bits.items()},
-            "uplink_bits": report.uplink_bits,
-        })
+        if cfg.trace_rounds_out:
+            round_trace.append({
+                "round": r, "active": report.active_ids,
+                "delivered": report.delivered_ids,
+                "epochs": {str(k): v for k, v in report.epochs.items()},
+                "bits": {str(k): v for k, v in report.bits.items()},
+                "uplink_bits": report.uplink_bits,
+            })
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
             snapshot(r + 1, len(report.delivered_ids), dropped_count)
 
     if cfg.out:
         write_metrics_csv(rows, cfg.out)
-    if wcfg.trace_out and replay is None:
+    if record_channel:
         wireless.write_channel_trace(wcfg.trace_out, trace_records)
     if cfg.trace_rounds_out:
         with open(cfg.trace_rounds_out, "w") as f:

@@ -56,6 +56,7 @@ class TestRun:
 
     @pytest.mark.parametrize("field,value", [
         ("alpha", -1), ("tau", 0), ("tau", -1), ("b_lower", 0), ("b_upper", 0),
+        ("b_lower", 1.5), ("b_upper", 24.5), ("tau", "x"), ("enabled", 1),
     ])
     def test_out_of_range_wireless_field_is_validation_error(
             self, tmp_path, capsys, field, value):
@@ -68,6 +69,23 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: invalid config: wireless {field}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("sample_size", 5.0), ("rounds", 2.5), ("rounds", True), ("num_clients", 20.0),
+        ("eta", float("nan")), ("local_epochs", 1.5), ("hlu", 1), ("hlu_range", [1, 2.5]),
+        ("algorithm", ["fedqvr"]),
+    ])
+    def test_wrongly_typed_field_is_one_line_validation_error(
+            self, tmp_path, capsys, field, value):
+        raw = json.loads((CONFIGS / "synthetic_fedqvr.json").read_text())
+        raw.update({"rounds": 3, field: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: invalid config: {field} must be ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("extra,message", [

@@ -590,3 +590,21 @@ def test_e_tilde_equals_b_weight_mass(gamma, eta, E):
     # the closed form loses ~eps/(gamma*eta) relative digits to cancellation
     assert fed.e_tilde(gamma, eta, E) == pytest.approx(float(b.sum()), rel=1e-6)
     assert 0 < fed.e_tilde(gamma, eta, E) <= E
+
+
+@pytest.mark.parametrize("n", [7, 40, 100, 1000])
+@pytest.mark.parametrize("bs", [49, 50])
+@pytest.mark.parametrize("E", [1, 3, 10])
+def test_merged_minibatch_draw_keeps_the_stream(n, bs, E):
+    """One (E, bs) draw, as ``_local_phase`` makes it, equals E draws of bs
+    from the same client stream and leaves the stream in the same state,
+    the spare 32-bit half of an odd batch included. If a numpy release
+    breaks this, every golden moves; this test names the cause."""
+    for seed in range(5):
+        merged, per_step = fed.client_rng(seed, 2, 3), fed.client_rng(seed, 2, 3)
+        draws = merged.integers(0, n, size=(E, bs))
+        np.testing.assert_array_equal(
+            draws, np.array([per_step.integers(0, n, size=bs) for _ in range(E)]))
+        # the state holds the spare half too: has_uint32 and uinteger
+        assert merged.bit_generator.state == per_step.bit_generator.state
+        assert merged.integers(0, n) == per_step.integers(0, n)

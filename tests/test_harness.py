@@ -54,6 +54,8 @@ class TestConfig:
         ("a", 1.5, "a must lie"),
         ("bits", 0, "bits"),
         ("local_epochs", 0, "local_epochs"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("out", 3, "out must be a string or null"),  # open() would take 3 as a descriptor
     ])
     def test_field_validation(self, field, value, msg):
         cfg = small_config(**{field: value})
