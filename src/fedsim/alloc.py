@@ -39,9 +39,10 @@ class AllocationError(ValueError):
     """A floored allocation breaks a device's delay budget."""
 
 
-def _check_number(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
+def _check_number(name: str, value, integer: bool = False) -> None:
+    kind, phrase = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be {phrase}, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -65,8 +66,10 @@ class AllocProblem:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        for name in ("w_total", "alpha", "d", "mu", "noise_psd", "b_lower"):
+        for name in ("w_total", "alpha", "noise_psd"):
             _check_number(name, getattr(self, name))
+        for name in ("d", "mu", "b_lower"):
+            _check_number(name, getattr(self, name), integer=True)
         if self.gains.size == 0:
             raise ValueError("need at least one device")
         if self.taus.shape != self.gains.shape:
@@ -125,16 +128,6 @@ class AllocSolution:
             "objective": self.objective,
             "iterations": self.iterations,
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "AllocSolution":
-        d = json.loads(text)
-        return cls(bandwidths=np.asarray(d["bandwidths"]),
-                   bits_continuous=np.asarray(d["bits_continuous"]),
-                   bits_floored=np.asarray(d["bits_floored"], dtype=np.int64),
-                   dropped=set(d["dropped"]), dual_lambda=d["dual_lambda"],
-                   kkt_residual=d["kkt_residual"], feasible=d["feasible"],
-                   objective=d["objective"], iterations=d["iterations"])
 
 
 def _rate_deriv(w: float, gain: float, noise_psd: float) -> float:
@@ -336,10 +329,6 @@ def solve_alloc(p: AllocProblem) -> AllocSolution:
             dropped.add(i)
         else:
             kept.append(i)
-    if not kept:
-        return AllocSolution(bandwidths=bands, bits_continuous=bits,
-                             bits_floored=np.zeros(n, dtype=np.int64),
-                             dropped=set(range(n)), feasible=False)
 
     w_floor = {i: _w_zero(p, i) for i in kept}
     need = sum(w_floor[i] for i in kept)
@@ -411,80 +400,25 @@ def kkt_residual(
     p: AllocProblem,
     bands: np.ndarray,
     lam: float,
-    kept: list[int] | None = None,
-    w_floor: list[float] | None = None,
+    kept: list[int],
+    w_floor: list[float],
 ) -> float:
     """Relative stationarity residual plus budget violation.
 
     Devices pinned at their zero-bit bandwidth floor only contribute when
     their marginal exceeds the price (their lower bound is active).
     """
-    if kept is None:
-        kept = list(range(p.num_devices))
     if lam <= 0:
         return math.inf
     res = 0.0
     for idx, i in enumerate(kept):
         if bands[i] <= 0:
             continue
-        floor_i = w_floor[idx] if w_floor is not None else 0.0
         marg = _marginal(p, i, bands[i])
-        if bands[i] <= floor_i * (1 + 1e-9):
+        if bands[i] <= w_floor[idx] * (1 + 1e-9):
             res = max(res, max(0.0, marg - lam) / lam)
         else:
             res = max(res, abs(marg - lam) / lam)
     used = sum(bands[i] for i in kept)
     res += abs(used - p.w_total) / p.w_total
     return res
-
-
-def brute_force_alloc(
-    p: AllocProblem,
-    grid_points: int,
-    stages: int = 3,
-) -> tuple[float, np.ndarray]:
-    """Grid-search oracle over bandwidth splits of the simplex.
-
-    Enumerates splits of the full budget, skipping splits where any device
-    cannot reach a non-negative bit count. Each stage zooms the grid around
-    the best point of the previous one.
-    """
-    m = p.num_devices
-    if m > 4:
-        raise ValueError("grid oracle supports at most 4 devices")
-    if m == 1:
-        w = np.array([p.w_total])
-        return objective_value(p, w, [0]), w
-
-    def evaluate(w: np.ndarray) -> float:
-        total = 0.0
-        for i in range(m):
-            if w[i] <= 0:
-                return -math.inf
-            b = b_of_w(w[i], p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd)
-            if b < 0:
-                return -math.inf
-            total += utility(b, p.alpha)
-        return total
-
-    per_dim = max(2, int(round(grid_points ** (1.0 / (m - 1)))))
-    lo = np.zeros(m - 1)
-    hi = np.full(m - 1, p.w_total)
-    best_obj, best_w = -math.inf, np.full(m, p.w_total / m)
-    for _ in range(stages):
-        axes = [np.linspace(lo[k], hi[k], per_dim) for k in range(m - 1)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in mesh], axis=1)
-        for row in coords:
-            w_last = p.w_total - row.sum()
-            if w_last <= 0:
-                continue
-            w = np.append(row, w_last)
-            obj = evaluate(w)
-            if obj > best_obj:
-                best_obj, best_w = obj, w
-        span = (hi - lo) / (per_dim - 1)
-        centre = best_w[:-1]
-        lo = np.maximum(centre - span, 0.0)
-        hi = np.minimum(centre + span, p.w_total)
-    return best_obj, best_w

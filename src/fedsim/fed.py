@@ -428,68 +428,3 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
 run_round_fedavg = partial(run_round, FEDAVG)
 run_round_scaffold = partial(run_round, SCAFFOLD)
 run_round_fedqvr = partial(run_round, FEDQVR)
-
-
-def validate_stepsize_conditions(
-    gamma: float,
-    eta: float,
-    a: float,
-    e_tilde_max: float,
-    omega_max: float,
-    num_clients: int,
-    m: int,
-    smoothness: float,
-) -> dict:
-    """Advisory check of the convergence-analysis stepsize conditions.
-
-    Evaluates the eta upper bound and the gamma lower bound with
-    a_bar = a * (1 - a * omega_max) and reports per-condition margins.
-    The simulator runs regardless of the outcome.
-    """
-    if not 0.0 < a < 1.0:
-        raise ValueError("a must lie in (0, 1)")
-    N = num_clients
-    a_bar = a * (1.0 - a * omega_max)
-    eta_cap = min(
-        1.0 / (2.0 * gamma * e_tilde_max * np.sqrt(N * (1.0 + omega_max))),
-        m * a_bar * np.sqrt(m) / (3.0 * np.sqrt((1.0 + omega_max) * N * (2.0 * N - m * a_bar))),
-    )
-    gamma_floor = max(
-        8.0 * smoothness,
-        smoothness * np.sqrt(max(0.0, 30.0 * (a * omega_max + 3.0) / (1.0 - a * omega_max) - 4.0)),
-        2.0 * smoothness * np.sqrt(N * (2.0 * N - m * a_bar)) / (m * a_bar),
-    )
-    return {
-        "eta_condition_ok": eta <= eta_cap,
-        "eta_cap": float(eta_cap),
-        "eta_margin": float(eta_cap - eta),
-        "gamma_condition_ok": gamma >= gamma_floor,
-        "gamma_floor": float(gamma_floor),
-        "gamma_margin": float(gamma - gamma_floor),
-        "a_condition_ok": a < min(1.0, 1.0 / omega_max) if omega_max > 0 else True,
-        "degenerate_eta": eta == 0.0,
-    }
-
-
-def estimate_smoothness(
-    spec: ModelSpec,
-    theta: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    iters: int = 30,
-    seed: int = 0,
-) -> float:
-    """Power-iteration estimate of the Hessian spectral norm at theta."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=theta.size)
-    v /= np.linalg.norm(v)
-    eps = 1e-5
-    lam = 0.0
-    for _ in range(iters):
-        hv = (learner.grad(spec, theta + eps * v, X, y)
-              - learner.grad(spec, theta - eps * v, X, y)) / (2 * eps)
-        lam = float(np.linalg.norm(hv))
-        if lam == 0.0:
-            break
-        v = hv / lam
-    return lam

@@ -19,11 +19,14 @@ ALGORITHMS = {"fedavg": fed.FEDAVG, "scaffold": fed.SCAFFOLD,
 
 CSV_HEADER = "round,train_loss,test_accuracy,cumulative_uplink_bits,active_count,dropped_count"
 
-# keys each dataset kind needs
+# each dataset kind's keys with their declared types; all but the optional ones are required
 _DATASET_KEYS = {
-    "synthetic": ("num_classes", "dim", "samples_per_class", "separation"),
-    "mnist": ("images_path", "labels_path", "test_images_path", "test_labels_path"),
+    "synthetic": {"num_classes": "int", "dim": "int", "samples_per_class": "int",
+                  "test_samples_per_class": "int", "separation": "float"},
+    "mnist": dict.fromkeys(
+        ("images_path", "labels_path", "test_images_path", "test_labels_path"), "str"),
 }
+_OPTIONAL_DATASET_KEYS = ("test_samples_per_class",)
 
 
 def _is_int(v) -> bool:
@@ -45,15 +48,17 @@ _TYPE_CHECKS = {
 }
 
 
-def _type_errors(obj, prefix: str = "") -> list[str]:
-    """One message per field of the dataclass ``obj`` whose value does not
-    have the field's declared type; fields of other types are not checked."""
-    errors = []
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type in _TYPE_CHECKS and not _TYPE_CHECKS[f.type][0](value):
-            errors.append(f"{prefix}{f.name} must be {_TYPE_CHECKS[f.type][1]}, got {value!r}")
-    return errors
+def _type_errors(values: dict, types: dict[str, str], prefix: str = "") -> list[str]:
+    """One message per key of ``types`` whose value in ``values`` does not
+    have the declared type; absent keys and other types are not checked."""
+    return [f"{prefix}{k} must be {_TYPE_CHECKS[t][1]}, got {values[k]!r}"
+            for k, t in types.items()
+            if k in values and t in _TYPE_CHECKS and not _TYPE_CHECKS[t][0](values[k])]
+
+
+def _field_type_errors(obj, prefix: str = "") -> list[str]:
+    """_type_errors over the fields of the dataclass ``obj``, as declared."""
+    return _type_errors(vars(obj), {f.name: f.type for f in fields(obj)}, prefix)
 
 
 # Stream labels for deriving independent RNG lineages from one master seed.
@@ -123,7 +128,7 @@ class ExperimentConfig:
     trace_rounds_out: str | None = None
 
     def validate(self) -> None:
-        errors = _type_errors(self) + _type_errors(self.wireless_cfg, "wireless ")
+        errors = _field_type_errors(self) + _field_type_errors(self.wireless_cfg, "wireless ")
         if errors:  # the range checks below assume the declared types
             raise ConfigError("; ".join(errors))
         if self.algorithm not in ALGORITHMS:
@@ -141,8 +146,11 @@ class ExperimentConfig:
         ds = self.dataset
         if ds.get("kind") not in _DATASET_KEYS:
             errors.append(f"unknown dataset kind {ds.get('kind')!r}")
-        elif missing := [k for k in _DATASET_KEYS[ds["kind"]] if k not in ds]:
-            errors.append(f"{ds['kind']} dataset needs {missing}")
+        else:
+            keys = _DATASET_KEYS[ds["kind"]]
+            if missing := [k for k in keys if k not in ds and k not in _OPTIONAL_DATASET_KEYS]:
+                errors.append(f"{ds['kind']} dataset needs {missing}")
+            errors += _type_errors(ds, keys, "dataset ")
         if self.model_kind not in (learner.LOGISTIC, learner.MLP):
             errors.append(f"model_kind must be {learner.LOGISTIC!r} or {learner.MLP!r}")
         elif self.model_kind == learner.MLP and self.hidden_dim < 1:
@@ -163,6 +171,8 @@ class ExperimentConfig:
         if not self.hlu and self.local_epochs < 1:
             errors.append("local_epochs must be >= 1")
         w = self.wireless_cfg
+        if w.total_bandwidth_hz <= 0:  # the link budget is built with the layer off too
+            errors.append("wireless total_bandwidth_hz must be positive")
         if w.enabled:
             if w.alpha < 0:
                 errors.append("wireless alpha must be >= 0")
@@ -185,12 +195,14 @@ class ExperimentConfig:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        wcfg = raw.pop("wireless_cfg", None) or {}
+        wcfg = raw.pop("wireless_cfg", {})
+        if not isinstance(wcfg, dict):
+            raise ConfigError(f"wireless_cfg must be a JSON object, got {wcfg!r}")
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**{k: v for k, v in raw.items() if k != "wireless_cfg"})
+        cfg = cls(**raw)
         cfg.wireless_cfg = WirelessConfig(**wcfg)
         if isinstance(raw.get("hlu_range"), list):
             cfg.hlu_range = tuple(raw["hlu_range"])

@@ -109,16 +109,14 @@ def _draw_levels(mags: np.ndarray, lo: np.ndarray, scale: np.ndarray, k: int,
 def quantize(
     z: np.ndarray,
     B: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     groups: list[tuple[int, int]] | None = None,
-    bounds: tuple[float, float] | None = None,
 ) -> QuantizedDelta:
     """Quantize ``z`` to ``B`` bits per element plus one sign bit.
 
     ``groups`` lists contiguous ``(start, stop)`` index ranges sharing
-    bounds (typically one per model layer). ``bounds`` overrides the
-    computed (lo, hi) for every group; intended for tests only. All groups
-    go through one pass over the vector.
+    bounds (typically one per model layer). All groups go through one pass
+    over the vector.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
@@ -128,19 +126,13 @@ def quantize(
     if not np.isfinite(z).all():
         bad = np.flatnonzero(~np.isfinite(z))
         raise ValueError(f"non-finite element at index {int(bad[0])}")
-    if rng is None:
-        rng = np.random.default_rng()
     groups = _check_groups(groups, z.size)
 
     signs = _signs(z)
     mags = np.abs(z)
     starts = [start for start, _ in groups]
-    if bounds is not None:
-        lows = np.full(len(groups), float(bounds[0]))
-        highs = np.full(len(groups), float(bounds[1]))
-    else:
-        lows = np.minimum.reduceat(mags, starts)
-        highs = np.maximum.reduceat(mags, starts)
+    lows = np.minimum.reduceat(mags, starts)
+    highs = np.maximum.reduceat(mags, starts)
 
     k = (1 << B) - 1
     lo, scale = _level_grid(lows, highs, [stop - start for start, stop in groups], k)
@@ -171,12 +163,11 @@ def dequantize(q: QuantizedDelta) -> np.ndarray:
                               q.upper_bounds, sizes, (1 << q.bits_per_element) - 1)
 
 
-def _batched_dequantized(z, B, n, rng, bounds=None):
+def _batched_dequantized(z, B, n, rng):
     """n independent dequantized draws of quantize(z, B), whole-vector bounds."""
     mags = np.abs(z)
     signs = _signs(z)
-    lows, highs = ((mags.min(keepdims=True), mags.max(keepdims=True)) if bounds is None
-                   else (np.array([float(bounds[0])]), np.array([float(bounds[1])])))
+    lows, highs = mags.min(keepdims=True), mags.max(keepdims=True)
     k = (1 << B) - 1
     lo, scale = _level_grid(lows, highs, [z.size], k)
     levels = _draw_levels(mags, lo, scale, k, rng.random((n, z.size)))
@@ -228,7 +219,6 @@ def empirical_mean_dequantized(
     B: int,
     trials: int,
     rng: np.random.Generator,
-    bounds: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Element-wise mean of ``trials`` dequantized draws (unbiasedness probe)."""
     z = np.asarray(z, dtype=np.float64)
@@ -237,6 +227,6 @@ def empirical_mean_dequantized(
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        acc += _batched_dequantized(z, B, n, rng, bounds=bounds).sum(axis=0)
+        acc += _batched_dequantized(z, B, n, rng).sum(axis=0)
         done += n
     return acc / trials

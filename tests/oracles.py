@@ -1,0 +1,59 @@
+"""Reference implementations the tests compare the simulator against."""
+
+import math
+
+import numpy as np
+
+from fedsim.alloc import AllocProblem, b_of_w, objective_value, utility
+
+
+def brute_force_alloc(
+    p: AllocProblem,
+    grid_points: int,
+    stages: int = 3,
+) -> tuple[float, np.ndarray]:
+    """Grid-search oracle over bandwidth splits of the simplex.
+
+    Enumerates splits of the full budget, skipping splits where any device
+    cannot reach a non-negative bit count. Each stage zooms the grid around
+    the best point of the previous one.
+    """
+    m = p.num_devices
+    if m > 4:
+        raise ValueError("grid oracle supports at most 4 devices")
+    if m == 1:
+        w = np.array([p.w_total])
+        return objective_value(p, w, [0]), w
+
+    def evaluate(w: np.ndarray) -> float:
+        total = 0.0
+        for i in range(m):
+            if w[i] <= 0:
+                return -math.inf
+            b = b_of_w(w[i], p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd)
+            if b < 0:
+                return -math.inf
+            total += utility(b, p.alpha)
+        return total
+
+    per_dim = max(2, int(round(grid_points ** (1.0 / (m - 1)))))
+    lo = np.zeros(m - 1)
+    hi = np.full(m - 1, p.w_total)
+    best_obj, best_w = -math.inf, np.full(m, p.w_total / m)
+    for _ in range(stages):
+        axes = [np.linspace(lo[k], hi[k], per_dim) for k in range(m - 1)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        coords = np.stack([g.ravel() for g in mesh], axis=1)
+        for row in coords:
+            w_last = p.w_total - row.sum()
+            if w_last <= 0:
+                continue
+            w = np.append(row, w_last)
+            obj = evaluate(w)
+            if obj > best_obj:
+                best_obj, best_w = obj, w
+        span = (hi - lo) / (per_dim - 1)
+        centre = best_w[:-1]
+        lo = np.maximum(centre - span, 0.0)
+        hi = np.minimum(centre + span, p.w_total)
+    return best_obj, best_w

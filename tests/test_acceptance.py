@@ -15,6 +15,7 @@ from fedsim import alloc, data, fed, harness, learner, quantizer
 from fedsim.fed import ClientState, RoundPlan, ServerState
 from fedsim.harness import ExperimentConfig, WirelessConfig
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
+from oracles import brute_force_alloc
 
 NOISE = 10 ** (-14.3) / 1e3
 
@@ -207,7 +208,7 @@ def test_criterion_07_allocation_matches_grid_oracle():
             continue
         solved += 1
         grid = 2000 if m == 2 else 2500
-        obj_bf, _ = alloc.brute_force_alloc(p, grid)
+        obj_bf, _ = brute_force_alloc(p, grid)
         worst_gap = max(worst_gap, abs(sol.objective - obj_bf) / abs(obj_bf))
         worst_kkt = max(worst_kkt, sol.kkt_residual)
         worst_budget = max(worst_budget,

@@ -7,6 +7,7 @@ import pytest
 
 from fedsim import alloc, wireless
 from fedsim.alloc import AllocProblem, AllocSolution
+from oracles import brute_force_alloc
 
 NOISE = 10 ** (-14.3) / 1e3  # -143 dBm/Hz in W/Hz
 GOLDEN = Path(__file__).parent / "fixtures" / "alloc_golden.jsonl"
@@ -149,7 +150,11 @@ class TestSolve:
         shift = 0.05 * bent[0]
         bent[0] -= shift
         bent[1] += shift
-        assert alloc.kkt_residual(p, bent, sol.dual_lambda) > 1e-3
+        assert not sol.dropped
+        kept = list(range(p.num_devices))
+        floors = [alloc._w_zero(p, i) for i in kept]
+        assert alloc.kkt_residual(p, sol.bandwidths, sol.dual_lambda, kept, floors) <= 1e-6
+        assert alloc.kkt_residual(p, bent, sol.dual_lambda, kept, floors) > 1e-3
 
     def test_objective_increases_with_budget(self):
         rng = np.random.default_rng(2)
@@ -195,12 +200,16 @@ class TestSolve:
 
     def test_solution_json_roundtrip(self):
         sol = alloc.solve_alloc(make_problem([1e-6, 2e-7]))
-        restored = AllocSolution.from_json(sol.to_json())
-        np.testing.assert_allclose(restored.bandwidths, sol.bandwidths)
-        np.testing.assert_array_equal(restored.bits_floored, sol.bits_floored)
-        assert restored.dropped == sol.dropped
-        assert restored.feasible == sol.feasible
-        assert restored.iterations == sol.iterations > 0
+        restored = json.loads(sol.to_json())
+        np.testing.assert_allclose(restored["bandwidths"], sol.bandwidths)
+        np.testing.assert_allclose(restored["bits_continuous"], sol.bits_continuous)
+        np.testing.assert_array_equal(restored["bits_floored"], sol.bits_floored)
+        assert set(restored["dropped"]) == sol.dropped
+        assert restored["dual_lambda"] == sol.dual_lambda
+        assert restored["kkt_residual"] == sol.kkt_residual
+        assert restored["objective"] == sol.objective
+        assert restored["feasible"] == sol.feasible
+        assert restored["iterations"] == sol.iterations > 0
 
 
 class TestFloorAndDrop:
@@ -313,17 +322,17 @@ class TestBruteForceOracle:
             if not sol.feasible or sol.dropped:
                 continue
             grid = 2000 if p.num_devices == 2 else 2500
-            obj_bf, _ = alloc.brute_force_alloc(p, grid)
+            obj_bf, _ = brute_force_alloc(p, grid)
             worst = max(worst, abs(sol.objective - obj_bf) / abs(obj_bf))
         assert worst < 1e-4
 
     def test_rejects_large_instances(self):
         p = make_problem([1e-6] * 5)
         with pytest.raises(ValueError):
-            alloc.brute_force_alloc(p, 100)
+            brute_force_alloc(p, 100)
 
     def test_single_device_oracle(self):
         p = make_problem([1e-6])
-        obj, w = alloc.brute_force_alloc(p, 100)
+        obj, w = brute_force_alloc(p, 100)
         assert w[0] == p.w_total
         assert obj == pytest.approx(alloc.solve_alloc(p).objective, rel=1e-12)

@@ -1,0 +1,37 @@
+"""What the benchmark in ``perfbench/`` needs from the package.
+
+``perfbench/run.py`` reads each workload with ``harness.parse_config`` and
+times ``harness.run_experiment``. ``perfbench/tracing.py`` wraps the module
+attributes its ``TARGETS`` names and skips an attribute that is missing, so
+a deleted or renamed target would read as 0 calls instead of failing. These
+tests load the tracer by path, as the benchmark does, and check each name.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from fedsim import harness
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("module_name,attr",
+                         [(module_name, attr) for module_name, attr, _, _ in load_tracing().TARGETS])
+def test_every_tracer_target_resolves(module_name, attr):
+    module = importlib.import_module(f"fedsim.{module_name}")
+    assert callable(getattr(module, attr, None)), f"fedsim.{module_name}.{attr} is gone"
+
+
+def test_runner_entry_points_exist():
+    assert callable(harness.parse_config)
+    assert callable(harness.run_experiment)

@@ -1,12 +1,16 @@
 import json
+import math
 import statistics
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fedsim import alloc, cli
 from fedsim.alloc import AllocProblem, AllocSolution
+from fedsim.harness import ExperimentConfig, WirelessConfig
 
 
 BASE_CONFIG = {
@@ -57,6 +61,7 @@ class TestRun:
     @pytest.mark.parametrize("field,value", [
         ("alpha", -1), ("tau", 0), ("tau", -1), ("b_lower", 0), ("b_upper", 0),
         ("b_lower", 1.5), ("b_upper", 24.5), ("tau", "x"), ("enabled", 1),
+        ("total_bandwidth_hz", 0), ("total_bandwidth_hz", -1),
     ])
     def test_out_of_range_wireless_field_is_validation_error(
             self, tmp_path, capsys, field, value):
@@ -96,17 +101,36 @@ class TestRun:
         ({"dataset": {**BASE_CONFIG["dataset"], "num_classes": 0}}, "must be positive"),
         ({"dataset": {**BASE_CONFIG["dataset"], "test_samples_per_class": 0}},
          "must be positive"),
+        *[({"dataset": {**BASE_CONFIG["dataset"], key: value}},
+           f"invalid config: dataset {key} must be {kind}")
+          for key, value, kind in [
+              ("separation", True, "a finite number"),
+              ("separation", float("nan"), "a finite number"),
+              ("dim", True, "an integer"), ("dim", "x", "an integer"),
+              ("dim", 8.0, "an integer"), ("test_samples_per_class", True, "an integer"),
+              ("num_classes", None, "an integer")]],
+        ({"dataset": {"kind": "mnist", "images_path": ["x"], "labels_path": "y",
+                      "test_images_path": "y", "test_labels_path": "y"}},
+         "invalid config: dataset images_path must be a string"),
+        *[({"wireless_cfg": value}, "invalid config: wireless_cfg must be a JSON object")
+          for value in (0, [], "", False, None, [1])],
         ({"model_kind": "cnn"}, "model_kind"),
         ({"hlu": True, "hlu_range": [3]}, "hlu_range"),
         ({"labels_per_client": 0}, "labels_per_client"),
         ({"num_clients": 2000}, "cannot build 2000 shards from 120 samples"),
+        ({"wireless_cfg": {"total_bandwidth_hz": 0}},
+         "wireless total_bandwidth_hz must be positive"),
         ({"dataset": "idx"}, "bad image magic"),
         ('"abc"', "config must be a JSON object, got str"),
         ("null", "config must be a JSON object, got NoneType"),
         ("3", "config must be a JSON object, got int"),
-    ], ids=["no-dim", "dataset-list", "dim-0", "classes-0", "test-samples-0", "model-kind",
-            "hlu-range-of-one", "labels-0", "too-many-clients", "non-idx-file",
-            "string-config", "null-config", "number-config"])
+    ], ids=["no-dim", "dataset-list", "dim-0", "classes-0", "test-samples-0",
+            "separation-true", "separation-nan", "dim-true", "dim-str", "dim-float",
+            "test-samples-true", "classes-null", "mnist-path-list",
+            "wireless-cfg-0", "wireless-cfg-empty-list", "wireless-cfg-empty-str",
+            "wireless-cfg-false", "wireless-cfg-null", "wireless-cfg-list", "model-kind",
+            "hlu-range-of-one", "labels-0", "too-many-clients", "bandwidth-0-layer-off",
+            "non-idx-file", "string-config", "null-config", "number-config"])
     def test_setup_defect_is_one_line_validation_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, str):  # the whole config file is this JSON text
             path = tmp_path / "cfg.json"
@@ -133,6 +157,40 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: divergence: local update diverged to non-finite iterate\n"
+
+
+# Fields a run opens as files; a drawn value there would name a file or a
+# descriptor, which is not what this fuzzing is about.
+_PATH_FIELDS = {"out", "trace_rounds_out", "trace_out", "trace_in"}
+_FUZZ_FIELDS = (
+    [(None, f.name) for f in fields(ExperimentConfig) if f.name not in _PATH_FIELDS]
+    + [("wireless_cfg", f.name) for f in fields(WirelessConfig) if f.name not in _PATH_FIELDS]
+    + [("dataset", k) for k in BASE_CONFIG["dataset"]])
+_SCALARS = (st.booleans() | st.sampled_from([math.nan, math.inf, -math.inf])
+            | st.integers(-3, 3) | st.text(max_size=3) | st.none())
+_FUZZ_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3)
+# the wireless fields are read only with the wireless layer on
+_WIRELESS_ON = {"algorithm": "fedqvr_e", "wireless_cfg": {
+    "enabled": True, "tau": 4e-6, "alpha": 0.5, "b_lower": 1, "b_upper": 24}}
+
+
+@pytest.mark.parametrize("base", [{}, _WIRELESS_ON], ids=["plain", "wireless"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(_FUZZ_FIELDS), value=_FUZZ_VALUES)
+def test_run_with_one_mutated_field_is_one_line_and_a_documented_code(
+        tmp_path, monkeypatch, capsys, base, where, value):
+    monkeypatch.chdir(tmp_path)
+    raw = json.loads(json.dumps({**BASE_CONFIG, **base, "rounds": 2}))
+    block, name = where
+    target = raw if block is None else raw.setdefault(block, {})
+    target[name] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    code = cli.main(["run", "--config", "cfg.json"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    assert out.count("\n") == (code == 0)
 
 
 class TestSweep:
@@ -257,12 +315,20 @@ class TestAlloc:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     def test_null_alpha_is_validation_error(self, tmp_path, capsys):
         self.assert_one_line_rejection(tmp_path, capsys, alpha=None)
 
     def test_nan_gain_is_validation_error(self, tmp_path, capsys):
         self.assert_one_line_rejection(tmp_path, capsys, gains=[float("nan"), 2e-7])
+
+    @pytest.mark.parametrize("field,value", [
+        ("d", 105.5), ("mu", 128.25), ("b_lower", 1.5), ("d", True),
+    ])
+    def test_non_integer_size_is_validation_error(self, tmp_path, capsys, field, value):
+        err = self.assert_one_line_rejection(tmp_path, capsys, **{field: value})
+        assert f"{field} must be an integer" in err
 
     def test_failed_delay_recheck_is_validation_error(self, tmp_path, capsys,
                                                       monkeypatch):

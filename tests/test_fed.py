@@ -537,48 +537,6 @@ class TestScaffoldRound:
         assert report.uplink_bits == 2 * 2 * 32 * SPEC.dim
 
 
-class TestStepsizeConditionValidator:
-    def test_reports_structure_and_margins(self):
-        out = fed.validate_stepsize_conditions(
-            gamma=0.3, eta=0.01, a=0.3, e_tilde_max=2.0, omega_max=0.1,
-            num_clients=50, m=10, smoothness=1.0)
-        assert set(out) >= {"eta_condition_ok", "gamma_condition_ok",
-                            "eta_cap", "gamma_floor"}
-        assert out["gamma_floor"] >= 8.0  # 8L term with L = 1
-        assert not out["gamma_condition_ok"]
-        assert out["degenerate_eta"] is False
-
-    def test_tiny_eta_satisfies_cap_and_huge_gamma_satisfies_floor(self):
-        out = fed.validate_stepsize_conditions(
-            gamma=1000.0, eta=1e-12, a=0.3, e_tilde_max=2.0, omega_max=0.1,
-            num_clients=50, m=10, smoothness=1.0)
-        assert out["eta_condition_ok"] and out["gamma_condition_ok"]
-
-    def test_rejects_bad_a(self):
-        with pytest.raises(ValueError):
-            fed.validate_stepsize_conditions(0.3, 0.01, 0.0, 2.0, 0.1, 10, 5, 1.0)
-
-
-class TestSmoothnessEstimate:
-    def test_matches_exact_hessian_norm_for_logistic(self):
-        rng = np.random.default_rng(23)
-        spec = ModelSpec(kind=LOGISTIC, input_dim=3, num_classes=2)
-        X = rng.normal(size=(25, 3))
-        y = rng.integers(0, 2, size=25)
-        theta = 0.1 * rng.normal(size=spec.dim)
-        est = fed.estimate_smoothness(spec, theta, X, y, iters=60)
-        # exact Hessian by dense finite differences of the gradient
-        H = np.empty((spec.dim, spec.dim))
-        eps = 1e-6
-        for j in range(spec.dim):
-            e = np.zeros(spec.dim)
-            e[j] = eps
-            H[:, j] = (learner.grad(spec, theta + e, X, y)
-                       - learner.grad(spec, theta - e, X, y)) / (2 * eps)
-        exact = np.linalg.norm(H, 2)
-        assert est == pytest.approx(exact, rel=1e-3)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     gamma=st.floats(1e-4, 10.0),

@@ -23,12 +23,13 @@ class TestQuantizeDequantize:
             np.testing.assert_array_equal(out, z)
 
     def test_two_point_distribution(self):
-        # |z| = 0.3 on forced bounds [0, 1] with B = 1: 0 w.p. 0.7, 1 w.p. 0.3
+        # the bounds of [0, 0.3, 1] are [0, 1]; with B = 1 the middle element
+        # is 0 w.p. 0.7 and 1 w.p. 0.3, and the endpoints are exact
         n = 100_000
-        mean = q.empirical_mean_dequantized(
-            np.array([0.3]), 1, n, rng(42), bounds=(0.0, 1.0))
+        mean = q.empirical_mean_dequantized(np.array([0.0, 0.3, 1.0]), 1, n, rng(42))
         tol = 3 * np.sqrt(0.21 / n)
-        assert abs(mean[0] - 0.3) <= tol
+        assert abs(mean[1] - 0.3) <= tol
+        assert mean[0] == 0.0 and mean[2] == 1.0
 
     def test_roundtrip_error_within_one_subinterval(self):
         z = rng(1).normal(size=200)
@@ -37,19 +38,30 @@ class TestQuantizeDequantize:
         assert np.max(np.abs(q.dequantize(delta) - z)) <= step + 1e-15
 
     def test_requantize_is_idempotent(self):
-        z = rng(3).normal(size=64)
+        # dyadic magnitudes in [1/4, 1/4 + 15/16]: with B = 4 the grid step
+        # is 1/16, so the endpoints and every level reproduce exactly and a
+        # second pass sees the same bounds and lands on the same levels
+        r = rng(3)
+        mags = np.concatenate([[0.25, 1.1875], 0.25 + r.integers(0, 241, size=62) / 256])
+        z = np.where(r.random(64) < 0.5, -mags, mags)
         first = q.quantize(z, 4, rng=rng(4))
         v = q.dequantize(first)
-        again = q.quantize(v, 4, rng=rng(5),
-                           bounds=(first.lower_bounds[0], first.upper_bounds[0]))
+        assert np.abs(v).min() == 0.25 and np.abs(v).max() == 1.1875
+        again = q.quantize(v, 4, rng=rng(5))
+        np.testing.assert_array_equal(again.lower_bounds, first.lower_bounds)
+        np.testing.assert_array_equal(again.upper_bounds, first.upper_bounds)
         np.testing.assert_array_equal(again.level_indices, first.level_indices)
+        np.testing.assert_array_equal(q.dequantize(again), v)
 
     def test_magnitudes_outside_forced_bounds_land_on_end_levels(self):
-        z = np.array([0.05, -0.1, 0.5, -2.0, 7.5])
-        for seed in range(5):
-            delta = q.quantize(z, 3, rng=rng(seed), bounds=(0.2, 1.0))
-            np.testing.assert_array_equal(delta.level_indices[[0, 1, 3, 4]], [0, 0, 7, 7])
-            delta.validate()
+        mags = np.array([0.05, 0.1, 0.5, 2.0, 7.5])
+        k = 7
+        lo, scale = q._level_grid(np.array([0.2]), np.array([1.0]), [mags.size], k)
+        edges = [np.zeros(mags.size), np.full(mags.size, np.nextafter(1.0, 0.0))]
+        for u in edges + [rng(seed).random(mags.size) for seed in range(5)]:
+            levels = q._draw_levels(mags, lo, scale, k, u)
+            np.testing.assert_array_equal(levels[[0, 1, 3, 4]], [0, 0, k, k])
+            assert 0 <= levels[2] <= k
 
     def test_negative_values_keep_sign(self):
         z = np.array([-0.7, 0.7, -0.1, 0.1])
