@@ -43,7 +43,11 @@ def _check_number(name: str, value, integer: bool = False) -> None:
     kind, phrase = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise TypeError(f"{name} must be {phrase}, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -60,7 +64,10 @@ class AllocProblem:
 
     def __post_init__(self):
         for name in ("gains", "taus"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            try:
+                arr = np.asarray(getattr(self, name), dtype=np.float64)
+            except OverflowError:  # an integer beyond float range
+                raise ValueError(f"{name} must be finite") from None
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be a flat list of numbers")
             if not np.all(np.isfinite(arr)):

@@ -127,6 +127,9 @@ def _cmd_alloc(args) -> int:
     except alloc.AllocationError as e:
         print(f"error: allocation failed: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ArithmeticError as e:  # the solver's float64 steps fail, e.g. at w_total >= 1e30 Hz
+        print(f"error: allocation failed: numerical breakdown ({e})", file=sys.stderr)
+        return EXIT_VALIDATION
     print(sol.to_json())
     return EXIT_OK
 

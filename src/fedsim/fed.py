@@ -5,8 +5,9 @@ server and clients, geometric-weighted local updates, quantized uplink of
 model differences) alongside plain federated averaging and the SCAFFOLD
 baseline. The three share one round engine, ``run_round``; each algorithm is
 an object with its start point, local step, aggregate and upload cost. All
-randomness flows through per-(seed, round, client) streams so results are
-independent of client scheduling order.
+randomness flows through streams keyed by (seed, label, round, client), so
+results are independent of client scheduling order; ``stream_seeds`` derives
+them, many keys at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import learner, quantizer
 from .learner import ModelSpec
@@ -73,8 +75,113 @@ class RoundReport:
     uplink_bits: int
 
 
-def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, round_index, client_id])
+# Stream labels. Each random stream of a run is keyed by a list of
+# non-negative integers that starts with the run's seed (README, "Random
+# streams"): [seed, PARTITION] and [seed, PLACEMENT] once per run,
+# [seed, SAMPLING, r] and [seed, HLU, r] for round r, [seed, CHANNEL, r, c]
+# for client c's fading in round r, and [seed, r, c], with no label, for
+# client c's minibatches and quantizer in round r.
+PARTITION, PLACEMENT, SAMPLING, CHANNEL, HLU = 1, 2, 3, 4, 5
+
+
+def stream_keys(seed: int, *columns) -> np.ndarray:
+    """Keys [seed, *columns] as the rows of a uint64 array; each column is an
+    integer or a 1-D array, and together they give one key per row."""
+    return np.atleast_2d(np.stack(np.broadcast_arrays(
+        *(np.asarray(c, dtype=np.uint64) for c in (seed, *columns))), axis=-1))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its default
+# pool of four 32-bit words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def stream_seeds(keys) -> np.ndarray:
+    """The PCG64 seed words that ``np.random.default_rng(list(key))`` derives
+    from each row of ``keys``, an (n, k) array of integers in [0, 2**64), k >= 1.
+
+    Returns (n, 4) uint64: ``SeedSequence(key).generate_state(4, np.uint64)``
+    for each row, computed with uint32 array operations over all rows at once.
+    SeedSequence turns each entry into its 32-bit words, low word first (one
+    word below 2**32, else two), hashes the first four words into its pool
+    (missing words count as 0), mixes the pool, then mixes in every further
+    word. The hash constants advance the same way for every key, so rows
+    with fewer words just skip those updates.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    n = keys.shape[0]
+    lo = (keys & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (keys >> np.uint64(32)).astype(np.uint32)
+    two = hi != 0
+    ends = np.cumsum(1 + two, axis=1)  # one past each entry's last word
+    lengths = ends[:, -1]
+    words = np.zeros((n, max(_POOL, int(lengths.max(initial=0)))), dtype=np.uint32)
+    rows = np.arange(n)[:, None]
+    words[rows, ends - 1 - two] = lo
+    r2, c2 = np.nonzero(two)
+    words[r2, ends[r2, c2] - 1] = hi[r2, c2]
+
+    const = _INIT_A
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = (const * _MULT_A) & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    pool = [hashmix(words[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, words.shape[1]):
+        more = lengths > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(more, _mix(pool[dst], hashmix(words[:, src])), pool[dst])
+
+    const = _INIT_B
+    state = np.empty((n, 8), dtype=np.uint64)
+    for i in range(8):
+        v = pool[i % _POOL] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        v = v * np.uint32(const)
+        state[:, i] = v ^ (v >> np.uint32(16))
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state words were computed by ``stream_seeds``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):  # all that PCG64 asks for
+            raise ValueError("fixed seed words serve generate_state(4, np.uint64) only")
+        return self.words
+
+
+def generator(words: np.ndarray) -> np.random.Generator:
+    """The generator ``np.random.default_rng(key)`` would give, from a row of
+    ``stream_seeds(keys)``."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def generators(keys) -> list[np.random.Generator]:
+    """One generator per row of ``keys``, as ``default_rng`` would build it."""
+    return [generator(w) for w in stream_seeds(keys)]
 
 
 def sample_clients(num_clients: int, m: int, rng: np.random.Generator) -> list[int]:
@@ -222,28 +329,27 @@ def _local_phase(
     epochs: np.ndarray,
     datasets: list[tuple[np.ndarray, np.ndarray]],
     batch_size: int,
-    master_seed: int,
-    round_index: int,
+    rngs: list[np.random.Generator],
     step,
-) -> tuple[np.ndarray, list[np.random.Generator]]:
+) -> np.ndarray:
     """Local iterations of the whole cohort as stacked arrays.
 
     Row j is client ``ids[j]``; it starts at ``start`` and takes
     ``epochs[j]`` steps. Each client first draws all its minibatches from
-    its own stream in one ``integers`` call of shape (epochs, batch). That
-    call yields the same indices as one call per step and leaves the stream
-    in the same state, since the bit generator keeps any spare 32-bit half
-    between calls; ``test_fed.py::test_merged_minibatch_draw_keeps_the_stream``
+    its own stream ``rngs[j]`` in one ``integers`` call of shape (epochs,
+    batch). That call yields the same indices as one call per step and
+    leaves the stream in the same state, since the bit generator keeps any
+    spare 32-bit half between calls;
+    ``test_fed.py::test_merged_minibatch_draw_keeps_the_stream``
     pins this. Step t gathers the features of the k clients still running,
     computes one stacked gradient ``g`` for them and calls
     ``step(theta, g, k)``, which updates the first k rows in place (it may
-    overwrite ``g``). Returns the final iterates and each client's stream.
+    overwrite ``g``). Returns the final iterates.
     """
     m, bs = len(ids), batch_size
     theta = np.tile(start, (m, 1))
-    rngs: list[np.random.Generator] = []
     if m == 0:
-        return theta, rngs
+        return theta
     feats: list[np.ndarray] = []  # per client, its features
     idx: list[np.ndarray] = []    # per client, its draws (epochs, batch)
     ys = np.empty((epochs[0], m, bs), dtype=np.intp)
@@ -251,11 +357,9 @@ def _local_phase(
         X, y = datasets[cid]
         if X.shape[0] == 0:
             raise ValueError("empty client dataset")
-        rng = client_rng(master_seed, round_index, cid)
-        idx.append(rng.integers(0, X.shape[0], size=(epochs[j], bs)))
+        idx.append(rngs[j].integers(0, X.shape[0], size=(epochs[j], bs)))
         ys[:epochs[j], j] = y[idx[j]]
         feats.append(X)
-        rngs.append(rng)
     # k at each step t: the clients still stepping, a prefix of the rows
     ks = np.count_nonzero(epochs > np.arange(epochs[0])[:, None], axis=1).tolist()
     # one step's features at a time, so memory stays at m * batch * input
@@ -270,7 +374,7 @@ def _local_phase(
             step(theta[:k], g, k)
             if not np.isfinite(theta[:k]).all():
                 raise FloatingPointError("local update diverged to non-finite iterate")
-    return theta, rngs
+    return theta
 
 
 class Cohort(NamedTuple):
@@ -394,8 +498,13 @@ FEDAVG, SCAFFOLD, FEDQVR = FedAvg(), Scaffold(), FedQVR()
 
 def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
               clients: list[ClientState], datasets: list[tuple[np.ndarray, np.ndarray]],
-              plan: RoundPlan, master_seed: int) -> tuple[ServerState, RoundReport]:
+              plan: RoundPlan, rngs: dict[int, np.random.Generator],
+              ) -> tuple[ServerState, RoundReport]:
     """One round of ``algo``: the cohort's local steps, its uploads, aggregation.
+
+    ``rngs`` maps each active client to its stream in this round, keyed
+    [seed, round, client]; fedqvr's quantizer draws from it after the
+    minibatches.
 
     ``algo`` gives the start point, the in-place local step, the aggregate
     and the upload cost; the round is otherwise the same for every algorithm.
@@ -407,11 +516,12 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
     ids, epochs = _cohort(plan)
     c_rows = _stack_controls(clients, ids, spec.dim)
     start = algo.start(server, plan)
-    theta, rngs = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size,
-                               master_seed, server.round, algo.stepper(server, plan, start, c_rows))
+    row_rngs = [rngs[cid] for cid in ids]
+    theta = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size, row_rngs,
+                         algo.stepper(server, plan, start, c_rows))
     delivered = sorted((cid, j) for j, cid in enumerate(ids) if cid not in plan.failed)
     new_server = algo.aggregate(spec, server, clients, plan,
-                                Cohort(epochs, start, theta, c_rows, rngs, delivered))
+                                Cohort(epochs, start, theta, c_rows, row_rngs, delivered))
     bits = {cid: plan.bits[cid] for cid in plan.active_set} if algo.quantized else {}
     widths = Counter(bits.get(cid) for cid, _ in delivered)  # one cost per width, not per upload
     report = RoundReport(

@@ -6,6 +6,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields, asdict
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,14 +60,6 @@ def _type_errors(values: dict, types: dict[str, str], prefix: str = "") -> list[
 def _field_type_errors(obj, prefix: str = "") -> list[str]:
     """_type_errors over the fields of the dataclass ``obj``, as declared."""
     return _type_errors(vars(obj), {f.name: f.type for f in fields(obj)}, prefix)
-
-
-# Stream labels for deriving independent RNG lineages from one master seed.
-_SEED_PARTITION = 1
-_SEED_PLACEMENT = 2
-_SEED_SAMPLING = 3
-_SEED_CHANNEL = 4
-_SEED_HLU = 5
 
 
 class ConfigError(ValueError):
@@ -141,6 +134,10 @@ class ExperimentConfig:
             errors.append("batch_size must be >= 1")
         if self.eta <= 0:
             errors.append("eta must be positive")
+        if self.eta_g <= 0:
+            errors.append("eta_g must be positive")
+        if not 0 <= self.seed < 2**64:  # every stream key holds the seed as a uint64
+            errors.append(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.eval_every < 1:
             errors.append("eval_every must be >= 1")
         ds = self.dataset
@@ -258,7 +255,7 @@ def _build_task(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset, data
             train = data.load_mnist_idx(ds["images_path"], ds["labels_path"])
             test = data.load_mnist_idx(ds["test_images_path"], ds["test_labels_path"])
         part = data.shard_partition(train, cfg.num_clients, cfg.labels_per_client,
-                                    np.random.default_rng([cfg.seed, _SEED_PARTITION]))
+                                    fed.generators(fed.stream_keys(cfg.seed, fed.PARTITION))[0])
     except (ValueError, TypeError) as e:  # IdxFormatError is a ValueError
         raise ConfigError(f"dataset: {e}") from e
     return train, test, part
@@ -270,13 +267,52 @@ def _model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> Mode
                      hidden_dim=cfg.hidden_dim if cfg.model_kind == learner.MLP else 0)
 
 
-def _epochs_for(cfg: ExperimentConfig, active: list[int], round_index: int) -> dict[int, int]:
+def _epochs_for(cfg: ExperimentConfig, active: list[int],
+                rng: np.random.Generator | None) -> dict[int, int]:
+    """Local steps per client: ``cfg.local_epochs``, or with HLU a draw from
+    the round's HLU stream ``rng``."""
     if not cfg.hlu:
         return {cid: cfg.local_epochs for cid in active}
     lo, hi = cfg.hlu_range
-    rng = np.random.default_rng([cfg.seed, _SEED_HLU, round_index])
     draws = rng.integers(lo, hi + 1, size=len(active))
     return {cid: int(e) for cid, e in zip(active, draws)}
+
+
+# Stream keys hashed together; the schedule's memory does not grow with rounds.
+_KEYS_PER_BLOCK = 1024
+
+
+class _RoundStreams(NamedTuple):
+    """One round's draws from its schedule, the sampled clients in order."""
+
+    round: int
+    sampled: list[int]
+    epochs: dict[int, int]
+    channel: np.ndarray | None  # seed words of each sampled client's channel stream
+    client: np.ndarray          # seed words of each sampled client's own stream
+
+
+def _schedule(cfg: ExperimentConfig, channel: bool) -> Iterator[_RoundStreams]:
+    """Every round's cohort, local steps and stream seeds, made a block of
+    rounds at a time: first the block's sampling and HLU streams, then its
+    sampled sets and epochs, then the seed words of the channel (if
+    ``channel``) and client streams of every (round, sampled client). Each
+    stream is the one its key gives under ``default_rng``."""
+    m = cfg.sample_size
+    labels = [fed.SAMPLING, fed.HLU] if cfg.hlu else [fed.SAMPLING]
+    per_block = max(1, _KEYS_PER_BLOCK // (2 + 2 * m))
+    for first in range(0, cfg.rounds, per_block):
+        rounds = np.arange(first, min(first + per_block, cfg.rounds))
+        keys = np.concatenate([fed.stream_keys(cfg.seed, label, rounds) for label in labels])
+        seeds = fed.stream_seeds(keys).reshape(len(labels), len(rounds), 4)
+        sampled = [fed.sample_clients(cfg.num_clients, m, fed.generator(w)) for w in seeds[0]]
+        epochs = [_epochs_for(cfg, s, fed.generator(w) if cfg.hlu else None)
+                  for s, w in zip(sampled, seeds[-1])]
+        pairs = (np.repeat(rounds, m), np.concatenate(sampled))
+        client = fed.stream_seeds(fed.stream_keys(cfg.seed, *pairs)).reshape(-1, m, 4)
+        chan = (fed.stream_seeds(fed.stream_keys(cfg.seed, fed.CHANNEL, *pairs)).reshape(-1, m, 4)
+                if channel else [None] * len(rounds))
+        yield from map(_RoundStreams, rounds.tolist(), sampled, epochs, chan, client)
 
 
 def _plan(cfg: ExperimentConfig, active: list[int], epochs: dict[int, int],
@@ -337,7 +373,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     wcfg = cfg.wireless_cfg
     budget = wcfg.budget()
     distances = wireless.place_devices(
-        cfg.num_clients, np.random.default_rng([cfg.seed, _SEED_PLACEMENT]),
+        cfg.num_clients, fed.generators(fed.stream_keys(cfg.seed, fed.PLACEMENT))[0],
         r_min=wcfg.r_min, r_max=wcfg.r_max)
     replay = wireless.read_channel_trace(wcfg.trace_in) if wcfg.trace_in else None
     record_channel = bool(wcfg.trace_out) and replay is None
@@ -357,27 +393,25 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
     snapshot(0, 0, 0)
 
-    for r in range(cfg.rounds):
-        rng_sample = np.random.default_rng([cfg.seed, _SEED_SAMPLING, r])
-        sampled = fed.sample_clients(cfg.num_clients, cfg.sample_size, rng_sample)
-        epochs = _epochs_for(cfg, sampled, r)
-
+    for r, sampled, epochs, channel_seeds, client_seeds in _schedule(
+            cfg, wcfg.enabled and replay is None):
         draws: dict[int, wireless.ChannelDraw] = {}
         if wcfg.enabled:
-            for cid in sampled:
+            for j, cid in enumerate(sampled):
                 if replay is not None:
                     draws[cid] = replay[(r, cid)]
                 else:
-                    rng_ch = np.random.default_rng([cfg.seed, _SEED_CHANNEL, r, cid])
                     draws[cid] = wireless.sample_channel(
-                        float(distances[cid]), budget, rng_ch)
+                        float(distances[cid]), budget, fed.generator(channel_seeds[j]))
                 if record_channel:
                     trace_records.append({
                         "round": r, "device": cid,
                         "distance_m": draws[cid].distance_m, "gain": draws[cid].gain})
 
         plan, dropped_count = plan_round(cfg, algo, spec, budget, sampled, epochs, draws)
-        server, report = run_round(spec, server, clients, client_data, plan, cfg.seed)
+        row = {cid: j for j, cid in enumerate(sampled)}
+        rngs = {cid: fed.generator(client_seeds[row[cid]]) for cid in plan.active_set}
+        server, report = run_round(spec, server, clients, client_data, plan, rngs)
 
         cumulative_bits += report.uplink_bits
         if cfg.trace_rounds_out:

@@ -56,7 +56,8 @@ def check_control_variate_identity(seed: int = 2) -> tuple[bool, str]:
                          local_epochs={c: 2 for c in active},
                          bits={c: 2 for c in active},
                          batch_size=10, eta=0.01)
-        server, _ = fed.run_round_fedqvr(spec, server, clients, datasets, plan, seed)
+        rngs = dict(zip(active, fed.generators(fed.stream_keys(seed, r, active))))
+        server, _ = fed.run_round_fedqvr(spec, server, clients, datasets, plan, rngs)
         mix = sum(cl.p * cl.c_i for cl in clients)
         worst = max(worst, float(np.max(np.abs(server.c - mix))))
     ok = worst <= 1e-10

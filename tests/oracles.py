@@ -7,6 +7,17 @@ import numpy as np
 from fedsim.alloc import AllocProblem, b_of_w, objective_value, utility
 
 
+def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.Generator:
+    """A client's stream in a round, built by numpy itself from its key
+    [seed, round, client]."""
+    return np.random.default_rng([master_seed, round_index, client_id])
+
+
+def client_rngs(master_seed: int, round_index: int, ids) -> dict[int, np.random.Generator]:
+    """The streams ``fed.run_round`` takes: each of ``ids`` to its ``client_rng``."""
+    return {cid: client_rng(master_seed, round_index, cid) for cid in ids}
+
+
 def brute_force_alloc(
     p: AllocProblem,
     grid_points: int,

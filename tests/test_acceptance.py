@@ -15,7 +15,7 @@ from fedsim import alloc, data, fed, harness, learner, quantizer
 from fedsim.fed import ClientState, RoundPlan, ServerState
 from fedsim.harness import ExperimentConfig, WirelessConfig
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
-from oracles import brute_force_alloc
+from oracles import brute_force_alloc, client_rngs
 
 NOISE = 10 ** (-14.3) / 1e3
 
@@ -111,7 +111,7 @@ def test_criterion_03_control_variate_identity(m):
             bits={c: 2 for c in active},
             batch_size=10, eta=0.01)
         server, _ = fed.run_round_fedqvr(spec, server, clients, datasets,
-                                         plan, 99)
+                                         plan, client_rngs(99, r, active))
         mix = sum(cl.p * cl.c_i for cl in clients)
         worst = max(worst, float(np.max(np.abs(server.c - mix))))
     report(f"control-variate-identity (m={m})", worst <= 1e-10,

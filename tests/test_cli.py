@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -50,6 +51,16 @@ class TestRun:
     def test_unknown_field_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, momentum=0.9)
         assert cli.main(["run", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("extra,flags", [({"seed": -3}, []), ({}, ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_is_one_line_naming_seed(self, tmp_path, capsys, extra, flags):
+        cfg = write_config(tmp_path, **extra)
+        assert cli.main(["run", "--config", cfg, *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid config: seed must lie in [0, 2**64)")
+        assert err.count("\n") == 1
 
     def test_seed_override_changes_result(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -340,6 +351,36 @@ class TestAlloc:
 
         monkeypatch.setattr(alloc, "solve_alloc", overspent)
         self.assert_one_line_rejection(tmp_path, capsys)
+
+
+_ALLOC_FIELDS = ("gains", "taus", "w_total", "alpha", "d", "mu", "noise_psd", "b_lower")
+_ALLOC_SCALARS = (st.booleans() | st.sampled_from([math.nan, math.inf, -math.inf])
+                  | st.integers(10**15, 10**400) | st.text(max_size=3) | st.none()
+                  | st.integers(-10**400, -1) | st.floats(max_value=-1e-300, allow_nan=False,
+                                                            allow_infinity=False))
+_ALLOC_VALUES = _ALLOC_SCALARS | st.lists(_ALLOC_SCALARS, max_size=3)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(_ALLOC_FIELDS), value=_ALLOC_VALUES)
+def test_alloc_with_one_mutated_field_is_one_line_and_a_documented_code(
+        tmp_path, capsys, name, value):
+    """A bool, a non-finite value, a huge or negative number, a short string,
+    null or a list in any one field of a valid problem: ``fedsim alloc``
+    solves it or rejects it with one line, and never shows a traceback.
+    Warnings count as lines, since a user's terminal shows them too."""
+    problem = json.loads(TestAlloc.PROBLEM.to_json())
+    problem[name] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["alloc", "--problem", str(path)])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert err.count("\n") + len(caught) <= 1 and "Traceback" not in err
+    assert out.count("\n") == (code == 0)
 
 
 class TestVerify:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fedsim import fed, harness, learner, quantizer
 from fedsim.fed import ClientState, RoundPlan, ServerState
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
+from oracles import client_rng, client_rngs
 
 SPEC = ModelSpec(kind=LOGISTIC, input_dim=5, num_classes=3)
 
@@ -64,7 +65,7 @@ def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
     groups = spec.layer_groups()
 
     def one_client(cid):
-        rng = fed.client_rng(seed, server.round, cid)
+        rng = client_rng(seed, server.round, cid)
         E = plan.local_epochs[cid]
         theta, _ = fed.local_update(
             spec, theta0, clients[cid].c_i, *datasets[cid], E,
@@ -92,7 +93,7 @@ def reference_scaffold_round(spec, server, clients, datasets, plan, seed, eta_g)
     eta = plan.eta
     results, logs = [], {}
     for cid in plan.active_set:
-        rng = fed.client_rng(seed, server.round, cid)
+        rng = client_rng(seed, server.round, cid)
         E = plan.local_epochs[cid]
         theta = server.theta.copy()
         grads = []
@@ -120,7 +121,7 @@ def reference_fedavg_round(spec, server, datasets, plan, seed):
     """Straight per-client loop of the FedAvg round."""
     models = []
     for cid in plan.active_set:
-        rng = fed.client_rng(seed, server.round, cid)
+        rng = client_rng(seed, server.round, cid)
         theta = server.theta.copy()
         for _ in range(plan.local_epochs[cid]):
             theta -= plan.eta * learner.stochastic_grad(
@@ -297,8 +298,9 @@ class TestFedqvrRound:
         server = fresh_server()
         for r in range(10):
             active = fed.sample_clients(8, 3, np.random.default_rng([10, r]))
+            plan = uniform_plan(active)
             server, _ = fed.run_round_fedqvr(
-                SPEC, server, clients, datasets, uniform_plan(active), 0)
+                SPEC, server, clients, datasets, plan, client_rngs(0, server.round, active))
             mix = sum(cl.p * cl.c_i for cl in clients)
             np.testing.assert_allclose(server.c, mix, atol=1e-12)
 
@@ -335,7 +337,7 @@ class TestFedqvrRound:
         for r in range(5):
             plan = uniform_plan(range(n), E=E, bits=B)
             server, _ = fed.run_round_fedqvr(
-                SPEC, server, clients, datasets, plan, seed)
+                SPEC, server, clients, datasets, plan, client_rngs(seed, r, plan.active_set))
 
         np.testing.assert_allclose(server.theta, ref_theta, atol=1e-10)
         np.testing.assert_allclose(server.c, ref_c, atol=1e-10)
@@ -348,7 +350,7 @@ class TestFedqvrRound:
         before = [cl.c_i.copy() for cl in clients]
         plan = uniform_plan([0, 1, 2], failed=frozenset({1}))
         server, report = fed.run_round_fedqvr(
-            SPEC, server, clients, datasets, plan, 0)
+            SPEC, server, clients, datasets, plan, client_rngs(0, 0, plan.active_set))
         assert report.delivered_ids == [0, 2]
         np.testing.assert_array_equal(clients[1].c_i, before[1])
         assert not np.array_equal(clients[0].c_i, before[0])
@@ -368,7 +370,7 @@ class TestFedqvrRound:
                 batch_size=10, eta=0.01,
                 failed=frozenset(int(c) for c in active if rng.random() < 0.3))
             server, _ = fed.run_round_fedqvr(
-                SPEC, server, clients, datasets, plan, 0)
+                SPEC, server, clients, datasets, plan, client_rngs(0, r, active))
             mix = sum(cl.p * cl.c_i for cl in clients)
             np.testing.assert_allclose(server.c, mix, atol=1e-12)
 
@@ -385,7 +387,8 @@ class TestFedqvrRound:
             server = ref_server = fresh_server(15, spec)
             for plan in uneven_plans(spec):
                 server, report = fed.run_round_fedqvr(
-                    spec, server, clients, datasets, plan, seed)
+                    spec, server, clients, datasets, plan,
+                    client_rngs(seed, server.round, plan.active_set))
                 ref_server, ref_bits, ref_delivered = reference_fedqvr_round(
                     spec, ref_server, ref_clients, datasets, plan, seed)
                 assert_same_state(server, clients, ref_server, ref_clients)
@@ -400,12 +403,13 @@ class TestFedqvrRound:
         server = fresh_server(24)
         for r in range(3):  # make c and the c_i non-zero first
             server, _ = fed.run_round_fedqvr(
-                SPEC, server, clients, datasets, uniform_plan([r, r + 3]), 0)
+                SPEC, server, clients, datasets, uniform_plan([r, r + 3]),
+                client_rngs(0, r, [r, r + 3]))
         assert np.any(server.c != 0)
         before = [cl.c_i.copy() for cl in clients]
         plan = RoundPlan(active_set=[], local_epochs={}, bits={}, batch_size=10,
                          eta=0.01, m_sampled=4)
-        out, report = fed.run_round_fedqvr(SPEC, server, clients, datasets, plan, 0)
+        out, report = fed.run_round_fedqvr(SPEC, server, clients, datasets, plan, {})
         np.testing.assert_array_equal(out.theta, fed.broadcast_point(server, plan.gamma))
         np.testing.assert_array_equal(out.c, server.c)
         for cl, c_i in zip(clients, before):
@@ -428,7 +432,8 @@ class TestFedqvrRound:
         clients, datasets = make_clients(4, seed=16)
         server = fresh_server(16)
         plan = uniform_plan([0, 1, 2], bits=2)
-        _, report = fed.run_round_fedqvr(SPEC, server, clients, datasets, plan, 0)
+        _, report = fed.run_round_fedqvr(SPEC, server, clients, datasets, plan,
+                                         client_rngs(0, 0, plan.active_set))
         mu = 2 * 32 * len(SPEC.layer_groups())
         assert report.uplink_bits == 3 * (SPEC.dim * 3 + mu)
 
@@ -443,9 +448,10 @@ class TestFedavgRound:
         expected = np.mean([
             server.theta - plan.eta * learner.stochastic_grad(
                 SPEC, server.theta, *datasets[cid], plan.batch_size,
-                fed.client_rng(seed, 0, cid))
+                client_rng(seed, 0, cid))
             for cid in range(n)], axis=0)
-        out, report = fed.run_round_fedavg(SPEC, server, clients, datasets, plan, seed)
+        out, report = fed.run_round_fedavg(SPEC, server, clients, datasets, plan,
+                                           client_rngs(seed, 0, plan.active_set))
         np.testing.assert_allclose(out.theta, expected, atol=1e-14)
         assert report.uplink_bits == n * 32 * SPEC.dim
 
@@ -454,7 +460,9 @@ class TestFedavgRound:
             clients, datasets = make_clients(8, seed=25, spec=spec)
             server = ref_server = fresh_server(25, spec)
             for plan in uneven_plans(spec):
-                server, report = fed.run_round_fedavg(spec, server, clients, datasets, plan, 4)
+                server, report = fed.run_round_fedavg(
+                    spec, server, clients, datasets, plan,
+                    client_rngs(4, server.round, plan.active_set))
                 ref_server, delivered = reference_fedavg_round(
                     spec, ref_server, datasets, plan, 4)
                 np.testing.assert_array_equal(server.theta, ref_server.theta)
@@ -465,7 +473,8 @@ class TestFedavgRound:
         clients, datasets = make_clients(3, seed=18)
         server = fresh_server(18)
         plan = uniform_plan([0, 1], failed=frozenset({0, 1}))
-        out, report = fed.run_round_fedavg(SPEC, server, clients, datasets, plan, 0)
+        out, report = fed.run_round_fedavg(SPEC, server, clients, datasets, plan,
+                                           client_rngs(0, 0, plan.active_set))
         np.testing.assert_array_equal(out.theta, server.theta)
         assert report.delivered_ids == []
         assert report.uplink_bits == 0
@@ -477,8 +486,10 @@ class TestScaffoldRound:
         clients, datasets = make_clients(n, seed=19)
         server = fresh_server(19)
         plan = uniform_plan(range(n), E=1)
-        avg_out, _ = fed.run_round_fedavg(SPEC, server, clients, datasets, plan, 3)
-        sca_out, _ = fed.run_round_scaffold(SPEC, server, clients, datasets, plan, 3)
+        avg_out, _ = fed.run_round_fedavg(SPEC, server, clients, datasets, plan,
+                                          client_rngs(3, 0, plan.active_set))
+        sca_out, _ = fed.run_round_scaffold(SPEC, server, clients, datasets, plan,
+                                            client_rngs(3, 0, plan.active_set))
         np.testing.assert_allclose(sca_out.theta, avg_out.theta, atol=1e-14)
 
     def test_client_control_becomes_mean_logged_gradient(self):
@@ -490,7 +501,8 @@ class TestScaffoldRound:
         plan = uniform_plan(range(n), E=4)
         _, logs = reference_scaffold_round(
             SPEC, server, copy.deepcopy(clients), datasets, plan, 9, plan.eta_g)
-        fed.run_round_scaffold(SPEC, server, clients, datasets, plan, 9)
+        fed.run_round_scaffold(SPEC, server, clients, datasets, plan,
+                               client_rngs(9, 0, plan.active_set))
         for cid in range(n):
             mean_g = np.mean(logs[cid], axis=0)
             np.testing.assert_allclose(clients[cid].c_i, mean_g, atol=1e-12)
@@ -502,7 +514,7 @@ class TestScaffoldRound:
         old_ci = [cl.c_i.copy() for cl in clients]
         plan = uniform_plan([0, 2], E=2)
         out, _ = fed.run_round_scaffold(
-            SPEC, server, clients, datasets, plan, 1)
+            SPEC, server, clients, datasets, plan, client_rngs(1, 0, plan.active_set))
         expected = server.c + sum(
             (clients[cid].c_i - old_ci[cid]) / n for cid in (0, 2))
         np.testing.assert_allclose(out.c, expected, atol=1e-14)
@@ -514,7 +526,8 @@ class TestScaffoldRound:
             server = ref_server = fresh_server(26, spec)
             for plan in uneven_plans(spec, eta_g=0.9):
                 server, report = fed.run_round_scaffold(
-                    spec, server, clients, datasets, plan, 6)
+                    spec, server, clients, datasets, plan,
+                    client_rngs(6, server.round, plan.active_set))
                 ref_server, ref_logs = reference_scaffold_round(
                     spec, ref_server, ref_clients, datasets, plan, 6, plan.eta_g)
                 assert_same_state(server, clients, ref_server, ref_clients)
@@ -526,14 +539,15 @@ class TestScaffoldRound:
         plan = RoundPlan(active_set=[0, 1], local_epochs={0: 3, 1: 3},
                          bits={}, batch_size=10, eta=1e308)
         with pytest.raises(FloatingPointError, match="diverged"):
-            fed.run_round_scaffold(SPEC, fresh_server(27), clients, datasets, plan, 0)
+            fed.run_round_scaffold(SPEC, fresh_server(27), clients, datasets, plan,
+                                   client_rngs(0, 0, plan.active_set))
 
     def test_uplink_cost_is_double_raw(self):
         clients, datasets = make_clients(3, seed=22)
         server = fresh_server(22)
         plan = uniform_plan([0, 1])
         _, report = fed.run_round_scaffold(
-            SPEC, server, clients, datasets, plan, 0)
+            SPEC, server, clients, datasets, plan, client_rngs(0, 0, plan.active_set))
         assert report.uplink_bits == 2 * 2 * 32 * SPEC.dim
 
 
@@ -559,7 +573,7 @@ def test_merged_minibatch_draw_keeps_the_stream(n, bs, E):
     the spare 32-bit half of an odd batch included. If a numpy release
     breaks this, every golden moves; this test names the cause."""
     for seed in range(5):
-        merged, per_step = fed.client_rng(seed, 2, 3), fed.client_rng(seed, 2, 3)
+        merged, per_step = client_rng(seed, 2, 3), client_rng(seed, 2, 3)
         draws = merged.integers(0, n, size=(E, bs))
         np.testing.assert_array_equal(
             draws, np.array([per_step.integers(0, n, size=bs) for _ in range(E)]))

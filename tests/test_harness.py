@@ -49,6 +49,10 @@ class TestConfig:
         ("rounds", -1, "rounds"),
         ("batch_size", 0, "batch_size"),
         ("eta", 0.0, "eta"),
+        ("eta_g", 0.0, "eta_g must be positive"),
+        ("eta_g", -3.0, "eta_g must be positive"),
+        ("seed", -3, "seed must lie in"),
+        ("seed", 2**64, "seed must lie in"),
         ("eval_every", 0, "eval_every"),
         ("gamma", -1.0, "gamma"),
         ("a", 1.5, "a must lie"),

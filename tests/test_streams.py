@@ -1,8 +1,15 @@
-"""Random streams: a seed that takes two 32-bit words, pinned end to end.
+"""Random streams: the vectorized key hash against numpy, and a seed that
+takes two 32-bit words, pinned end to end.
+
+``fed.stream_seeds`` must give, for every key, the generator that
+``np.random.default_rng(list(key))`` gives; the Hypothesis test checks the
+state and the next draws.
 
 ``tests/test_golden.py`` pins every algorithm at seed 0, a one-word seed.
-This fixture pins the shipped wireless fedqvr_e config at seed 2**40 + 1:
-its metrics CSV and the SHA-256 of its round trace and its channel trace.
+The fixture here pins the shipped wireless fedqvr_e config at seed
+2**40 + 1: its metrics CSV and the SHA-256 of its round trace and its
+channel trace. It was recorded before the streams were built by
+``fed.stream_seeds``, from ``default_rng`` one key at a time.
 
 Record (only at a known-good commit; never to make this test pass):
     PYTHONPATH=src python3 tests/test_streams.py
@@ -12,7 +19,11 @@ import hashlib
 import json
 from pathlib import Path
 
-from fedsim import harness
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fedsim import fed, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "fixtures" / "two_word_seed_golden.json"
@@ -40,11 +51,60 @@ def run_traced(config: dict, work: Path) -> dict:
             "channel_trace_sha256": sha(cfg.wireless_cfg.trace_out)}
 
 
-def test_two_word_seed_matches_golden(tmp_path):
+# entries at the word boundaries of SeedSequence's split, and anywhere below 2**64
+EDGES = [0, 2**32 - 1, 2**32, 2**40 + 1]
+ENTRY = st.sampled_from(EDGES) | st.integers(0, 2**64 - 1)
+
+
+def assert_same_stream(ours: np.random.Generator, numpy_own: np.random.Generator) -> None:
+    assert ours.bit_generator.state == numpy_own.bit_generator.state
+    assert ours.integers(0, 2**63) == numpy_own.integers(0, 2**63)
+    assert ours.random() == numpy_own.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(ENTRY, min_size=k, max_size=k), min_size=1, max_size=5)))
+@example(keys=[EDGES])
+@example(keys=[[e] for e in EDGES])
+@example(keys=[[2**40 + 1, fed.CHANNEL, 3, 7], [0, fed.CHANNEL, 2**32, 2**32 - 1]])
+def test_stream_seeds_give_default_rng_streams(keys):
+    """Every row of one batch, with rows of different word counts, gives the
+    stream that numpy builds from that key alone."""
+    for key, ours in zip(keys, fed.generators(np.array(keys, dtype=np.uint64))):
+        assert_same_stream(ours, np.random.default_rng(key))
+
+
+def test_stream_keys_lay_out_seed_label_round_client():
+    keys = fed.stream_keys(2**40 + 1, fed.CHANNEL, np.array([0, 0, 5]), np.array([3, 9, 1]))
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [[2**40 + 1, 4, 0, 3], [2**40 + 1, 4, 0, 9], [2**40 + 1, 4, 5, 1]]
+    assert fed.stream_keys(7, fed.PARTITION).tolist() == [[7, 1]]
+
+
+def test_seed_words_serve_only_what_pcg64_asks_for():
+    seed_words = fed.generator(fed.stream_seeds([[1, 2]])[0]).bit_generator.seed_seq
+    with pytest.raises(ValueError):
+        seed_words.generate_state(8, np.uint32)
+
+
+def assert_matches_fixture(work: Path) -> None:
     golden = json.loads(FIXTURE.read_text())
     assert golden["config"] == two_word_seed_config()
-    assert run_traced(golden["config"], tmp_path) == {
+    assert run_traced(golden["config"], work) == {
         k: golden[k] for k in ("csv", "round_trace_sha256", "channel_trace_sha256")}
+
+
+def test_two_word_seed_matches_golden(tmp_path):
+    assert_matches_fixture(tmp_path)
+
+
+@pytest.mark.parametrize("keys_per_block", [1, 40])
+def test_block_size_does_not_move_any_stream(tmp_path, monkeypatch, keys_per_block):
+    """One round per block, and blocks of three rounds (40 keys at 12 keys
+    per round), reproduce the fixture recorded with one default_rng per key."""
+    monkeypatch.setattr(harness, "_KEYS_PER_BLOCK", keys_per_block)
+    assert_matches_fixture(tmp_path)
 
 
 if __name__ == "__main__":
