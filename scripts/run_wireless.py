@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Equal-split vs allocated uplinks under a shared delay budget.
 
-Runs the quantized variance-reduced algorithm twice per seed over identical
-channel realizations: once with the bandwidth split equally (uploads that
-miss the delay budget are lost) and once with the joint bandwidth/bit
-allocation deciding per-device bandwidth and precision.
+Runs the quantized variance-reduced algorithm twice per seed: once with the
+bandwidth split equally (uploads that miss the delay budget are lost) and
+once with the joint bandwidth/bit allocation deciding per-device bandwidth
+and precision. Both runs see identical channel realizations, since the
+seed's stream keys, not the algorithm, give the cohorts and the fading.
 """
 
 import argparse
@@ -48,10 +49,9 @@ def main():
     equal_finals, alloc_finals = [], []
     with tempfile.TemporaryDirectory() as td:
         for seed in args.seeds:
-            chan = os.path.join(td, f"chan_{seed}.jsonl")
             rounds_log = os.path.join(td, f"rounds_{seed}.jsonl")
             cfg = make_config("fedqvr", seed, args, WirelessConfig(
-                enabled=True, tau=args.tau, trace_out=chan))
+                enabled=True, tau=args.tau))
             cfg.trace_rounds_out = rounds_log
             row = harness.run_experiment(cfg)[-1]
             equal_finals.append(row.test_accuracy)
@@ -63,7 +63,7 @@ def main():
                 drops += len(rec["active"]) - len(rec["delivered"])
 
             cfg_e = make_config("fedqvr_e", seed, args, WirelessConfig(
-                enabled=True, tau=args.tau, alpha=args.alpha, trace_in=chan))
+                enabled=True, tau=args.tau, alpha=args.alpha))
             row_e = harness.run_experiment(cfg_e)[-1]
             alloc_finals.append(row_e.test_accuracy)
             print(f"seed {seed}: equal-split acc {row.test_accuracy:.4f} "

@@ -36,7 +36,8 @@ _OUTER_STEPS = 200      # prices tried per solve; a safeguard
 
 
 class AllocationError(ValueError):
-    """A floored allocation breaks a device's delay budget."""
+    """A device's bit count cannot be floored, or its floored allocation
+    breaks its delay budget."""
 
 
 def _check_number(name: str, value, integer: bool = False) -> None:
@@ -323,8 +324,10 @@ def solve_alloc(p: AllocProblem) -> AllocSolution:
     """Continuous alpha-fair solve, then flooring and dropping.
 
     Devices that cannot reach a positive bit count even with the whole
-    budget are pre-dropped. If the survivors' minimum bandwidths exceed the
-    budget jointly, the neediest are pre-dropped until the rest fit.
+    budget are pre-dropped; one whose bit count there is not finite, or too
+    large to floor to an int64, fails the solve (AllocationError). If the
+    survivors' minimum bandwidths exceed the budget jointly, the neediest are
+    pre-dropped until the rest fit.
     """
     n = p.num_devices
     bands = np.zeros(n)
@@ -332,7 +335,12 @@ def solve_alloc(p: AllocProblem) -> AllocSolution:
     dropped: set[int] = set()
     kept = []
     for i in range(n):
-        if b_of_w(p.w_total, p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd) <= 0.0:
+        # Python floats: an overflow gives inf without a numpy warning
+        b_max = b_of_w(p.w_total, float(p.gains[i]), float(p.taus[i]), p.d, p.mu, p.noise_psd)
+        if not b_max < 2.0**63:  # inf, or beyond the int64 the bits are floored to
+            raise AllocationError(f"device {i}: bit count {b_max:.3g} at the whole "
+                                  "bandwidth is not a finite number below 2**63")
+        if b_max <= 0.0:
             dropped.add(i)
         else:
             kept.append(i)

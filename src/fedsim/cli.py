@@ -21,6 +21,13 @@ EXIT_DIVERGENCE = 2
 EXIT_IO = 3
 
 
+def _allocation_failure(e: Exception) -> str:
+    """The one line for a failed solve: an AllocationError, or an
+    ArithmeticError from the solver's float64 steps (at w_total >= 1e30 Hz)."""
+    detail = e if isinstance(e, alloc.AllocationError) else f"numerical breakdown ({e})"
+    return f"allocation failed: {detail}"
+
+
 def _run_config(text: str, **overrides) -> tuple[int, str | harness.MetricsRow]:
     """Parse the config in ``text``, set the ``overrides`` that are not None
     on it and run it.
@@ -39,8 +46,10 @@ def _run_config(text: str, **overrides) -> tuple[int, str | harness.MetricsRow]:
         return EXIT_OK, harness.run_experiment(cfg)[-1]
     except harness.ConfigError as e:
         return EXIT_VALIDATION, f"invalid config: {e}"
-    except FloatingPointError as e:
+    except FloatingPointError as e:  # before ArithmeticError, its base class
         return EXIT_DIVERGENCE, f"divergence: {e}"
+    except (alloc.AllocationError, ArithmeticError) as e:
+        return EXIT_VALIDATION, _allocation_failure(e)
     except OSError as e:
         return EXIT_IO, f"I/O: {e}"
 
@@ -124,11 +133,8 @@ def _cmd_alloc(args) -> int:
         return EXIT_VALIDATION
     try:
         sol = alloc.solve_alloc(problem)
-    except alloc.AllocationError as e:
-        print(f"error: allocation failed: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ArithmeticError as e:  # the solver's float64 steps fail, e.g. at w_total >= 1e30 Hz
-        print(f"error: allocation failed: numerical breakdown ({e})", file=sys.stderr)
+    except (alloc.AllocationError, ArithmeticError) as e:
+        print(f"error: {_allocation_failure(e)}", file=sys.stderr)
         return EXIT_VALIDATION
     print(sol.to_json())
     return EXIT_OK

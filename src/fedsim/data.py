@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -53,6 +54,16 @@ def _read_be_u32(f, what: str, path: str) -> int:
     return struct.unpack(">I", raw)[0]
 
 
+def _read_body(f, size: int, what: str, path: str) -> bytes:
+    """The ``size`` bytes the header claims, after checking that exactly
+    that many are left in the file, so a bad header never sizes a read."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size != left:
+        raise IdxFormatError(f"{path}: {'truncated' if size > left else 'trailing bytes after'} "
+                             f"{what} data: the header claims {size} bytes, {left} follow")
+    return f.read(size)
+
+
 def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label file pair; pixels scaled to [0, 1]."""
     with open(images_path, "rb") as f:
@@ -63,20 +74,16 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
         n = _read_be_u32(f, "count", images_path)
         rows = _read_be_u32(f, "rows", images_path)
         cols = _read_be_u32(f, "cols", images_path)
-        raw = f.read(n * rows * cols)
-        if len(raw) != n * rows * cols:
-            raise IdxFormatError(f"{images_path}: truncated pixel data")
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
+        pixels = np.frombuffer(_read_body(f, n * rows * cols, "pixel", images_path),
+                               dtype=np.uint8).reshape(n, rows * cols)
     with open(labels_path, "rb") as f:
         magic = _read_be_u32(f, "magic", labels_path)
         if magic != IDX_LABEL_MAGIC:
             raise IdxFormatError(
                 f"{labels_path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}")
         n_labels = _read_be_u32(f, "count", labels_path)
-        raw = f.read(n_labels)
-        if len(raw) != n_labels:
-            raise IdxFormatError(f"{labels_path}: truncated label data")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        labels = np.frombuffer(_read_body(f, n_labels, "label", labels_path),
+                               dtype=np.uint8).astype(np.int64)
     if n != n_labels:
         raise IdxFormatError(
             f"image count {n} does not match label count {n_labels}")

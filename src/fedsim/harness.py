@@ -79,8 +79,7 @@ class WirelessConfig:
     pathloss_exponent: float = 2.0
     r_min: float = 10.0
     r_max: float = 500.0
-    trace_out: str | None = None
-    trace_in: str | None = None
+    trace_out: str | None = None  # JSON lines, one per channel draw
 
     def budget(self) -> wireless.LinkBudget:
         return wireless.LinkBudget(
@@ -195,10 +194,9 @@ class ExperimentConfig:
         wcfg = raw.pop("wireless_cfg", {})
         if not isinstance(wcfg, dict):
             raise ConfigError(f"wireless_cfg must be a JSON object, got {wcfg!r}")
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for kind, keys, what in ((cls, raw, "config"), (WirelessConfig, wcfg, "wireless_cfg")):
+            if unknown := set(keys) - {f.name for f in fields(kind)}:
+                raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
         cfg = cls(**raw)
         cfg.wireless_cfg = WirelessConfig(**wcfg)
         if isinstance(raw.get("hlu_range"), list):
@@ -233,6 +231,13 @@ def write_metrics_csv(rows: list[MetricsRow], path: str) -> None:
         f.write(CSV_HEADER + "\n")
         for row in rows:
             f.write(row.csv_line() + "\n")
+
+
+def write_json_lines(records: list[dict], path: str) -> None:
+    """One JSON object per line: the channel trace and the round trace."""
+    with open(path, "w") as f:
+        for rec in records:
+            f.write(json.dumps(rec) + "\n")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -292,12 +297,12 @@ class _RoundStreams(NamedTuple):
     client: np.ndarray          # seed words of each sampled client's own stream
 
 
-def _schedule(cfg: ExperimentConfig, channel: bool) -> Iterator[_RoundStreams]:
+def _schedule(cfg: ExperimentConfig) -> Iterator[_RoundStreams]:
     """Every round's cohort, local steps and stream seeds, made a block of
     rounds at a time: first the block's sampling and HLU streams, then its
-    sampled sets and epochs, then the seed words of the channel (if
-    ``channel``) and client streams of every (round, sampled client). Each
-    stream is the one its key gives under ``default_rng``."""
+    sampled sets and epochs, then the seed words of the channel (with the
+    wireless layer on) and client streams of every (round, sampled client).
+    Each stream is the one its key gives under ``default_rng``."""
     m = cfg.sample_size
     labels = [fed.SAMPLING, fed.HLU] if cfg.hlu else [fed.SAMPLING]
     per_block = max(1, _KEYS_PER_BLOCK // (2 + 2 * m))
@@ -311,7 +316,7 @@ def _schedule(cfg: ExperimentConfig, channel: bool) -> Iterator[_RoundStreams]:
         pairs = (np.repeat(rounds, m), np.concatenate(sampled))
         client = fed.stream_seeds(fed.stream_keys(cfg.seed, *pairs)).reshape(-1, m, 4)
         chan = (fed.stream_seeds(fed.stream_keys(cfg.seed, fed.CHANNEL, *pairs)).reshape(-1, m, 4)
-                if channel else [None] * len(rounds))
+                if cfg.wireless_cfg.enabled else [None] * len(rounds))
         yield from map(_RoundStreams, rounds.tolist(), sampled, epochs, chan, client)
 
 
@@ -375,9 +380,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     distances = wireless.place_devices(
         cfg.num_clients, fed.generators(fed.stream_keys(cfg.seed, fed.PLACEMENT))[0],
         r_min=wcfg.r_min, r_max=wcfg.r_max)
-    replay = wireless.read_channel_trace(wcfg.trace_in) if wcfg.trace_in else None
-    record_channel = bool(wcfg.trace_out) and replay is None
-    trace_records: list[dict] = []
+    channel_trace: list[dict] = []
     round_trace: list[dict] = []
 
     rows: list[MetricsRow] = []
@@ -393,20 +396,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
     snapshot(0, 0, 0)
 
-    for r, sampled, epochs, channel_seeds, client_seeds in _schedule(
-            cfg, wcfg.enabled and replay is None):
+    for r, sampled, epochs, channel_seeds, client_seeds in _schedule(cfg):
         draws: dict[int, wireless.ChannelDraw] = {}
         if wcfg.enabled:
-            for j, cid in enumerate(sampled):
-                if replay is not None:
-                    draws[cid] = replay[(r, cid)]
-                else:
-                    draws[cid] = wireless.sample_channel(
-                        float(distances[cid]), budget, fed.generator(channel_seeds[j]))
-                if record_channel:
-                    trace_records.append({
-                        "round": r, "device": cid,
-                        "distance_m": draws[cid].distance_m, "gain": draws[cid].gain})
+            for cid, seeds in zip(sampled, channel_seeds):
+                draws[cid] = wireless.sample_channel(
+                    float(distances[cid]), budget, fed.generator(seeds))
+            if wcfg.trace_out:
+                channel_trace += ({"round": r, "device": cid, "distance_m": d.distance_m,
+                                   "gain": d.gain} for cid, d in draws.items())
 
         plan, dropped_count = plan_round(cfg, algo, spec, budget, sampled, epochs, draws)
         row = {cid: j for j, cid in enumerate(sampled)}
@@ -427,10 +425,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
     if cfg.out:
         write_metrics_csv(rows, cfg.out)
-    if record_channel:
-        wireless.write_channel_trace(wcfg.trace_out, trace_records)
+    if wcfg.trace_out:
+        write_json_lines(channel_trace, wcfg.trace_out)
     if cfg.trace_rounds_out:
-        with open(cfg.trace_rounds_out, "w") as f:
-            for rec in round_trace:
-                f.write(json.dumps(rec) + "\n")
+        write_json_lines(round_trace, cfg.trace_rounds_out)
     return rows

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -98,22 +97,3 @@ def transmission_ok(
     rate = rate_bps(w_hz, budget.tx_power_w * gain, budget.noise_psd_w_hz)
     return tx_delay(bits, rate) <= tau
 
-
-def write_channel_trace(path: str, records: list[dict]) -> None:
-    """JSON-lines trace: one record per (round, device) channel draw."""
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
-
-
-def read_channel_trace(path: str) -> dict[tuple[int, int], ChannelDraw]:
-    """Replay map keyed by (round, device id)."""
-    out: dict[tuple[int, int], ChannelDraw] = {}
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out[(rec["round"], rec["device"])] = ChannelDraw(
-                distance_m=rec["distance_m"], gain=rec["gain"])
-    return out

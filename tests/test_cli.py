@@ -87,6 +87,26 @@ class TestRun:
         assert err.startswith(f"error: invalid config: wireless {field}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("total_bandwidth_hz", 1e30, "allocation failed: numerical breakdown"),
+        ("tau", 1e250, "allocation failed: device 0: bit count 4.27e+256 at the whole "
+                       "bandwidth is not a finite number below 2**63"),
+    ])
+    def test_failed_allocation_is_one_line_validation_error(
+            self, tmp_path, capsys, field, value, message):
+        raw = json.loads((CONFIGS / "wireless_fedqvr_e.json").read_text())
+        raw["wireless_cfg"][field] = value
+        raw["rounds"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not caught
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("field,value", [
         ("sample_size", 5.0), ("rounds", 2.5), ("rounds", True), ("num_clients", 20.0),
         ("eta", float("nan")), ("local_epochs", 1.5), ("hlu", 1), ("hlu_range", [1, 2.5]),
@@ -131,6 +151,8 @@ class TestRun:
         ({"num_clients": 2000}, "cannot build 2000 shards from 120 samples"),
         ({"wireless_cfg": {"total_bandwidth_hz": 0}},
          "wireless total_bandwidth_hz must be positive"),
+        ({"wireless_cfg": {"trace_in": "chan.jsonl"}},
+         "invalid config: unknown wireless_cfg fields: ['trace_in']"),
         ({"dataset": "idx"}, "bad image magic"),
         ('"abc"', "config must be a JSON object, got str"),
         ("null", "config must be a JSON object, got NoneType"),
@@ -141,6 +163,7 @@ class TestRun:
             "wireless-cfg-0", "wireless-cfg-empty-list", "wireless-cfg-empty-str",
             "wireless-cfg-false", "wireless-cfg-null", "wireless-cfg-list", "model-kind",
             "hlu-range-of-one", "labels-0", "too-many-clients", "bandwidth-0-layer-off",
+            "channel-replay-option",
             "non-idx-file", "string-config", "null-config", "number-config"])
     def test_setup_defect_is_one_line_validation_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, str):  # the whole config file is this JSON text
@@ -161,9 +184,12 @@ class TestRun:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("algorithm", ["scaffold", "fedavg"])
+    @pytest.mark.parametrize("algorithm", ["scaffold", "fedavg", "fedqvr_e"])
     def test_overflowing_iterate_is_divergence(self, tmp_path, capsys, algorithm):
-        cfg = write_config(tmp_path, algorithm=algorithm, eta=1e308)
+        """Exit 2, though FloatingPointError is an ArithmeticError, which a
+        failed allocation raises too."""
+        wireless = {"enabled": True, "tau": 4e-6} if algorithm == "fedqvr_e" else {}
+        cfg = write_config(tmp_path, algorithm=algorithm, eta=1e308, wireless_cfg=wireless)
         assert cli.main(["run", "--config", cfg]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -172,7 +198,7 @@ class TestRun:
 
 # Fields a run opens as files; a drawn value there would name a file or a
 # descriptor, which is not what this fuzzing is about.
-_PATH_FIELDS = {"out", "trace_rounds_out", "trace_out", "trace_in"}
+_PATH_FIELDS = {"out", "trace_rounds_out", "trace_out"}
 _FUZZ_FIELDS = (
     [(None, f.name) for f in fields(ExperimentConfig) if f.name not in _PATH_FIELDS]
     + [("wireless_cfg", f.name) for f in fields(WirelessConfig) if f.name not in _PATH_FIELDS]
@@ -202,6 +228,54 @@ def test_run_with_one_mutated_field_is_one_line_and_a_documented_code(
     assert code in (0, 1, 2)
     assert err.count("\n") <= 1 and "Traceback" not in err
     assert out.count("\n") == (code == 0)
+
+
+# A valid IDX pair: 12 images of 2 x 2 pixels, three labels.
+_IMAGES = bytes.fromhex("00000803") + (12).to_bytes(4, "big") + bytes.fromhex(
+    "0000000200000002") + bytes(range(0, 240, 5))
+_LABELS = bytes.fromhex("00000801") + (12).to_bytes(4, "big") + bytes(i % 3 for i in range(12))
+_SMALL = st.integers(0, 16)
+# Three of these claim at least 2**63 bytes, a read CPython refuses before it
+# allocates; so no example asks a read for a size it would allocate.
+_HUGE = st.integers(2**21, 2**32 - 1)
+
+
+@st.composite
+def _broken_idx(draw, valid: bytes):
+    """``valid`` with one defect: random bytes under another magic, a cut
+    anywhere, or a header whose sizes the body does not match."""
+    kind = draw(st.sampled_from(["random", "truncated", "claim"]))
+    if kind == "random":
+        return draw(st.binary(max_size=64).filter(lambda b: b[:4] != valid[:4]))
+    if kind == "truncated":
+        return valid[:draw(st.integers(0, len(valid) - 1))]
+    counts = draw(st.tuples(_SMALL, _SMALL, _SMALL) | st.tuples(_HUGE, _HUGE, _HUGE)
+                  if valid is _IMAGES else st.tuples(_SMALL))
+    body = draw(st.binary(max_size=64).filter(lambda b: len(b) != math.prod(counts)))
+    return valid[:4] + b"".join(c.to_bytes(4, "big") for c in counts) + body
+
+
+_IDX_PATHS = ("images_path", "labels_path", "test_images_path", "test_labels_path")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(broken=st.sampled_from(_IDX_PATHS).flatmap(lambda key: st.tuples(
+    st.just(key), _broken_idx(_LABELS if "labels" in key else _IMAGES))))
+def test_run_on_a_broken_idx_file_is_one_line(tmp_path, capsys, broken):
+    """One IDX file of an otherwise valid MNIST config is random, cut short
+    or sized unlike its header: ``fedsim run`` ends in one line, exit 1."""
+    key, content = broken
+    paths = {}
+    for name in _IDX_PATHS:
+        paths[name] = str(tmp_path / name)
+        Path(paths[name]).write_bytes(
+            content if name == key else _LABELS if "labels" in name else _IMAGES)
+    config = write_config(tmp_path, dataset={"kind": "mnist", **paths}, rounds=2)
+    assert cli.main(["run", "--config", config]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid config: dataset: ") and err.count("\n") == 1
 
 
 class TestSweep:
@@ -340,6 +414,17 @@ class TestAlloc:
     def test_non_integer_size_is_validation_error(self, tmp_path, capsys, field, value):
         err = self.assert_one_line_rejection(tmp_path, capsys, **{field: value})
         assert f"{field} must be an integer" in err
+
+    @pytest.mark.parametrize("fields", [
+        {"taus": [1e300, 0.001]}, {"gains": [1e306, 2e-7]}, {"taus": [1e250, 1e250]}])
+    def test_unfloorable_bit_count_is_validation_error(self, tmp_path, capsys, fields):
+        """A bit count that is infinite, or finite but beyond int64, fails
+        the solve with one line and no numpy warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.assert_one_line_rejection(tmp_path, capsys, **fields)
+        assert not caught
+        assert err.startswith("error: allocation failed: device 0: bit count ")
 
     def test_failed_delay_recheck_is_validation_error(self, tmp_path, capsys,
                                                       monkeypatch):

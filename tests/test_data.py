@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -51,6 +52,28 @@ class TestIdxLoading:
         p = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8),
                            np.zeros(2, np.uint8), truncate_pixels=3)
         with pytest.raises(IdxFormatError, match="truncated pixel"):
+            data.load_mnist_idx(*p)
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1,) * 3, (2**21,) * 3])
+    def test_claim_beyond_the_file_is_rejected_before_reading(self, tmp_path, dims):
+        img = tmp_path / "images.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, *dims))
+        with pytest.raises(IdxFormatError, match=f"claims {math.prod(dims)} bytes, 0 follow"):
+            data.load_mnist_idx(str(img), str(img))
+
+    def test_truncated_labels(self, tmp_path):
+        p = write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8),
+                           np.zeros(2, np.uint8), label_count=3)
+        with pytest.raises(IdxFormatError, match="truncated label data"):
+            data.load_mnist_idx(*p)
+
+    @pytest.mark.parametrize("which,what,size", [(0, "pixel", 8), (1, "label", 2)])
+    def test_bytes_after_the_data_are_rejected(self, tmp_path, which, what, size):
+        p = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), np.zeros(2, np.uint8))
+        with open(p[which], "ab") as f:
+            f.write(b"\0\0\0")
+        with pytest.raises(IdxFormatError, match=f"trailing bytes after {what} data: "
+                                                 f"the header claims {size} bytes, {size + 3} follow"):
             data.load_mnist_idx(*p)
 
     def test_count_mismatch(self, tmp_path):

@@ -104,6 +104,17 @@ class TestMetrics:
         harness.write_metrics_csv([], path)
         assert Path(path).read_text().splitlines() == [harness.CSV_HEADER]
 
+    def test_write_json_lines_round_trips(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        records = [
+            {"round": 0, "device": 3, "distance_m": 120.0, "gain": 2.5e-8},
+            {"round": 1, "active": [3, 7], "bits": {"3": 4}, "uplink_bits": 4096},
+        ]
+        harness.write_json_lines(records, path)
+        assert [json.loads(line) for line in Path(path).read_text().splitlines()] == records
+        harness.write_json_lines([], path)
+        assert Path(path).read_text() == ""
+
     def test_evaluate_accuracy_and_loss(self):
         spec = learner.ModelSpec(kind=learner.LOGISTIC, input_dim=2,
                                  num_classes=2)
@@ -178,18 +189,6 @@ class TestRunExperiment:
         for line in Path(trace).read_text().splitlines():
             for b in json.loads(line)["bits"].values():
                 assert 1 <= b <= 6
-
-    def test_channel_trace_replay_reproduces_run(self, tmp_path):
-        trace = str(tmp_path / "chan.jsonl")
-        cfg = small_config(algorithm="fedqvr_e", rounds=4)
-        cfg.wireless_cfg = wireless_on(trace_out=trace)
-        rows_record = harness.run_experiment(cfg)
-
-        cfg2 = small_config(algorithm="fedqvr_e", rounds=4)
-        cfg2.wireless_cfg = wireless_on(trace_in=trace)
-        rows_replay = harness.run_experiment(cfg2)
-        for a, b in zip(rows_record, rows_replay):
-            assert a.csv_line() == b.csv_line()
 
     @pytest.mark.parametrize("algorithm,tau", [
         ("fedavg", 8e-6), ("scaffold", 1.6e-5), ("fedqvr", 2e-6), ("fedqvr_e", 2e-6)])

@@ -82,6 +82,20 @@ def test_stream_keys_lay_out_seed_label_round_client():
     assert fed.stream_keys(7, fed.PARTITION).tolist() == [[7, 1]]
 
 
+@pytest.mark.parametrize("seed", [0, 2**40 + 1])
+def test_every_algorithm_sees_the_same_channels(tmp_path, seed):
+    """No stream key holds the algorithm, so one seed gives every algorithm
+    the same cohorts (sampling key) and the same fading (channel key):
+    fedqvr_e and its baselines are compared on identical channels."""
+    traces = set()
+    for algorithm in harness.ALGORITHMS:
+        run_traced(dict(two_word_seed_config(), algorithm=algorithm, seed=seed), tmp_path)
+        traces.add((tmp_path / "channel.jsonl").read_bytes())
+    assert len(traces) == 1
+    config = two_word_seed_config()
+    assert len(traces.pop().splitlines()) == config["rounds"] * config["sample_size"]
+
+
 def test_seed_words_serve_only_what_pcg64_asks_for():
     seed_words = fed.generator(fed.stream_seeds([[1, 2]])[0]).bit_generator.seed_seq
     with pytest.raises(ValueError):

@@ -99,27 +99,6 @@ class TestRateAndDelay:
             wireless.transmission_ok(bits, 1e6, BUDGET, g, 0.0)
 
 
-class TestTrace:
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        records = [
-            {"round": 0, "device": 3, "distance_m": 120.0, "gain": 2.5e-8},
-            {"round": 0, "device": 7, "distance_m": 40.0, "gain": 9.1e-7},
-            {"round": 1, "device": 3, "distance_m": 120.0, "gain": 4.4e-9},
-        ]
-        wireless.write_channel_trace(path, records)
-        replay = wireless.read_channel_trace(path)
-        assert set(replay) == {(0, 3), (0, 7), (1, 3)}
-        assert replay[(1, 3)].gain == pytest.approx(4.4e-9)
-        assert replay[(0, 7)].distance_m == pytest.approx(40.0)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            '{"round": 0, "device": 1, "distance_m": 10.0, "gain": 1e-6}\n\n')
-        assert set(wireless.read_channel_trace(str(path))) == {(0, 1)}
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     w=st.floats(1e3, 1e8),
