@@ -51,7 +51,8 @@ class RoundPlan:
     gamma: float = 0.3
     a: float = 0.3
     eta_g: float = 1.0  # scaffold's server step toward the mean model
-    # uploads from these clients are lost in transit; their state rolls back
+    # uploads from these clients are lost in transit: the round does not
+    # compute them, and their control variates stay as they were
     failed: frozenset[int] = frozenset()
     # original sampled-cohort size when active_set was thinned by allocation
     m_sampled: int | None = None
@@ -295,8 +296,10 @@ def server_aggregate(
     return ServerState(theta=theta, c=c, round=server.round + 1)
 
 
-def _cohort(plan: RoundPlan) -> tuple[list[int], np.ndarray]:
-    """Active ids, longest local run first (ties in plan order), and their epochs.
+def _cohort(plan: RoundPlan, clients: list[ClientState],
+            dim: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The active clients whose uploads arrive, longest local run first (ties
+    in plan order): their ids, epochs and control variates as rows (m, dim).
 
     With rows in this order, the clients still stepping at step t are a
     prefix of the stacks.
@@ -305,21 +308,14 @@ def _cohort(plan: RoundPlan) -> tuple[list[int], np.ndarray]:
         raise ValueError("duplicate client id in active set")
     if plan.batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    ids = sorted(plan.active_set, key=lambda cid: -plan.local_epochs[cid])
+    ids = sorted((cid for cid in plan.active_set if cid not in plan.failed),
+                 key=lambda cid: -plan.local_epochs[cid])
     epochs = np.array([plan.local_epochs[cid] for cid in ids], dtype=np.int64)
     if np.any(epochs < 1):
         raise ValueError("epochs must be >= 1")
-    return ids, epochs
-
-
-def _stack_controls(clients: list[ClientState], ids: list[int], dim: int) -> np.ndarray:
-    """Client control variates as rows (len(ids), dim)."""
-    out = np.empty((len(ids), dim))
-    for j, cid in enumerate(ids):
-        if clients[cid].id != cid:
-            raise ValueError("clients list must be indexed by id")
-        out[j] = clients[cid].c_i
-    return out
+    if any(clients[cid].id != cid for cid in ids):
+        raise ValueError("clients list must be indexed by id")
+    return ids, epochs, np.array([clients[cid].c_i for cid in ids]).reshape(len(ids), dim)
 
 
 def _local_phase(
@@ -378,17 +374,17 @@ def _local_phase(
 
 
 class Cohort(NamedTuple):
-    """A round's cohort after its local steps, one row per active client."""
+    """A round's cohort after its local steps, one row per arriving upload."""
 
     epochs: np.ndarray                # local steps per row
     start: np.ndarray                 # the point every row started from
     theta: np.ndarray                 # final iterates, (m, dim)
     c_rows: np.ndarray                # control variates at the start, (m, dim)
     rngs: list[np.random.Generator]   # each client's stream after its draws
-    delivered: list[tuple[int, int]]  # (client id, row) of arriving uploads, by id
+    by_id: list[tuple[int, int]]      # (client id, row) by id, the order of every reduction
 
-    def mean_delivered(self) -> np.ndarray:
-        return np.mean(self.theta[[j for _, j in self.delivered]], axis=0)
+    def mean(self) -> np.ndarray:
+        return np.mean(self.theta[[j for _, j in self.by_id]], axis=0)
 
 
 class FedAvg:
@@ -413,7 +409,7 @@ class FedAvg:
         return step
 
     def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
-        theta = cohort.mean_delivered() if cohort.delivered else server.theta.copy()
+        theta = cohort.mean() if cohort.by_id else server.theta.copy()
         return ServerState(theta=theta, c=server.c.copy(), round=server.round + 1)
 
 
@@ -440,9 +436,9 @@ class Scaffold(FedAvg):
         c_rows = (cohort.c_rows - server.c
                   + (server.theta - cohort.theta) / (cohort.epochs * plan.eta)[:, None])
         theta_new, c_new = server.theta.copy(), server.c.copy()
-        if cohort.delivered:
-            theta_new = server.theta + plan.eta_g * (cohort.mean_delivered() - server.theta)
-            for cid, j in cohort.delivered:
+        if cohort.by_id:
+            theta_new = server.theta + plan.eta_g * (cohort.mean() - server.theta)
+            for cid, j in cohort.by_id:
                 c_new += (c_rows[j] - clients[cid].c_i) / len(clients)
                 clients[cid].c_i = c_rows[j].copy()
         return ServerState(theta=theta_new, c=c_new, round=server.round + 1)
@@ -483,7 +479,7 @@ class FedQVR:
     def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
         groups = spec.layer_groups()
         uploads: list[tuple[ClientUpload, float]] = []
-        for cid, j in cohort.delivered:  # each c_i is committed as soon as it is made
+        for cid, j in cohort.by_id:  # each c_i is committed as soon as it is made
             upload, clients[cid].c_i = client_finish(
                 cohort.theta[j], cohort.start, cohort.c_rows[j], cid, plan.bits[cid], plan.eta,
                 e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a, cohort.rngs[j],
@@ -502,32 +498,32 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
               ) -> tuple[ServerState, RoundReport]:
     """One round of ``algo``: the cohort's local steps, its uploads, aggregation.
 
-    ``rngs`` maps each active client to its stream in this round, keyed
+    Uploads from clients in ``plan.failed`` are lost, so the round does not
+    compute them: they keep their control variates, as inactive clients do,
+    and divergence is checked on the iterates the server receives. ``rngs``
+    maps every other active client to its stream in this round, keyed
     [seed, round, client]; fedqvr's quantizer draws from it after the
     minibatches.
 
     ``algo`` gives the start point, the in-place local step, the aggregate
     and the upload cost; the round is otherwise the same for every algorithm.
-    Inactive clients keep their control variates. Clients in ``plan.failed``
-    compute, but their uploads are lost: the server skips them and their
-    control variates stay as they were. Every row reproduces the
-    single-client computation (``local_update`` for fedqvr) bit for bit.
+    Every row reproduces the single-client computation (``local_update`` for
+    fedqvr) bit for bit, so leaving a client out moves no other result.
     """
-    ids, epochs = _cohort(plan)
-    c_rows = _stack_controls(clients, ids, spec.dim)
+    ids, epochs, c_rows = _cohort(plan, clients, spec.dim)
     start = algo.start(server, plan)
     row_rngs = [rngs[cid] for cid in ids]
     theta = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size, row_rngs,
                          algo.stepper(server, plan, start, c_rows))
-    delivered = sorted((cid, j) for j, cid in enumerate(ids) if cid not in plan.failed)
+    by_id = sorted((cid, j) for j, cid in enumerate(ids))
     new_server = algo.aggregate(spec, server, clients, plan,
-                                Cohort(epochs, start, theta, c_rows, row_rngs, delivered))
+                                Cohort(epochs, start, theta, c_rows, row_rngs, by_id))
     bits = {cid: plan.bits[cid] for cid in plan.active_set} if algo.quantized else {}
-    widths = Counter(bits.get(cid) for cid, _ in delivered)  # one cost per width, not per upload
+    widths = Counter(bits.get(cid) for cid in ids)  # one cost per width, not per upload
     report = RoundReport(
         round=server.round,
         active_ids=list(plan.active_set),
-        delivered_ids=[cid for cid, _ in delivered],
+        delivered_ids=[cid for cid, _ in by_id],
         epochs={cid: plan.local_epochs[cid] for cid in plan.active_set},
         bits=bits,
         uplink_bits=sum(n * algo.payload_bits(spec, b) for b, n in widths.items()),

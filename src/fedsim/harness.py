@@ -408,7 +408,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
         plan, dropped_count = plan_round(cfg, algo, spec, budget, sampled, epochs, draws)
         row = {cid: j for j, cid in enumerate(sampled)}
-        rngs = {cid: fed.generator(client_seeds[row[cid]]) for cid in plan.active_set}
+        rngs = {cid: fed.generator(client_seeds[row[cid]])
+                for cid in plan.active_set if cid not in plan.failed}
         server, report = run_round(spec, server, clients, client_data, plan, rngs)
 
         cumulative_bits += report.uplink_bits

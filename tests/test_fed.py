@@ -135,6 +135,17 @@ def reference_fedavg_round(spec, server, datasets, plan, seed):
             [cid for cid, _ in models])
 
 
+def reference_round(algo, spec, server, clients, datasets, plan, seed):
+    """The new server state from ``algo``'s reference helper above, which
+    updates ``clients`` as the round engine would."""
+    if algo is fed.FEDQVR:
+        return reference_fedqvr_round(spec, server, clients, datasets, plan, seed)[0]
+    if algo is fed.SCAFFOLD:
+        return reference_scaffold_round(spec, server, clients, datasets, plan, seed,
+                                        plan.eta_g)[0]
+    return reference_fedavg_round(spec, server, datasets, plan, seed)[0]
+
+
 def assert_same_state(server, clients, ref_server, ref_clients):
     np.testing.assert_array_equal(server.theta, ref_server.theta)
     np.testing.assert_array_equal(server.c, ref_server.c)
@@ -549,6 +560,71 @@ class TestScaffoldRound:
         _, report = fed.run_round_scaffold(
             SPEC, server, clients, datasets, plan, client_rngs(0, 0, plan.active_set))
         assert report.uplink_bits == 2 * 2 * 32 * SPEC.dim
+
+
+ALGOS = pytest.mark.parametrize("algo", [fed.FEDAVG, fed.SCAFFOLD, fed.FEDQVR],
+                                ids=lambda algo: algo.name)
+
+
+class TestLostUploads:
+    """An upload in ``plan.failed`` is lost, so the round does not compute it."""
+
+    @ALGOS
+    def test_only_delivered_clients_are_stepped(self, algo, monkeypatch):
+        """The rows ``learner.grad`` steps in a round add up to the local
+        epochs of the delivered clients; lost clients take no step."""
+        stepped = []
+        grad = learner.grad
+
+        def counting_grad(spec, theta, X, y):
+            stepped.append(theta.shape[0])
+            return grad(spec, theta, X, y)
+
+        monkeypatch.setattr(learner, "grad", counting_grad)
+        clients, datasets = make_clients(8, seed=28)
+        server = fresh_server(28)
+        for plan in uneven_plans(SPEC):
+            stepped.clear()
+            server, report = fed.run_round(algo, SPEC, server, clients, datasets, plan,
+                                           client_rngs(8, server.round, plan.active_set))
+            delivered = sorted(set(plan.active_set) - plan.failed)
+            assert report.delivered_ids == delivered
+            assert sum(stepped) == sum(plan.local_epochs[cid] for cid in delivered)
+            assert len(stepped) == max((plan.local_epochs[cid] for cid in delivered), default=0)
+
+    @staticmethod
+    def overflowing(datasets, cid):
+        """``datasets`` with client ``cid``'s features scaled to ~1e200, so
+        that its second local step overflows."""
+        out = list(datasets)
+        out[cid] = (1e200 * datasets[cid][0], datasets[cid][1])
+        return out
+
+    @ALGOS
+    def test_overflowing_delivered_upload_is_divergence(self, algo):
+        clients, datasets = make_clients(6, seed=29)
+        plan = uniform_plan([1, 2, 4], E=3)
+        with pytest.raises(FloatingPointError, match="diverged"):
+            fed.run_round(algo, SPEC, fresh_server(29), clients, self.overflowing(datasets, 2),
+                          plan, client_rngs(0, 0, plan.active_set))
+
+    @ALGOS
+    def test_overflowing_lost_upload_changes_nothing(self, algo):
+        """The same overflowing client in ``plan.failed``: the round completes,
+        and the server and every control variate equal the reference helper's
+        on the plain data, which computes the lost client and drops it."""
+        clients, datasets = make_clients(6, seed=29)
+        ref_clients = copy.deepcopy(clients)
+        server = ref_server = fresh_server(29)
+        # a first round makes c and the c_i non-zero
+        for plan, data in ((uniform_plan(range(6), E=2), datasets),
+                           (uniform_plan([1, 2, 4], E=3, failed=frozenset({2})),
+                            self.overflowing(datasets, 2))):
+            server, _ = fed.run_round(algo, SPEC, server, clients, data, plan,
+                                      client_rngs(5, server.round, plan.active_set))
+            ref_server = reference_round(algo, SPEC, ref_server, ref_clients, datasets, plan, 5)
+            assert_same_state(server, clients, ref_server, ref_clients)
+        assert np.isfinite(server.theta).all()
 
 
 @settings(max_examples=40, deadline=None)

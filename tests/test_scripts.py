@@ -1,9 +1,13 @@
-"""Smoke test of the experiment script under scripts/."""
+"""Smoke tests of the scripts under scripts/."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,3 +24,26 @@ def test_run_wireless_prints_one_line_per_seed_and_the_medians():
     assert len(lines) == 2
     assert lines[0].startswith("seed 0: equal-split acc ")
     assert lines[1].startswith("median final accuracy: equal-split ")
+
+
+@pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                    reason="extracting the parent tree needs a git checkout")
+def test_bench_pairs_writes_one_alternating_pair(tmp_path):
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--parent", "HEAD",
+         "--pairs", "1", "--seconds", "0", "--workloads", "wireless_alloc", "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    bench = json.loads(out.read_text())
+    assert list(bench) == ["description", "command", "parent", "machine", "runs"]
+    assert bench["command"] == ("python3 perfbench/run.py --workload <name> --seed 1000 "
+                                "--seconds 0 --trace 0")
+    assert len(bench["parent"]) == 40
+    assert [(r["workload"], r["pair"], r["first"], r["tree"]) for r in bench["runs"]] == [
+        ("wireless_alloc", 1, "parent", "parent"), ("wireless_alloc", 1, "parent", "change")]
+    for run in bench["runs"]:
+        assert run["result"]["correct"]
+        assert set(run["result"]["metrics"]) == {"run_s", "steps_per_s", "setup_s", "peak_rss_mb"}
+        assert run["info"]["workload"] == "wireless_alloc" and run["info"]["seed"] == 1000
+    assert len(done.stdout.splitlines()) == 4  # one summary line per end-to-end metric
