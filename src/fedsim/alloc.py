@@ -15,6 +15,9 @@ price of the same solve. The zero-bit floors come from Newton on b_i(w) = 0.
 At m = 5 a solve tries about ten prices and evaluates the marginal about two
 hundred times, where nested bisection evaluated it about fifteen thousand
 times. Integer flooring and dropping of devices below the bit floor follow.
+Both b_i' and M_i read one slope of the rate, summed as a power series at
+small x = P/(w N0), where its closed form cancels; a slope past the float
+range fails the solve.
 """
 
 from __future__ import annotations
@@ -22,17 +25,23 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quantizer import payload_bits
 from .wireless import rate_bps
 
 _LN2 = math.log(2.0)
+_TINY = sys.float_info.min  # smallest positive normal float
 _NEWTON_STEPS = 200     # per root; a safeguard, Newton needs a handful
 _W_REL_TOL = 1e-9       # Newton stops at a step below this share of w
 _OUTER_REL_TOL = 1e-13  # price search stops at |sum w - w_total| below this share
 _OUTER_STEPS = 200      # prices tried per solve; a safeguard
+# below x = 0.1, 18 terms of the slope's series reach machine precision
+_SERIES_CUTOFF = 0.1
+_SERIES = tuple((-1) ** j * (j + 1) / (j + 2) for j in range(18))
 
 
 class AllocationError(ValueError):
@@ -138,11 +147,6 @@ class AllocSolution:
         })
 
 
-def _rate_deriv(w: float, gain: float, noise_psd: float) -> float:
-    c = gain / noise_psd
-    return (math.log1p(c / w) - (c / w) / (1.0 + c / w)) / math.log(2.0)
-
-
 def b_of_w(w: float, gain: float, tau: float, d: int, mu: int, noise_psd: float) -> float:
     """Continuous bit count affordable at bandwidth w with the delay binding."""
     if w <= 0:
@@ -150,8 +154,23 @@ def b_of_w(w: float, gain: float, tau: float, d: int, mu: int, noise_psd: float)
     return (tau * rate_bps(w, gain, noise_psd) - mu) / d - 1.0
 
 
-def _b_deriv(w: float, gain: float, tau: float, d: int, noise_psd: float) -> float:
-    return tau * _rate_deriv(w, gain, noise_psd) / d
+def _slope(x: float) -> float:
+    """ln 2 times d rate/d w at x = P/(w N0): log1p(x) - x/(1+x).
+
+    The difference cancels at small x, so there the series
+    x^2 sum_j (-1)^j (j+1)/(j+2) x^j is summed instead (Higham, Accuracy and
+    Stability of Numerical Algorithms, 1.7).
+    """
+    if x < _SERIES_CUTOFF:
+        s = 0.0
+        for c in reversed(_SERIES):
+            s = s * x + c
+        slope = x * x * s
+    else:
+        slope = math.log1p(x) - x / (1.0 + x)
+    if not slope >= _TINY:
+        raise AllocationError(f"numerical breakdown: rate slope {slope:.3g} at x = {x:.3g}")
+    return slope
 
 
 def utility(x: float, alpha: float) -> float:
@@ -163,19 +182,6 @@ def utility(x: float, alpha: float) -> float:
     if x == 0.0:
         return -math.inf if alpha > 1.0 else 0.0
     return x ** (1.0 - alpha) / (1.0 - alpha)
-
-
-def _utility_deriv(x: float, alpha: float) -> float:
-    if alpha == 0.0:
-        return 1.0
-    if x <= 0:
-        return math.inf
-    return x ** (-alpha)
-
-
-def _marginal(p: AllocProblem, i: int, w: float) -> float:
-    b = b_of_w(w, p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd)
-    return _utility_deriv(b, p.alpha) * _b_deriv(w, p.gains[i], p.taus[i], p.d, p.noise_psd)
 
 
 def _newton(fn, w: float, lo: float, hi: float) -> float:
@@ -204,17 +210,20 @@ def _newton(fn, w: float, lo: float, hi: float) -> float:
 def _w_zero(p: AllocProblem, i: int) -> float:
     """Minimum bandwidth at which the device can afford zero-bit payloads.
 
-    b(w) is concave and increasing, and near w = 0 it is about -mu/d - 1, so
-    Newton started there climbs to the root monotonically; the last ulps are
-    walked so that b(w) >= 0.
+    b(w) is concave and increasing, so Newton started left of the root climbs
+    to it monotonically; the last ulps are walked so that b(w) >= 0. As
+    ln(1+y) <= sqrt(y), b < 0 below w = r^2 N0/P with r = (d+mu) ln2/tau, and
+    r N0/P < 1 for a kept device: half that is a finite start left of the root.
     """
     gain, tau, noise_psd = float(p.gains[i]), float(p.taus[i]), p.noise_psd
 
     def bits(w: float) -> tuple[float, float]:
         return (b_of_w(w, gain, tau, p.d, p.mu, noise_psd),
-                _b_deriv(w, gain, tau, p.d, noise_psd))
+                tau * _slope(gain / (w * noise_psd)) / (p.d * _LN2))
 
-    w = _newton(bits, 1e-12 * p.w_total, 0.0, p.w_total)
+    r = (p.d + p.mu) / tau * _LN2
+    left = 0.5 * r * (r * noise_psd / gain)
+    w = _newton(bits, min(1e-12 * p.w_total, left), 0.0, p.w_total)
     while b_of_w(w, gain, tau, p.d, p.mu, noise_psd) < 0.0:
         w = math.nextafter(w, math.inf)
     return w
@@ -224,15 +233,19 @@ def _log_marginal(w: float, gain: float, noise_psd: float, tau: float,
                   d: int, mu: int, alpha: float) -> tuple[float, float]:
     """log M(w) and its derivative M'(w)/M(w) = b''/b' - alpha b'/b.
 
-    With x = P/(w N0), b' = tau/d (log1p(x) - x/(1+x)) / ln2 and
+    With x = P/(w N0), b' = tau/d _slope(x) / ln2 and
     b'' = -tau/d x^2 / (w (1+x)^2) / ln2. This is the analytic
-    M' = U''(b) b'^2 + U'(b) b'' divided by M.
+    M' = U''(b) b'^2 + U'(b) b'' divided by M, the one marginal the price
+    search, the price and the KKT residual all read.
     """
     x = gain / (w * noise_psd)
     q = x / (1.0 + x)
-    slope = math.log1p(x) - q
+    slope = _slope(x)
+    db = tau * slope / (d * _LN2)
+    if not db >= _TINY:
+        raise AllocationError(f"numerical breakdown: b'(w) = {db:.3g} at w = {w:.3g} Hz")
     dlog = -q * q / (w * slope)
-    log_db = math.log(tau * slope / (d * _LN2))
+    log_db = math.log(db)
     if alpha == 0.0:
         return log_db, dlog
     b = b_of_w(w, gain, tau, d, mu, noise_psd)
@@ -359,49 +372,28 @@ def solve_alloc(p: AllocProblem) -> AllocSolution:
                              bits_floored=np.zeros(n, dtype=np.int64),
                              dropped=set(range(n)), feasible=False)
 
-    iterations = 0
-    if len(kept) == 1:
-        i = kept[0]
-        bands[i] = p.w_total
-        lam = _marginal(p, i, p.w_total)
-    else:
-        t, ws, iterations = _price_search(p, kept, [w_floor[i] for i in kept])
-        lam = math.exp(t)
-        bands[kept] = ws
-
+    floors = [w_floor[i] for i in kept]
+    t, bands[kept], iterations = _price_search(p, kept, floors)
+    lam = math.exp(t)
     for i in kept:
         bits[i] = b_of_w(bands[i], p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd)
-
-    residual = kkt_residual(p, bands, lam, kept=kept,
-                            w_floor=[w_floor[i] for i in kept])
-    sol = AllocSolution(
-        bandwidths=bands,
-        bits_continuous=bits,
-        bits_floored=np.zeros(n, dtype=np.int64),
-        dropped=dropped,
-        dual_lambda=lam,
-        kkt_residual=residual,
-        feasible=True,
-        objective=objective_value(p, bands, kept),
-        iterations=iterations,
-    )
+    sol = AllocSolution(bandwidths=bands, bits_continuous=bits,
+                        bits_floored=np.zeros(n, dtype=np.int64), dropped=dropped,
+                        dual_lambda=lam, kkt_residual=kkt_residual(p, bands, lam, kept, floors),
+                        objective=objective_value(p, bands, kept), iterations=iterations)
     return floor_and_drop(p, sol)
 
 
 def floor_and_drop(p: AllocProblem, sol: AllocSolution) -> AllocSolution:
     """Floor continuous bits, drop devices below the bit floor, re-verify delay."""
     floored = np.floor(sol.bits_continuous).astype(np.int64)
-    floored[floored < 0] = 0
     dropped = set(sol.dropped)
     for i in range(p.num_devices):
-        if i in dropped:
-            floored[i] = 0
-            continue
-        if floored[i] < p.b_lower:
+        if i in dropped or floored[i] < p.b_lower:
             floored[i] = 0
             dropped.add(i)
             continue
-        payload = p.d * (int(floored[i]) + 1) + p.mu
+        payload = payload_bits(p.d, int(floored[i]), p.mu)
         rate = rate_bps(sol.bandwidths[i], p.gains[i], p.noise_psd)
         if payload > p.taus[i] * rate * (1 + 1e-12):
             raise AllocationError(
@@ -421,19 +413,22 @@ def kkt_residual(
     """Relative stationarity residual plus budget violation.
 
     Devices pinned at their zero-bit bandwidth floor only contribute when
-    their marginal exceeds the price (their lower bound is active).
+    their marginal exceeds the price (their lower bound is active). The
+    relative gap (M - lambda)/lambda is formed from log M, held below the
+    overflow of exp.
     """
     if lam <= 0:
         return math.inf
+    log_lam = math.log(lam)
     res = 0.0
     for idx, i in enumerate(kept):
         if bands[i] <= 0:
             continue
-        marg = _marginal(p, i, bands[i])
-        if bands[i] <= w_floor[idx] * (1 + 1e-9):
-            res = max(res, max(0.0, marg - lam) / lam)
-        else:
-            res = max(res, abs(marg - lam) / lam)
+        log_m = _log_marginal(float(bands[i]), float(p.gains[i]), p.noise_psd,
+                              float(p.taus[i]), p.d, p.mu, p.alpha)[0]
+        gap = math.expm1(min(log_m - log_lam, 700.0))
+        at_floor = bands[i] <= w_floor[idx] * (1 + 1e-9)
+        res = max(res, max(gap, 0.0) if at_floor else abs(gap))
     used = sum(bands[i] for i in kept)
     res += abs(used - p.w_total) / p.w_total
     return res

@@ -23,7 +23,7 @@ EXIT_IO = 3
 
 def _allocation_failure(e: Exception) -> str:
     """The one line for a failed solve: an AllocationError, or an
-    ArithmeticError from the solver's float64 steps (at w_total >= 1e30 Hz)."""
+    ArithmeticError from the solver's float64 steps."""
     detail = e if isinstance(e, alloc.AllocationError) else f"numerical breakdown ({e})"
     return f"allocation failed: {detail}"
 
@@ -50,6 +50,8 @@ def _run_config(text: str, **overrides) -> tuple[int, str | harness.MetricsRow]:
         return EXIT_DIVERGENCE, f"divergence: {e}"
     except (alloc.AllocationError, ArithmeticError) as e:
         return EXIT_VALIDATION, _allocation_failure(e)
+    except MemoryError as e:
+        return EXIT_VALIDATION, f"out of memory: {e}" if str(e) else "out of memory"
     except OSError as e:
         return EXIT_IO, f"I/O: {e}"
 

@@ -10,7 +10,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import alloc, data, fed, learner, wireless
+from . import alloc, data, fed, learner, quantizer, wireless
 from .fed import ClientState, RoundPlan, ServerState
 from .learner import ModelSpec
 
@@ -158,8 +158,8 @@ class ExperimentConfig:
                 errors.append("gamma must be positive for variance-reduced algorithms")
             if not 0 < self.a < 1:
                 errors.append("a must lie in (0, 1)")
-        if self.algorithm == "fedqvr" and self.bits < 1:
-            errors.append("bits must be >= 1 for fedqvr")
+        if self.algorithm == "fedqvr" and not 1 <= self.bits <= quantizer.MAX_BITS:
+            errors.append(f"bits must lie in [1, {quantizer.MAX_BITS}] for fedqvr")
         if self.algorithm == "fedqvr_e" and not self.wireless_cfg.enabled:
             errors.append("fedqvr_e requires wireless.enabled = true")
         if self.hlu and not 1 <= self.hlu_range[0] <= self.hlu_range[1]:
@@ -176,8 +176,8 @@ class ExperimentConfig:
                 errors.append("wireless tau must be positive")
             if w.b_lower < 1:
                 errors.append("wireless b_lower must be >= 1")
-            if w.b_upper < w.b_lower:
-                errors.append("wireless b_upper must be >= b_lower")
+            if not w.b_lower <= w.b_upper <= quantizer.MAX_BITS:
+                errors.append(f"wireless b_upper must lie in [b_lower, {quantizer.MAX_BITS}]")
         if errors:
             raise ConfigError("; ".join(errors))
 

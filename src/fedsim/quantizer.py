@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BITS_PER_BOUND = 32  # each group bound is sent as a float32
+MAX_BITS = 52  # the widest B whose every level is an exact float64 grid position
 
 
 def side_bits(num_groups: int) -> int:
@@ -121,8 +122,8 @@ def quantize(
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise ValueError("cannot quantize an empty vector")
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    if not 1 <= B <= MAX_BITS:
+        raise ValueError(f"B must lie in [1, {MAX_BITS}], got {B}")
     if not np.isfinite(z).all():
         bad = np.flatnonzero(~np.isfinite(z))
         raise ValueError(f"non-finite element at index {int(bad[0])}")

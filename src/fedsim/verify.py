@@ -2,7 +2,8 @@
 
 A fast subset of the oracle suite: quantizer unbiasedness and contraction,
 the control-variate aggregation identity, the closed-form local-update
-equivalence, and allocation KKT residuals on random instances.
+equivalence, and allocation KKT residuals on random instances whose
+bandwidth is drawn log-uniform over [1e3, 1e30] Hz.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def check_alloc_kkt(seed: int = 4) -> tuple[bool, str]:
         p = alloc.AllocProblem(
             gains=rng.uniform(1e-8, 1e-5, size=m),
             taus=np.full(m, 1e-3),
-            w_total=1e8, alpha=float(rng.choice([0.0, 0.5, 0.9])),
+            w_total=float(10 ** rng.uniform(3, 30)), alpha=float(rng.choice([0.0, 0.5, 0.9])),
             d=10_000, mu=384, noise_psd=10 ** (-14.3) / 1000)
         sol = alloc.solve_alloc(p)
         if sol.feasible:

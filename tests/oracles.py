@@ -1,5 +1,6 @@
 """Reference implementations the tests compare the simulator against."""
 
+import decimal
 import math
 
 import numpy as np
@@ -16,6 +17,18 @@ def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.
 def client_rngs(master_seed: int, round_index: int, ids) -> dict[int, np.random.Generator]:
     """The streams ``fed.run_round`` takes: each of ``ids`` to its ``client_rng``."""
     return {cid: client_rng(master_seed, round_index, cid) for cid in ids}
+
+
+def slope_oracle(x: float) -> float:
+    """log1p(x) - x/(1+x) in decimal arithmetic, correctly rounded to float.
+
+    The difference cancels about -log10(x) digits and 1 + x needs as many
+    more to be exact, so the precision grows with 1/x.
+    """
+    digits = 40 + 2 * max(0, math.ceil(-math.log10(x)))
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        one_plus = 1 + decimal.Decimal(x)
+        return float(one_plus.ln() - decimal.Decimal(x) / one_plus)
 
 
 def brute_force_alloc(

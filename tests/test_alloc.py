@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fedsim import alloc, wireless
 from fedsim.alloc import AllocProblem, AllocSolution
-from oracles import brute_force_alloc
+from oracles import brute_force_alloc, slope_oracle
 
 NOISE = 10 ** (-14.3) / 1e3  # -143 dBm/Hz in W/Hz
 GOLDEN = Path(__file__).parent / "fixtures" / "alloc_golden.jsonl"
@@ -116,6 +117,8 @@ class TestSolve:
                                      p.d, p.mu, p.noise_psd)
         assert sol.bits_continuous[0] == pytest.approx(expected_bits)
         assert sol.bits_floored[0] == int(expected_bits)
+        assert sol.iterations == 1  # one price, the marginal at the whole budget
+        assert sol.kkt_residual <= 1e-12
 
     def test_symmetric_devices_split_evenly(self):
         p = make_problem([1e-6, 1e-6])
@@ -310,6 +313,84 @@ def test_solver_beyond_oracle_sizes(m):
                 payload = p.d * (int(sol.bits_floored[i]) + 1) + p.mu
                 rate = wireless.rate_bps(sol.bandwidths[i], p.gains[i], p.noise_psd)
                 assert payload <= p.taus[i] * rate * (1 + 1e-12)
+
+
+def probe_problem(log_gains, w_total, alpha, k=1.0):
+    """A small payload that stays affordable at any bandwidth, so that the
+    solve reaches tiny x = P/(w N0): tau = 10 ms, N0 = 5e-18 W/Hz, d = 105,
+    mu = 128. ``k`` scales (w_total, noise_psd, taus) by (1/k, k, k), which
+    leaves every x and every bit count unchanged."""
+    m = len(log_gains)
+    return AllocProblem(gains=10.0 ** np.asarray(log_gains), taus=np.full(m, 1e-2 * k),
+                        w_total=w_total / k, alpha=alpha, d=105, mu=128,
+                        noise_psd=5e-18 * k)
+
+
+_CUTOFF = alloc._SERIES_CUTOFF
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.floats(-150, 6).map(lambda e: 10.0 ** e))
+@example(x=math.nextafter(_CUTOFF, 0.0))
+@example(x=_CUTOFF)
+@example(x=math.nextafter(_CUTOFF, 1.0))
+@example(x=1e-150)
+def test_slope_matches_the_exact_oracle(x):
+    """Both branches, the series below the cutoff and log1p(x) - x/(1+x)
+    above it, agree with a decimal evaluation to 1e-14 relative."""
+    assert alloc._slope(x) == pytest.approx(slope_oracle(x), rel=1e-14, abs=0)
+
+
+_LOG_GAINS = st.lists(st.floats(-11, -7), min_size=1, max_size=5)
+_ALPHAS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_gains=_LOG_GAINS, log_w=st.floats(3, 30), alpha=_ALPHAS)
+@example(log_gains=[-9, math.log10(2e-10), math.log10(5e-10)], log_w=30.0, alpha=0.5)
+def test_kkt_holds_at_every_bandwidth(log_gains, log_w, alpha):
+    """Stationarity to 1e-6 within the usual number of prices, from 1 kHz
+    to 1e30 Hz, where x falls to about 1e-24."""
+    sol = alloc.solve_alloc(probe_problem(log_gains, 10.0 ** log_w, alpha))
+    if sol.feasible:
+        assert sol.kkt_residual <= 1e-6
+        assert 1 <= sol.iterations <= MAX_PRICES
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_gains=_LOG_GAINS, log_w=st.floats(3, 150))
+@example(log_gains=[-6], log_w=79.0)
+def test_zero_bit_floor_is_the_root_at_any_bandwidth(log_gains, log_w):
+    """Newton starts left of the root however large the budget, so it climbs
+    to the root instead of bisecting down from 1e-12 of the budget."""
+    p = probe_problem(log_gains, 10.0 ** log_w, 0.5)
+    for i in range(p.num_devices):
+        def b(w):
+            return alloc.b_of_w(w, p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd)
+        if b(p.w_total) > 0.0:
+            w0 = alloc._w_zero(p, i)
+            assert b(w0) >= 0.0 > b(w0 * (1 - 1e-9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_gains=_LOG_GAINS, log_w=st.floats(3, 30), alpha=_ALPHAS,
+       log_k=st.floats(-20, 20))
+def test_scaling_bandwidth_noise_and_delay_scales_only_the_bandwidths(
+        log_gains, log_w, alpha, log_k):
+    k = 10.0 ** log_k
+    base = alloc.solve_alloc(probe_problem(log_gains, 10.0 ** log_w, alpha))
+    scaled = alloc.solve_alloc(probe_problem(log_gains, 10.0 ** log_w, alpha, k))
+    assert scaled.bits_floored.tolist() == base.bits_floored.tolist()
+    assert scaled.dropped == base.dropped
+    np.testing.assert_allclose(scaled.bandwidths * k, base.bandwidths, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("w_total", [1e160, 1e170, 1e200, 1e308])
+def test_slope_beyond_the_float_range_is_allocation_error(w_total):
+    """At 1e160 Hz b'(w) leaves the normal floats, from 1e170 Hz the slope
+    itself; either is one AllocationError, not a division by zero."""
+    with pytest.raises(alloc.AllocationError, match="^numerical breakdown: "):
+        alloc.solve_alloc(probe_problem([-9, -9.7, -9.3], w_total, 0.5))
 
 
 class TestBruteForceOracle:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fedsim import alloc, cli
+from fedsim import alloc, cli, harness
 from fedsim.alloc import AllocProblem, AllocSolution
 from fedsim.harness import ExperimentConfig, WirelessConfig
 
@@ -70,7 +70,7 @@ class TestRun:
         assert capsys.readouterr().out != first
 
     @pytest.mark.parametrize("field,value", [
-        ("alpha", -1), ("tau", 0), ("tau", -1), ("b_lower", 0), ("b_upper", 0),
+        ("alpha", -1), ("tau", 0), ("tau", -1), ("b_lower", 0), ("b_upper", 0), ("b_upper", 53),
         ("b_lower", 1.5), ("b_upper", 24.5), ("tau", "x"), ("enabled", 1),
         ("total_bandwidth_hz", 0), ("total_bandwidth_hz", -1),
     ])
@@ -88,7 +88,7 @@ class TestRun:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("field,value,message", [
-        ("total_bandwidth_hz", 1e30, "allocation failed: numerical breakdown"),
+        ("total_bandwidth_hz", 1e200, "allocation failed: numerical breakdown"),
         ("tau", 1e250, "allocation failed: device 0: bit count 4.27e+256 at the whole "
                        "bandwidth is not a finite number below 2**63"),
     ])
@@ -106,6 +106,62 @@ class TestRun:
         assert out == "" and not caught
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+
+    def test_allocation_at_1e30_hz_runs(self, tmp_path, capsys):
+        """x = P/(w N0) falls to about 1e-26 there; the slope's series keeps
+        the solve accurate where its two-term difference rounded to zero."""
+        raw = json.loads((CONFIGS / "wireless_fedqvr_e.json").read_text())
+        raw["wireless_cfg"]["total_bandwidth_hz"] = 1e30
+        raw["rounds"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("rounds=2 ") and err == "" and not caught
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(log_w=st.floats(-30, 308))
+    def test_any_bandwidth_runs_or_is_one_allocation_line(self, tmp_path, capsys, log_w):
+        raw = json.loads((CONFIGS / "wireless_fedqvr_e.json").read_text())
+        raw["wireless_cfg"]["total_bandwidth_hz"] = 10.0 ** log_w
+        raw["rounds"] = 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert not caught
+        if code == 0:
+            assert err == "" and out.count("\n") == 1
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith("error: allocation failed: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bits", [53, 64])
+    def test_bit_width_beyond_float64_levels_is_one_line(self, tmp_path, capsys, bits):
+        raw = json.loads((CONFIGS / "synthetic_fedqvr.json").read_text())
+        raw.update(rounds=1, bits=bits)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not caught
+        assert err == "error: invalid config: bits must lie in [1, 52] for fedqvr\n"
+
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+        monkeypatch.setattr(harness, "run_experiment", exhausted)
+        assert cli.main(["run", "--config", write_config(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array\n"
 
     @pytest.mark.parametrize("field,value", [
         ("sample_size", 5.0), ("rounds", 2.5), ("rounds", True), ("num_clients", 20.0),
@@ -358,6 +414,17 @@ class TestSweep:
             expected.append(f"[algorithm-{algorithm}] median over 4 seeds: "
                             f"accuracy={acc:.4f} uplink_bits={bits:.0f}")
         assert medians == expected
+
+    def test_out_of_memory_is_one_line_per_combination(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError()
+        monkeypatch.setattr(harness, "run_experiment", exhausted)
+        rc = cli.main(["sweep", "--config", write_config(tmp_path),
+                       "--grid", '{"eta": [0.01, 0.05]}', "--out-dir", str(tmp_path / "s")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "[eta-0.01] out of memory\n[eta-0.05] out of memory\n"
 
     def test_bad_grid_json(self, tmp_path):
         cfg = write_config(tmp_path)

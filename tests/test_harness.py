@@ -57,6 +57,7 @@ class TestConfig:
         ("gamma", -1.0, "gamma"),
         ("a", 1.5, "a must lie"),
         ("bits", 0, "bits"),
+        ("bits", 53, r"bits must lie in \[1, 52\]"),
         ("local_epochs", 0, "local_epochs"),
         ("seed", 1.5, "seed must be an integer"),
         ("out", 3, "out must be a string or null"),  # open() would take 3 as a descriptor

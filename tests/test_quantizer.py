@@ -92,6 +92,15 @@ class TestQuantizeDequantize:
             q.quantize(np.array([]), 2, rng=rng())
         with pytest.raises(ValueError):
             q.quantize(np.array([1.0]), 0, rng=rng())
+        with pytest.raises(ValueError, match=r"B must lie in \[1, 52\]"):
+            q.quantize(np.array([1.0]), 53, rng=rng())
+
+    def test_widest_bit_width_keeps_every_level_in_range(self):
+        """At B = 52 every level index and grid position is exact in float64."""
+        z = rng(9).normal(size=2000)
+        delta = q.quantize(z, q.MAX_BITS, rng=rng(10))
+        delta.validate()
+        np.testing.assert_allclose(q.dequantize(delta), z, rtol=0, atol=1e-14 * np.abs(z).max())
 
     def test_determinism_same_seed(self):
         z = rng(8).normal(size=32)
