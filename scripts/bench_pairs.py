@@ -3,10 +3,12 @@
 
 For each workload, runs ``perfbench/run.py`` at the held-out seed 1000 on a
 parent commit and on this checkout's working tree, ``--pairs`` times; odd
-pairs run the parent first, even pairs the change. The parent tree is
-extracted with ``git archive`` into a temporary directory, so the
-repository's ``.git`` is not touched. With ``--trace-workload``, it then
-runs one traced pair of that workload the same way.
+pairs run the parent first, even pairs the change. Both trees run from clean
+temporary directories: the parent is extracted with ``git archive``, and the
+change is a copy of the working-tree files git lists (tracked or untracked,
+not ignored), so neither carries caches the other lacks and the repository's
+``.git`` is not touched. With ``--trace-workload``, it then runs one traced
+pair of that workload the same way.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 10 \\
         --trace-workload scaffold_hlu --out BENCH_10.json
@@ -26,6 +28,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +50,19 @@ def extract(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     return sha
+
+
+def copy_worktree(dest: Path) -> None:
+    """Copy into ``dest`` the working-tree files that git tracks or would
+    track (untracked, not ignored); tracked files deleted from the tree are
+    skipped."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        src = ROOT / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def bench_args(workload: str, seconds: float, trace: int) -> list[str]:
@@ -126,9 +142,11 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        sha = extract(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp), "change": ROOT}
+    with (tempfile.TemporaryDirectory(prefix="bench-parent-") as parent,
+          tempfile.TemporaryDirectory(prefix="bench-change-") as change):
+        sha = extract(args.parent, Path(parent))
+        copy_worktree(Path(change))
+        trees = {"parent": Path(parent), "change": Path(change)}
         runs = pairs(trees, args.workloads, args.pairs,
                      lambda w: bench_args(w, args.seconds, 0))
         traced = (pairs(trees, [args.trace_workload], 1,

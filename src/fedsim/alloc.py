@@ -36,6 +36,7 @@ from .wireless import rate_bps
 _LN2 = math.log(2.0)
 _TINY = sys.float_info.min  # smallest positive normal float
 _NEWTON_STEPS = 200     # per root; a safeguard, Newton needs a handful
+_ULP_WALK = 64          # ulps walked from Newton's root of b(w); a safeguard, a few suffice
 _W_REL_TOL = 1e-9       # Newton stops at a step below this share of w
 _OUTER_REL_TOL = 1e-13  # price search stops at |sum w - w_total| below this share
 _OUTER_STEPS = 200      # prices tried per solve; a safeguard
@@ -149,8 +150,6 @@ class AllocSolution:
 
 def b_of_w(w: float, gain: float, tau: float, d: int, mu: int, noise_psd: float) -> float:
     """Continuous bit count affordable at bandwidth w with the delay binding."""
-    if w <= 0:
-        raise ValueError("bandwidth must be positive")
     return (tau * rate_bps(w, gain, noise_psd) - mu) / d - 1.0
 
 
@@ -188,7 +187,8 @@ def _newton(fn, w: float, lo: float, hi: float) -> float:
     """Root of ``fn``, increasing on [lo, hi], by Newton from w in [lo, hi].
 
     ``fn(w)`` returns the value and the derivative. Each evaluation narrows
-    the bracket; a step that leaves it is replaced by bisection.
+    the bracket; a step that leaves it is replaced by bisection. Running out
+    of steps fails the solve.
     """
     for _ in range(_NEWTON_STEPS):
         f, df = fn(w)
@@ -204,7 +204,8 @@ def _newton(fn, w: float, lo: float, hi: float) -> float:
         w -= step
         if not lo < w < hi:
             w = 0.5 * (lo + hi)
-    return w
+    raise AllocationError(f"numerical breakdown: Newton took {_NEWTON_STEPS} steps "
+                          f"without converging, at w = {w:.3g} Hz")
 
 
 def _w_zero(p: AllocProblem, i: int) -> float:
@@ -224,9 +225,12 @@ def _w_zero(p: AllocProblem, i: int) -> float:
     r = (p.d + p.mu) / tau * _LN2
     left = 0.5 * r * (r * noise_psd / gain)
     w = _newton(bits, min(1e-12 * p.w_total, left), 0.0, p.w_total)
-    while b_of_w(w, gain, tau, p.d, p.mu, noise_psd) < 0.0:
+    for _ in range(_ULP_WALK):
+        if b_of_w(w, gain, tau, p.d, p.mu, noise_psd) >= 0.0:
+            return w
         w = math.nextafter(w, math.inf)
-    return w
+    raise AllocationError(f"numerical breakdown: b(w) < 0 for {_ULP_WALK} ulps right of "
+                          f"Newton's root, up to w = {w:.3g} Hz")
 
 
 def _log_marginal(w: float, gain: float, noise_psd: float, tau: float,

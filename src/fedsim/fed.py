@@ -36,7 +36,7 @@ class ServerState:
 
 @dataclass
 class ClientState:
-    id: int
+    """A client's weight and control variate; its id is its index in the list."""
     p: float
     c_i: np.ndarray
 
@@ -68,11 +68,8 @@ class ClientUpload:
 
 @dataclass
 class RoundReport:
-    round: int
     active_ids: list[int]
     delivered_ids: list[int]
-    epochs: dict[int, int]
-    bits: dict[int, int]
     uplink_bits: int
 
 
@@ -313,8 +310,6 @@ def _cohort(plan: RoundPlan, clients: list[ClientState],
     epochs = np.array([plan.local_epochs[cid] for cid in ids], dtype=np.int64)
     if np.any(epochs < 1):
         raise ValueError("epochs must be >= 1")
-    if any(clients[cid].id != cid for cid in ids):
-        raise ValueError("clients list must be indexed by id")
     return ids, epochs, np.array([clients[cid].c_i for cid in ids]).reshape(len(ids), dim)
 
 
@@ -518,14 +513,10 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
     by_id = sorted((cid, j) for j, cid in enumerate(ids))
     new_server = algo.aggregate(spec, server, clients, plan,
                                 Cohort(epochs, start, theta, c_rows, row_rngs, by_id))
-    bits = {cid: plan.bits[cid] for cid in plan.active_set} if algo.quantized else {}
-    widths = Counter(bits.get(cid) for cid in ids)  # one cost per width, not per upload
+    widths = Counter(plan.bits.get(cid) for cid in ids)  # one cost per width, not per upload
     report = RoundReport(
-        round=server.round,
         active_ids=list(plan.active_set),
         delivered_ids=[cid for cid, _ in by_id],
-        epochs={cid: plan.local_epochs[cid] for cid in plan.active_set},
-        bits=bits,
         uplink_bits=sum(n * algo.payload_bits(spec, b) for b, n in widths.items()),
     )
     return new_server, report

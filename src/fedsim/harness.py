@@ -81,13 +81,13 @@ class WirelessConfig:
     r_max: float = 500.0
     trace_out: str | None = None  # JSON lines, one per channel draw
 
-    def budget(self) -> wireless.LinkBudget:
-        return wireless.LinkBudget(
-            tx_power_dbm=self.tx_power_dbm,
-            noise_psd_dbm_hz=self.noise_psd_dbm_hz,
-            total_bandwidth_hz=self.total_bandwidth_hz,
-            pathloss_exponent=self.pathloss_exponent,
-        )
+    @property
+    def tx_power_w(self) -> float:
+        return wireless.dbm_to_watts(self.tx_power_dbm)
+
+    @property
+    def noise_psd_w_hz(self) -> float:
+        return wireless.dbm_to_watts(self.noise_psd_dbm_hz)
 
 
 @dataclass
@@ -167,7 +167,7 @@ class ExperimentConfig:
         if not self.hlu and self.local_epochs < 1:
             errors.append("local_epochs must be >= 1")
         w = self.wireless_cfg
-        if w.total_bandwidth_hz <= 0:  # the link budget is built with the layer off too
+        if w.total_bandwidth_hz <= 0:
             errors.append("wireless total_bandwidth_hz must be positive")
         if w.enabled:
             if w.alpha < 0:
@@ -327,29 +327,30 @@ def _plan(cfg: ExperimentConfig, active: list[int], epochs: dict[int, int],
                      a=cfg.a, eta_g=cfg.eta_g, **kw)
 
 
-def _equal_split_plan(cfg, algo, spec, budget, sampled, epochs, draws) -> tuple[RoundPlan, int]:
+def _equal_split_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPlan, int]:
     """Every sampled device sends at ``cfg.bits`` over an equal bandwidth
     share; with the wireless layer on, an upload that misses the delay budget
     is lost. Returns the plan and the number of lost uploads."""
     failed: frozenset[int] = frozenset()
-    if cfg.wireless_cfg.enabled:
+    w = cfg.wireless_cfg
+    if w.enabled:
         bits = algo.payload_bits(spec, cfg.bits)
-        w_each = budget.total_bandwidth_hz / cfg.sample_size
+        w_each = w.total_bandwidth_hz / cfg.sample_size
         failed = frozenset(cid for cid in sampled if not wireless.transmission_ok(
-            bits, w_each, budget, draws[cid].gain, cfg.wireless_cfg.tau))
+            bits, w_each, w.tx_power_w * gains[cid], w.noise_psd_w_hz, w.tau))
     return _plan(cfg, sampled, epochs, {cid: cfg.bits for cid in sampled}, failed=failed), len(failed)
 
 
-def _allocated_plan(cfg, algo, spec, budget, sampled, epochs, draws) -> tuple[RoundPlan, int]:
+def _allocated_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPlan, int]:
     """fedqvr_e: the allocator gives each device its bandwidth and bits, and
     the devices it drops sit the round out. Returns the plan and the number
     of dropped devices."""
     w = cfg.wireless_cfg
     sol = alloc.solve_alloc(alloc.AllocProblem(
-        gains=np.array([budget.tx_power_w * draws[c].gain for c in sampled]),
-        taus=np.full(len(sampled), w.tau), w_total=budget.total_bandwidth_hz,
+        gains=np.array([w.tx_power_w * gains[c] for c in sampled]),
+        taus=np.full(len(sampled), w.tau), w_total=w.total_bandwidth_hz,
         alpha=w.alpha, d=spec.dim, mu=algo.mu(spec),
-        noise_psd=budget.noise_psd_w_hz, b_lower=w.b_lower))
+        noise_psd=w.noise_psd_w_hz, b_lower=w.b_lower))
     bits = {sampled[j]: min(int(sol.bits_floored[j]), w.b_upper)
             for j in range(len(sampled)) if j not in sol.dropped}
     return _plan(cfg, list(bits), epochs, bits, m_sampled=cfg.sample_size), len(sol.dropped)
@@ -368,15 +369,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
     theta0 = learner.init_params(spec, cfg.seed)
     server = ServerState(theta=theta0.copy(), c=np.zeros(spec.dim))
-    clients = [ClientState(id=i, p=float(part.weights[i]), c_i=np.zeros(spec.dim))
-               for i in range(cfg.num_clients)]
+    clients = [ClientState(p=float(p), c_i=np.zeros(spec.dim)) for p in part.weights]
 
     algo = ALGORITHMS[cfg.algorithm]
     run_round = getattr(fed, f"run_round_{algo.name}")
     plan_round = _allocated_plan if cfg.algorithm == "fedqvr_e" else _equal_split_plan
 
     wcfg = cfg.wireless_cfg
-    budget = wcfg.budget()
     distances = wireless.place_devices(
         cfg.num_clients, fed.generators(fed.stream_keys(cfg.seed, fed.PLACEMENT))[0],
         r_min=wcfg.r_min, r_max=wcfg.r_max)
@@ -397,19 +396,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     snapshot(0, 0, 0)
 
     for r, sampled, epochs, channel_seeds, client_seeds in _schedule(cfg):
-        draws: dict[int, wireless.ChannelDraw] = {}
+        gains: dict[int, float] = {}
         if wcfg.enabled:
             for cid, seeds in zip(sampled, channel_seeds):
-                draws[cid] = wireless.sample_channel(
-                    float(distances[cid]), budget, fed.generator(seeds))
+                gains[cid] = wireless.sample_channel(
+                    float(distances[cid]), wcfg.pathloss_exponent, fed.generator(seeds))
             if wcfg.trace_out:
-                channel_trace += ({"round": r, "device": cid, "distance_m": d.distance_m,
-                                   "gain": d.gain} for cid, d in draws.items())
+                channel_trace += ({"round": r, "device": cid, "distance_m": float(distances[cid]),
+                                   "gain": g} for cid, g in gains.items())
 
-        plan, dropped_count = plan_round(cfg, algo, spec, budget, sampled, epochs, draws)
-        row = {cid: j for j, cid in enumerate(sampled)}
-        rngs = {cid: fed.generator(client_seeds[row[cid]])
-                for cid in plan.active_set if cid not in plan.failed}
+        plan, dropped_count = plan_round(cfg, algo, spec, sampled, epochs, gains)
+        rngs = {cid: fed.generator(seeds) for cid, seeds in zip(sampled, client_seeds)
+                if cid in plan.active_set and cid not in plan.failed}
         server, report = run_round(spec, server, clients, client_data, plan, rngs)
 
         cumulative_bits += report.uplink_bits
@@ -417,8 +415,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             round_trace.append({
                 "round": r, "active": report.active_ids,
                 "delivered": report.delivered_ids,
-                "epochs": {str(k): v for k, v in report.epochs.items()},
-                "bits": {str(k): v for k, v in report.bits.items()},
+                "epochs": {str(k): v for k, v in plan.local_epochs.items()},
+                "bits": {str(k): v for k, v in plan.bits.items()} if algo.quantized else {},
                 "uplink_bits": report.uplink_bits,
             })
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:

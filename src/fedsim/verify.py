@@ -46,13 +46,12 @@ def check_control_variate_identity(seed: int = 2) -> tuple[bool, str]:
         X = rng.normal(size=(30, 5))
         y = rng.integers(0, 3, size=30)
         datasets.append((X, y))
-    weights = np.full(n_clients, 1.0 / n_clients)
     server = ServerState(theta=learner.init_params(spec, seed), c=np.zeros(spec.dim))
-    clients = [ClientState(id=i, p=float(weights[i]), c_i=np.zeros(spec.dim))
-               for i in range(n_clients)]
+    clients = [ClientState(p=1.0 / n_clients, c_i=np.zeros(spec.dim)) for _ in range(n_clients)]
     worst = 0.0
     for r in range(15):
-        active = fed.sample_clients(n_clients, m, np.random.default_rng([seed, r]))
+        active = fed.sample_clients(
+            n_clients, m, fed.generators(fed.stream_keys(seed, fed.SAMPLING, r))[0])
         plan = RoundPlan(active_set=active,
                          local_epochs={c: 2 for c in active},
                          bits={c: 2 for c in active},

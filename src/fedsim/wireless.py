@@ -3,40 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class LinkBudget:
-    tx_power_dbm: float = 30.0
-    noise_psd_dbm_hz: float = -143.0
-    total_bandwidth_hz: float = 1e8
-    pathloss_exponent: float = 2.0
-    pathloss_ref: float = 1e-3
-
-    def __post_init__(self):
-        if self.total_bandwidth_hz <= 0:
-            raise ValueError("total bandwidth must be positive")
-
-    @property
-    def tx_power_w(self) -> float:
-        return dbm_to_watts(self.tx_power_dbm)
-
-    @property
-    def noise_psd_w_hz(self) -> float:
-        return dbm_to_watts(self.noise_psd_dbm_hz)
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    distance_m: float
-    gain: float  # pathloss * |h|^2, |h|^2 ~ Exp(1)
-
-    def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("channel gain must be positive")
+PATHLOSS_REF = 1e-3  # path loss at the reference distance of 1 m
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -45,15 +15,15 @@ def dbm_to_watts(dbm: float) -> float:
 
 def sample_channel(
     distance_m: float,
-    budget: LinkBudget,
+    pathloss_exponent: float,
     rng: np.random.Generator,
-) -> ChannelDraw:
-    """Distance-dependent path loss times unit-mean exponential fading power."""
+) -> float:
+    """Channel gain: path loss times unit-mean fading power |h|^2 ~ Exp(1)."""
     if distance_m <= 0:
         raise ValueError("distance must be positive")
-    pathloss = budget.pathloss_ref * distance_m ** (-budget.pathloss_exponent)
+    pathloss = PATHLOSS_REF * distance_m ** (-pathloss_exponent)
     fading = rng.exponential(1.0)
-    return ChannelDraw(distance_m=distance_m, gain=pathloss * fading)
+    return pathloss * fading
 
 
 def place_devices(
@@ -77,23 +47,15 @@ def rate_bps(w_hz: float, rx_power_w: float, noise_psd_w_hz: float) -> float:
     return w_hz * math.log1p(rx_power_w / (w_hz * noise_psd_w_hz)) / math.log(2.0)
 
 
-def tx_delay(bits: int, rate: float) -> float:
-    """Transmission delay in seconds; infinite if the rate is zero."""
-    if rate <= 0:
-        return math.inf
-    return bits / rate
-
-
 def transmission_ok(
     bits: int,
     w_hz: float,
-    budget: LinkBudget,
-    gain: float,
+    rx_power_w: float,
+    noise_psd_w_hz: float,
     tau: float,
 ) -> bool:
     """True iff the payload fits within the delay budget (inclusive)."""
     if tau <= 0:
         raise ValueError("delay budget must be positive")
-    rate = rate_bps(w_hz, budget.tx_power_w * gain, budget.noise_psd_w_hz)
-    return tx_delay(bits, rate) <= tau
-
+    rate = rate_bps(w_hz, rx_power_w, noise_psd_w_hz)
+    return rate > 0 and bits / rate <= tau  # nothing arrives at a zero rate

@@ -98,8 +98,7 @@ def test_criterion_03_control_variate_identity(m):
     weights = sizes / sizes.sum()
     server = ServerState(theta=learner.init_params(spec, m),
                          c=np.zeros(spec.dim))
-    clients = [ClientState(id=i, p=float(weights[i]), c_i=np.zeros(spec.dim))
-               for i in range(n_clients)]
+    clients = [ClientState(p=float(p), c_i=np.zeros(spec.dim)) for p in weights]
     worst = 0.0
     for r in range(50):
         active = fed.sample_clients(n_clients, m, np.random.default_rng([m, r]))

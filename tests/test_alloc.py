@@ -59,7 +59,7 @@ class TestBitsOfBandwidth:
         assert b == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_zero_bandwidth(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bandwidth must be positive$"):
             alloc.b_of_w(0.0, 1e-6, 1e-3, 100, 10, NOISE)
 
 
@@ -370,6 +370,27 @@ def test_zero_bit_floor_is_the_root_at_any_bandwidth(log_gains, log_w):
         if b(p.w_total) > 0.0:
             w0 = alloc._w_zero(p, i)
             assert b(w0) >= 0.0 > b(w0 * (1 - 1e-9))
+
+
+def test_newton_out_of_steps_is_allocation_error():
+    """A sign change with no root in the floats: the bracket closes on 1.0
+    but no step falls below the tolerance, so the steps run out."""
+    with pytest.raises(alloc.AllocationError, match="^numerical breakdown: Newton"):
+        alloc._newton(lambda w: (-1.0 if w < 1.0 else 1.0, 1.0), 0.5, 0.0, 2.0)
+
+
+def test_zero_bit_floor_walks_a_bounded_number_of_ulps(monkeypatch):
+    """A Newton root a million ulps short of b(w) = 0 fails the solve instead
+    of being walked one ulp at a time."""
+    newton = alloc._newton
+
+    def short(*args):
+        w = newton(*args)
+        return w - 1e6 * math.ulp(w)
+
+    monkeypatch.setattr(alloc, "_newton", short)
+    with pytest.raises(alloc.AllocationError, match="^numerical breakdown: b\\(w\\) < 0"):
+        alloc._w_zero(make_problem([1e-6]), 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fedsim import alloc, cli, harness
+from fedsim import alloc, cli, fed, harness, verify
 from fedsim.alloc import AllocProblem, AllocSolution
 from fedsim.harness import ExperimentConfig, WirelessConfig
 
@@ -540,3 +540,19 @@ class TestVerify:
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_identity_check_samples_from_the_sampling_stream(self, monkeypatch):
+        """Round r's cohort comes from the key [seed, SAMPLING, r], as in a
+        run, not from [seed, r], the stream of the check's own client 0."""
+        states = []
+        sample_clients = fed.sample_clients
+
+        def capture(num_clients, m, rng):
+            states.append(rng.bit_generator.state)
+            return sample_clients(num_clients, m, rng)
+
+        monkeypatch.setattr(fed, "sample_clients", capture)
+        ok, _ = verify.check_control_variate_identity(seed=2)
+        assert ok
+        assert states == [np.random.default_rng([2, fed.SAMPLING, r]).bit_generator.state
+                          for r in range(15)]

@@ -23,8 +23,8 @@ def make_clients(n_clients, seed=0, n_samples=30, spec=SPEC):
     datasets = [(rng.normal(size=(n_samples, spec.input_dim)),
                  rng.integers(0, spec.num_classes, size=n_samples))
                 for _ in range(n_clients)]
-    clients = [ClientState(id=i, p=1.0 / n_clients, c_i=np.zeros(spec.dim))
-               for i in range(n_clients)]
+    clients = [ClientState(p=1.0 / n_clients, c_i=np.zeros(spec.dim))
+               for _ in range(n_clients)]
     return clients, datasets
 
 
