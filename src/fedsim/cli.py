@@ -88,11 +88,16 @@ def _cmd_sweep(args) -> int:
     except json.JSONDecodeError as e:
         print(f"error: bad grid JSON: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    if not isinstance(grid, dict) or not grid:
-        print("error: grid must be a non-empty JSON object of field -> values",
-              file=sys.stderr)
+    if (not isinstance(grid, dict) or not grid
+            or not all(isinstance(v, list) and v for v in grid.values())):
+        print("error: grid must be a non-empty JSON object of field -> non-empty list "
+              "of values", file=sys.stderr)
         return EXIT_VALIDATION
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create out-dir: {e}", file=sys.stderr)
+        return EXIT_IO
     keys = sorted(grid)
     status = EXIT_OK
     finals: dict[str, list[harness.MetricsRow]] = {}  # final rows by the non-seed values

@@ -266,12 +266,6 @@ def _build_task(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset, data
     return train, test, part
 
 
-def _model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> ModelSpec:
-    return ModelSpec(kind=cfg.model_kind, input_dim=input_dim,
-                     num_classes=num_classes,
-                     hidden_dim=cfg.hidden_dim if cfg.model_kind == learner.MLP else 0)
-
-
 def _epochs_for(cfg: ExperimentConfig, active: list[int],
                 rng: np.random.Generator | None) -> dict[int, int]:
     """Local steps per client: ``cfg.local_epochs``, or with HLU a draw from
@@ -359,7 +353,7 @@ def _allocated_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPlan,
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     cfg.validate()
     train, test, part = _build_task(cfg)
-    spec = _model_spec(cfg, train.features.shape[1], train.num_classes)
+    spec = ModelSpec(cfg.model_kind, train.features.shape[1], train.num_classes, cfg.hidden_dim)
     # global training loss is evaluated over the partitioned samples only
     used = np.concatenate(part.assignments)
     train_X, train_y = train.features[used], train.labels[used]

@@ -1,16 +1,19 @@
 """Differentiable classifiers over a flat parameter vector.
 
-Two model kinds are supported: multinomial logistic regression and a
-one-hidden-layer MLP with tanh activation (smooth, so finite-difference
-gradient checks hold everywhere). Parameters live in a single float64
-vector: per layer, weights row-major then biases. The gradient also takes a
-stack of such vectors, one per client, with one minibatch each.
+A model is a stack of affine layers given by its widths, input first:
+``[input_dim, num_classes]`` is multinomial logistic regression and
+``[input_dim, hidden_dim, num_classes]`` a one-hidden-layer MLP. Every layer
+but the last is followed by tanh (smooth, so finite-difference gradient
+checks hold everywhere). Parameters live in a single float64 vector: per
+layer, weights row-major then biases. The gradient also takes a stack of
+such vectors, one per client, with one minibatch each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -23,7 +26,7 @@ class ModelSpec:
     kind: str
     input_dim: int
     num_classes: int
-    hidden_dim: int = 0
+    hidden_dim: int = 0  # read only by the MLP
 
     def __post_init__(self):
         if self.kind not in (LOGISTIC, MLP):
@@ -33,21 +36,33 @@ class ModelSpec:
         if self.kind == MLP and self.hidden_dim <= 0:
             raise ValueError("MLP requires hidden_dim > 0")
 
-    def _block_sizes(self) -> list[int]:
-        """Sizes of the weight and bias blocks, in layout order."""
-        h, d, c = self.hidden_dim, self.input_dim, self.num_classes
-        return [c * d, c] if self.kind == LOGISTIC else [h * d, h, c * h, c]
+    @cached_property
+    def widths(self) -> tuple[int, ...]:
+        """Layer widths, input first: the one map from ``kind`` to layers."""
+        hidden = (self.hidden_dim,) if self.kind == MLP else ()
+        return (self.input_dim, *hidden, self.num_classes)
+
+    @cached_property
+    def _layers(self) -> tuple[tuple[int, int, int, tuple[int, int]], ...]:
+        """Per layer: weight start, bias start, bias stop, weight shape."""
+        layers, start = [], 0
+        for fan_in, fan_out in pairwise(self.widths):
+            bias = start + fan_out * fan_in
+            layers.append((start, bias, bias + fan_out, (fan_out, fan_in)))
+            start = bias + fan_out
+        return tuple(layers)
 
     @property
     def dim(self) -> int:
-        return sum(self._block_sizes())
+        return self._layers[-1][2]
 
     def layer_groups(self) -> list[tuple[int, int]]:
         """Contiguous (start, stop) ranges: one group per weight/bias block."""
-        return list(pairwise(accumulate(self._block_sizes(), initial=0)))
+        return [group for w, b, stop, _ in self._layers for group in ((w, b), (b, stop))]
 
-    def unpack(self, theta: np.ndarray):
-        """Views of the weight and bias blocks of ``theta``.
+    def unpack(self, theta: np.ndarray) -> list[np.ndarray]:
+        """Views of the blocks of ``theta``: per layer, weights (..., out, in)
+        then biases (..., out).
 
         ``theta`` is one flat vector or a stack ``(..., dim)`` of them; every
         block keeps the leading axes.
@@ -55,33 +70,21 @@ class ModelSpec:
         if theta.shape[-1:] != (self.dim,):
             raise ValueError(f"parameters of shape {theta.shape}, expected length {self.dim}")
         lead = theta.shape[:-1]
-        if self.kind == LOGISTIC:
-            w = self.num_classes * self.input_dim
-            W = theta[..., :w].reshape(*lead, self.num_classes, self.input_dim)
-            b = theta[..., w:]
-            return W, b
-        h, d, c = self.hidden_dim, self.input_dim, self.num_classes
-        o = 0
-        W1 = theta[..., o:o + h * d].reshape(*lead, h, d); o += h * d
-        b1 = theta[..., o:o + h]; o += h
-        W2 = theta[..., o:o + c * h].reshape(*lead, c, h); o += c * h
-        b2 = theta[..., o:]
-        return W1, b1, W2, b2
+        blocks = []
+        for w, b, stop, shape in self._layers:
+            blocks += (theta[..., w:b].reshape(lead + shape), theta[..., b:stop])
+        return blocks
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
-    """Seeded Gaussian init, scale 1/sqrt(fan_in) for weights, zero biases."""
+    """Seeded Gaussian init, scale 1/sqrt(fan_in) for weights, zero biases.
+
+    One stream draws the weight blocks in layer order.
+    """
     rng = np.random.default_rng(seed)
     theta = np.zeros(spec.dim)
-    if spec.kind == LOGISTIC:
-        w = spec.num_classes * spec.input_dim
-        theta[:w] = rng.normal(0.0, 1.0 / np.sqrt(spec.input_dim), w)
-        return theta
-    h, d, c = spec.hidden_dim, spec.input_dim, spec.num_classes
-    o = 0
-    theta[o:o + h * d] = rng.normal(0.0, 1.0 / np.sqrt(d), h * d); o += h * d
-    o += h
-    theta[o:o + c * h] = rng.normal(0.0, 1.0 / np.sqrt(h), c * h)
+    for w, b, _, (_, fan_in) in spec._layers:
+        theta[w:b] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), b - w)
     return theta
 
 
@@ -92,15 +95,13 @@ def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _logits(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    """Logits (..., n, classes) and, for the MLP, the hidden activations."""
-    if spec.kind == LOGISTIC:
-        W, b = spec.unpack(theta)
-        return _affine(X, W, b), None
-    W1, b1, W2, b2 = spec.unpack(theta)
-    H = _affine(X, W1, b1)
-    np.tanh(H, out=H)
-    return _affine(H, W2, b2), H
+def _forward(blocks: list[np.ndarray], X: np.ndarray):
+    """Logits (..., n, classes) and each layer's input, for ``unpack``'s blocks."""
+    inputs = [X]
+    for W, b in zip(blocks[:-2:2], blocks[1:-2:2]):
+        Z = _affine(inputs[-1], W, b)
+        inputs.append(np.tanh(Z, out=Z))
+    return _affine(inputs[-1], blocks[-2], blocks[-1]), inputs
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -114,7 +115,7 @@ def loss(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> fl
     """Mean cross-entropy over the slice."""
     if X.shape[0] == 0:
         raise ValueError("empty data slice")
-    logits, _ = _logits(spec, theta, X)
+    logits, _ = _forward(spec.unpack(theta), X)
     logp = _log_softmax(logits)
     return float(-logp[np.arange(y.size), y].mean())
 
@@ -123,7 +124,7 @@ def predict(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Predicted classes: argmax of the logits, ties to the lowest class."""
     if X.shape[0] == 0:
         raise ValueError("empty data slice")
-    logits, _ = _logits(spec, theta, X)
+    logits, _ = _forward(spec.unpack(theta), X)
     return logits.argmax(axis=1)
 
 
@@ -139,27 +140,22 @@ def grad(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np
     if X.shape[-2] == 0:
         raise ValueError("empty data slice")
     n = X.shape[-2]
-    p, H = _logits(spec, theta, X)
-    np.exp(_log_softmax(p), out=p)
-    p.reshape(-1, spec.num_classes)[np.arange(y.size), y.ravel()] -= 1.0
-    p /= n
-    pT = np.swapaxes(p, -1, -2)
+    blocks = spec.unpack(theta)
+    dZ, inputs = _forward(blocks, X)
+    np.exp(_log_softmax(dZ), out=dZ)
+    dZ.reshape(-1, spec.num_classes)[np.arange(y.size), y.ravel()] -= 1.0
+    dZ /= n
     g = np.empty(theta.shape)
-    if spec.kind == LOGISTIC:
-        gW, gb = spec.unpack(g)
-        np.matmul(pT, X, out=gW)
-        p.sum(axis=-2, out=gb)
-        return g
-    _, _, W2, _ = spec.unpack(theta)
-    gW1, gb1, gW2, gb2 = spec.unpack(g)
-    np.matmul(pT, H, out=gW2)
-    p.sum(axis=-2, out=gb2)
-    dZ1 = p @ W2  # dH, turned into dZ1 = dH * (1 - H^2) in place
-    H *= H
-    np.subtract(1.0, H, out=H)
-    dZ1 *= H
-    np.matmul(np.swapaxes(dZ1, -1, -2), X, out=gW1)
-    dZ1.sum(axis=-2, out=gb1)
+    grads = spec.unpack(g)
+    for i in reversed(range(len(inputs))):
+        A = inputs[i]
+        np.matmul(np.swapaxes(dZ, -1, -2), A, out=grads[2 * i])
+        dZ.sum(axis=-2, out=grads[2 * i + 1])
+        if i:  # A = tanh(Z) of the layer below, whose dZ = (dZ @ W) * (1 - A^2)
+            dZ = dZ @ blocks[2 * i]
+            A *= A
+            np.subtract(1.0, A, out=A)
+            dZ *= A
     return g
 
 

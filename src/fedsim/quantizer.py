@@ -164,15 +164,21 @@ def dequantize(q: QuantizedDelta) -> np.ndarray:
                               q.upper_bounds, sizes, (1 << q.bits_per_element) - 1)
 
 
-def _batched_dequantized(z, B, n, rng):
-    """n independent dequantized draws of quantize(z, B), whole-vector bounds."""
+def _dequantized_draws(z, B, trials, rng):
+    """``trials`` independent dequantized draws of quantize(z, B) with
+    whole-vector bounds, yielded as (n, d) chunks of at most ~200k elements."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     mags = np.abs(z)
     signs = _signs(z)
     lows, highs = mags.min(keepdims=True), mags.max(keepdims=True)
     k = (1 << B) - 1
     lo, scale = _level_grid(lows, highs, [z.size], k)
-    levels = _draw_levels(mags, lo, scale, k, rng.random((n, z.size)))
-    return _dequantize_levels(levels, signs, lows, highs, [z.size], k)
+    chunk = max(1, min(trials, 200_000 // max(1, z.size)))
+    for done in range(0, trials, chunk):
+        u = rng.random((min(chunk, trials - done), z.size))
+        yield _dequantize_levels(_draw_levels(mags, lo, scale, k, u), signs, lows, highs,
+                                 [z.size], k)
 
 
 def omega_bound(z: np.ndarray, B: int) -> float:
@@ -198,20 +204,13 @@ def empirical_omega(
 ) -> float:
     """Mean relative quantization error over independent draws."""
     z = np.asarray(z, dtype=np.float64)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     norm_sq = float(z @ z)
     if norm_sq == 0.0:
         raise ValueError("relative error undefined for the zero vector")
     total = 0.0
-    chunk = max(1, min(trials, 200_000 // max(1, z.size)))
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        deq = _batched_dequantized(z, B, n, rng)
+    for deq in _dequantized_draws(z, B, trials, rng):
         err = deq - z
         total += float(np.einsum("ij,ij->", err, err))
-        done += n
     return total / (trials * norm_sq)
 
 
@@ -224,10 +223,6 @@ def empirical_mean_dequantized(
     """Element-wise mean of ``trials`` dequantized draws (unbiasedness probe)."""
     z = np.asarray(z, dtype=np.float64)
     acc = np.zeros(z.size)
-    chunk = max(1, min(trials, 200_000 // max(1, z.size)))
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        acc += _batched_dequantized(z, B, n, rng).sum(axis=0)
-        done += n
+    for deq in _dequantized_draws(z, B, trials, rng):
+        acc += deq.sum(axis=0)
     return acc / trials

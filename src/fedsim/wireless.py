@@ -26,12 +26,8 @@ def sample_channel(
     return pathloss * fading
 
 
-def place_devices(
-    num_devices: int,
-    rng: np.random.Generator,
-    r_min: float = 10.0,
-    r_max: float = 500.0,
-) -> np.ndarray:
+def place_devices(num_devices: int, rng: np.random.Generator,
+                  r_min: float, r_max: float) -> np.ndarray:
     """Distances of devices placed uniformly (by area) in an annulus."""
     u = rng.random(num_devices)
     return np.sqrt(r_min**2 + u * (r_max**2 - r_min**2))

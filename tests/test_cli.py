@@ -433,6 +433,27 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--grid", "[]",
                          "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("grid", ['{"eta": 0.1}', '{"eta": []}', '{"eta": [0.1], "bits": 2}'])
+    def test_grid_value_that_is_not_a_non_empty_list_is_one_line(self, tmp_path, capsys, grid):
+        out_dir = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", write_config(tmp_path), "--grid", grid,
+                       "--out-dir", str(out_dir)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: grid must be ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_out_dir_that_is_a_file_is_one_io_line(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = cli.main(["sweep", "--config", write_config(tmp_path), "--grid", '{"eta": [0.01]}',
+                       "--out-dir", str(taken)])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot create out-dir: ") and err.count("\n") == 1
+
 
 class TestAlloc:
     def test_solves_problem_file(self, tmp_path, capsys):

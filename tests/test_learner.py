@@ -20,6 +20,12 @@ class TestModelSpec:
         assert LOG_SPEC.dim == 4 * 6 + 4
         assert MLP_SPEC.dim == 5 * 6 + 5 + 4 * 5 + 4
 
+    def test_widths_map_kind_to_layers(self):
+        assert LOG_SPEC.widths == (6, 4)
+        assert MLP_SPEC.widths == (6, 5, 4)
+        # the harness passes its hidden_dim for every kind; logistic ignores it
+        assert ModelSpec(kind=LOGISTIC, input_dim=6, num_classes=4, hidden_dim=16).widths == (6, 4)
+
     def test_layer_groups_tile_dim(self):
         for spec in (LOG_SPEC, MLP_SPEC):
             groups = spec.layer_groups()

@@ -145,6 +145,11 @@ class TestOmega:
         with pytest.raises(ValueError):
             q.empirical_omega(np.zeros(5), 2, 10, rng())
 
+    @pytest.mark.parametrize("probe", [q.empirical_omega, q.empirical_mean_dequantized])
+    def test_probes_need_at_least_one_trial(self, probe):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            probe(np.ones(5), 2, 0, rng())
+
     def test_empirical_bounded_by_omega(self):
         r = rng(14)
         z = r.uniform(-0.4, 0.4, size=100)
