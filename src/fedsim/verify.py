@@ -95,7 +95,8 @@ def check_alloc_kkt(seed: int = 4) -> tuple[bool, str]:
         p = alloc.AllocProblem(
             gains=rng.uniform(1e-8, 1e-5, size=m),
             taus=np.full(m, 1e-3),
-            w_total=float(10 ** rng.uniform(3, 30)), alpha=float(rng.choice([0.0, 0.5, 0.9])),
+            w_total=float(10 ** rng.uniform(3, 30)),
+            alpha=float(rng.choice([0.0, 0.5, 0.9, 2.0, 1000.0])),
             d=10_000, mu=384, noise_psd=10 ** (-14.3) / 1000)
         sol = alloc.solve_alloc(p)
         if sol.feasible:

@@ -187,9 +187,9 @@ def test_criterion_06_gradient_correctness(spec):
 
 
 def test_criterion_07_allocation_matches_grid_oracle():
-    """The Newton/Illinois dual solution (safeguarded Newton per device, an
-    Illinois step on the log price) agrees with a zooming grid search and
-    satisfies the stationarity/budget conditions."""
+    """The dual Newton solution (safeguarded Newton per device, a Newton step
+    on the log price from the slices' summed derivatives) agrees with a
+    zooming grid search and satisfies the stationarity/budget conditions."""
     rng = np.random.default_rng(77)
     worst_gap = 0.0
     worst_kkt = 0.0

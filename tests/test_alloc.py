@@ -156,8 +156,9 @@ class TestSolve:
         assert not sol.dropped
         kept = list(range(p.num_devices))
         floors = [alloc._w_zero(p, i) for i in kept]
-        assert alloc.kkt_residual(p, sol.bandwidths, sol.dual_lambda, kept, floors) <= 1e-6
-        assert alloc.kkt_residual(p, bent, sol.dual_lambda, kept, floors) > 1e-3
+        log_lam = math.log(sol.dual_lambda)
+        assert alloc.kkt_residual(p, sol.bandwidths, log_lam, kept, floors) <= 1e-6
+        assert alloc.kkt_residual(p, bent, log_lam, kept, floors) > 1e-3
 
     def test_objective_increases_with_budget(self):
         rng = np.random.default_rng(2)
@@ -282,9 +283,19 @@ class TestGolden:
             np.testing.assert_allclose(sol.bandwidths, rec["bandwidths"],
                                        rtol=1e-6, atol=0, err_msg=where)
 
+    def test_prices_per_solve(self):
+        """Newton on the log price tries 4.43 prices per golden solve and at
+        most 6; the Illinois iteration it replaced tried 9.33 and at most 10."""
+        prices = [alloc.solve_alloc(AllocProblem.from_json(json.dumps(json.loads(line)["problem"])))
+                  .iterations for line in GOLDEN.read_text().splitlines()]
+        assert np.mean(prices) <= 6
+        assert max(prices) <= 7
 
-# Illinois on the log price needs at most 15 prices on this family; bisection
-# on the same bracket needs 35 to 46 to reach the stopping tolerance.
+
+# Newton on the log price needs at most 9 prices on this family (m = 500,
+# alpha = 0, where devices reach their floors one price after another), and
+# the Illinois iteration it replaced at most 15; bisection on the same bracket
+# needs 35 to 46 to reach the stopping tolerance.
 MAX_PRICES = 20
 
 
@@ -385,8 +396,8 @@ def test_zero_bit_floor_walks_a_bounded_number_of_ulps(monkeypatch):
     newton = alloc._newton
 
     def short(*args):
-        w = newton(*args)
-        return w - 1e6 * math.ulp(w)
+        w, df = newton(*args)
+        return w - 1e6 * math.ulp(w), df
 
     monkeypatch.setattr(alloc, "_newton", short)
     with pytest.raises(alloc.AllocationError, match="^numerical breakdown: b\\(w\\) < 0"):
@@ -412,6 +423,84 @@ def test_slope_beyond_the_float_range_is_allocation_error(w_total):
     itself; either is one AllocationError, not a division by zero."""
     with pytest.raises(alloc.AllocationError, match="^numerical breakdown: "):
         alloc.solve_alloc(probe_problem([-9, -9.7, -9.3], w_total, 0.5))
+
+
+def first_price_and_bracket(p):
+    """The price search's first price, where the slices linearised at their
+    equal-spare points sum to the budget, and its bracket, for a problem
+    that keeps every device."""
+    devs = [(p.gains[i], p.noise_psd, p.taus[i], p.d, p.mu, p.alpha)
+            for i in range(p.num_devices)]
+    floors = [alloc._w_zero(p, i) for i in range(p.num_devices)]
+    spare = (p.w_total - sum(floors)) / p.num_devices
+    at_spare = [alloc._log_marginal(f + spare, *dev) for f, dev in zip(floors, devs)]
+    at_cap = [alloc._log_marginal(p.w_total - sum(floors) + f, *dev)[0]
+              for f, dev in zip(floors, devs)]
+    at_floor = [alloc._log_marginal(f, *dev)[0] if p.alpha == 0.0 else math.inf
+                for f, dev in zip(floors, devs)]
+    first = (sum(val / dval for val, dval in at_spare)
+             / sum(1.0 / dval for _, dval in at_spare))
+    levels = [val for val, _ in at_spare]
+    return first, max(min(levels), max(at_cap)), min(max(levels), max(at_floor))
+
+
+def assert_solved(p, sol):
+    assert sol.feasible
+    assert sol.kkt_residual <= 1e-6
+    used = sol.bandwidths[sol.bandwidths > 0].sum()
+    assert abs(used - p.w_total) <= 1e-12 * p.w_total
+
+
+def test_first_price_outside_the_bracket():
+    """The slices linearised at their equal-spare points spend the budget at
+    a price below the bracket, so the search starts from its low end."""
+    p = make_problem([1e-10, 4e-6], w_total=1e9, alpha=1.0)
+    first, t_lo, t_hi = first_price_and_bracket(p)
+    assert first < t_lo < t_hi
+    sol = alloc.solve_alloc(p)
+    assert not sol.dropped
+    assert_solved(p, sol)
+    assert sol.iterations <= MAX_PRICES
+
+
+def test_every_kept_device_pinned():
+    """alpha = 0: the strong device's marginal at its cap is above the weak
+    one's at its floor. At the price where the strong slice leaves its cap the
+    weak one holds its floor, so every kept slice sits at a bound, and below
+    that price the excess has no slope. The weak device's zero bits then drop
+    it."""
+    p = make_problem([1e-5, 1e-9], alpha=0.0)
+    sol = alloc.solve_alloc(p)
+    floor = alloc._w_zero(p, 1)
+    np.testing.assert_allclose(sol.bandwidths, [p.w_total - floor, floor], rtol=1e-12, atol=0)
+    assert sol.dropped == {1}
+    assert_solved(p, sol)
+    # the price is the strong device's marginal at its cap, an end of the bracket
+    assert sol.iterations == 1
+
+
+@pytest.mark.parametrize("alpha", [300.0, 1000.0])
+def test_kkt_residual_when_the_price_underflows(alpha):
+    """At alpha = 1000 the price exp(t) is below the smallest float; the
+    residual is formed from the log price t, so it stays measured."""
+    p = AllocProblem(gains=np.array([1e-9, 2e-9, 5e-9]), taus=np.full(3, 4e-6), w_total=1e8,
+                     alpha=alpha, d=105, mu=128, noise_psd=5e-18)
+    sol = alloc.solve_alloc(p)
+    assert (sol.dual_lambda == 0.0) == (alpha == 1000.0)
+    assert sol.bits_floored.tolist() == [2, 2, 2]
+    assert_solved(p, sol)
+
+
+def test_price_finer_than_a_float_ulp():
+    """At alpha = 1000 and 2e20 Hz one ulp of the log price moves the large
+    slice by more than the stopping tolerance; the search stops once a Newton
+    step rounds to no move, and the slack goes to that slice."""
+    p = AllocProblem(gains=np.array([3.6e-6, 7e-6]), taus=np.full(2, 1.8e-3), w_total=2e20,
+                     alpha=1000.0, d=10_000, mu=384, noise_psd=NOISE)
+    sol = alloc.solve_alloc(p)
+    assert not sol.dropped
+    assert_solved(p, sol)
+    assert sol.iterations <= MAX_PRICES
 
 
 class TestBruteForceOracle:
