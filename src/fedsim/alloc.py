@@ -132,7 +132,7 @@ class AllocSolution:
     bits_continuous: np.ndarray
     bits_floored: np.ndarray
     dropped: set[int] = field(default_factory=set)
-    dual_lambda: float = 0.0
+    log_price: float = -math.inf  # log of the bandwidth price, which over- and underflows
     kkt_residual: float = 0.0
     feasible: bool = True
     objective: float = -math.inf
@@ -144,7 +144,7 @@ class AllocSolution:
             "bits_continuous": self.bits_continuous.tolist(),
             "bits_floored": self.bits_floored.tolist(),
             "dropped": sorted(self.dropped),
-            "dual_lambda": self.dual_lambda,
+            "log_price": self.log_price,
             "kkt_residual": self.kkt_residual,
             "feasible": self.feasible,
             "objective": self.objective,
@@ -177,14 +177,22 @@ def _slope(x: float) -> float:
 
 
 def utility(x: float, alpha: float) -> float:
-    """alpha-fair utility x^(1-alpha)/(1-alpha); log(x) at alpha = 1."""
+    """alpha-fair utility x^(1-alpha)/(1-alpha); log(x) at alpha = 1.
+
+    For alpha > 1 and x < 1 the power can exceed the float range; the
+    utility is then its limit, -inf.
+    """
+    x = float(x)  # a float power raises on overflow, where numpy's warns
     if alpha == 1.0:
         return math.log(x) if x > 0 else -math.inf
     if x < 0:
         return -math.inf
     if x == 0.0:
         return -math.inf if alpha > 1.0 else 0.0
-    return x ** (1.0 - alpha) / (1.0 - alpha)
+    try:
+        return x ** (1.0 - alpha) / (1.0 - alpha)
+    except OverflowError:
+        return -math.inf
 
 
 def _newton(fn, w: float, lo: float, hi: float) -> tuple[float, float]:
@@ -408,7 +416,7 @@ def solve_alloc(p: AllocProblem) -> AllocSolution:
         bits[i] = b_of_w(bands[i], p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd)
     sol = AllocSolution(bandwidths=bands, bits_continuous=bits,
                         bits_floored=np.zeros(n, dtype=np.int64), dropped=dropped,
-                        dual_lambda=math.exp(t),
+                        log_price=t,
                         kkt_residual=kkt_residual(p, bands, t, kept, floors),
                         objective=objective_value(p, bands, kept), iterations=iterations)
     return floor_and_drop(p, sol)

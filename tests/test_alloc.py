@@ -156,7 +156,7 @@ class TestSolve:
         assert not sol.dropped
         kept = list(range(p.num_devices))
         floors = [alloc._w_zero(p, i) for i in kept]
-        log_lam = math.log(sol.dual_lambda)
+        log_lam = sol.log_price
         assert alloc.kkt_residual(p, sol.bandwidths, log_lam, kept, floors) <= 1e-6
         assert alloc.kkt_residual(p, bent, log_lam, kept, floors) > 1e-3
 
@@ -209,7 +209,7 @@ class TestSolve:
         np.testing.assert_allclose(restored["bits_continuous"], sol.bits_continuous)
         np.testing.assert_array_equal(restored["bits_floored"], sol.bits_floored)
         assert set(restored["dropped"]) == sol.dropped
-        assert restored["dual_lambda"] == sol.dual_lambda
+        assert restored["log_price"] == sol.log_price
         assert restored["kkt_residual"] == sol.kkt_residual
         assert restored["objective"] == sol.objective
         assert restored["feasible"] == sol.feasible
@@ -486,7 +486,7 @@ def test_kkt_residual_when_the_price_underflows(alpha):
     p = AllocProblem(gains=np.array([1e-9, 2e-9, 5e-9]), taus=np.full(3, 4e-6), w_total=1e8,
                      alpha=alpha, d=105, mu=128, noise_psd=5e-18)
     sol = alloc.solve_alloc(p)
-    assert (sol.dual_lambda == 0.0) == (alpha == 1000.0)
+    assert (math.exp(sol.log_price) == 0.0) == (alpha == 1000.0)
     assert sol.bits_floored.tolist() == [2, 2, 2]
     assert_solved(p, sol)
 

@@ -121,6 +121,21 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out.startswith("rounds=2 ") and err == "" and not caught
 
+    def test_allocation_at_alpha_1000_runs(self, tmp_path, capsys):
+        """The bandwidth price exp(t) overflows a float at alpha = 1000, and
+        so does a utility x^(1 - alpha) with x < 1; the solve keeps the log
+        price, and the objective takes the utility's limit, -inf."""
+        raw = json.loads((CONFIGS / "wireless_fedqvr_e.json").read_text())
+        raw["wireless_cfg"]["alpha"] = 1000.0
+        raw["rounds"] = 30
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("rounds=30 ") and err == "" and not caught
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(log_w=st.floats(-30, 308))
