@@ -28,7 +28,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fedsim import data, harness, learner
+from fedsim import data, fed, harness, learner
 from fedsim.harness import ExperimentConfig, WirelessConfig
 from fedsim.learner import LOGISTIC, ModelSpec
 
@@ -49,9 +49,11 @@ def config(algorithm: str, seed: int, rounds: int, eval_every: int, bits: int = 
 
 
 def criterion_9(seed: int, rounds: int) -> dict:
-    train, test = data.make_synth_task(5, 20, 200, 100, 3.0, seed)
+    # the run's dataset and initial model, from their streams
+    data_rng, init_rng = fed.generators(fed.stream_keys(seed, [fed.DATA, fed.INIT]))
+    train, test = data.make_synth_task(5, 20, 200, 100, 3.0, data_rng)
     spec = ModelSpec(kind=LOGISTIC, input_dim=20, num_classes=5)
-    theta = learner.init_params(spec, seed)
+    theta = learner.init_params(spec, init_rng)
     for _ in range(400):
         theta -= 0.5 * learner.grad(spec, theta, train.features, train.labels)
     target = 0.9 * harness.evaluate(spec, theta, test.features, test.labels)

@@ -177,21 +177,15 @@ def _slope(x: float) -> float:
 
 
 def utility(x: float, alpha: float) -> float:
-    """alpha-fair utility x^(1-alpha)/(1-alpha); log(x) at alpha = 1.
-
-    For alpha > 1 and x < 1 the power can exceed the float range; the
-    utility is then its limit, -inf.
-    """
-    x = float(x)  # a float power raises on overflow, where numpy's warns
-    if alpha == 1.0:
-        return math.log(x) if x > 0 else -math.inf
+    """alpha-fair utility x^(1-alpha)/(1-alpha); log(x) at alpha = 1. Where
+    that is no finite float (x = 0 at alpha >= 1, or a power beyond the float
+    range at alpha > 1) it is its limit, -inf."""
+    x = float(x)  # float arithmetic raises where numpy's would warn
     if x < 0:
         return -math.inf
-    if x == 0.0:
-        return -math.inf if alpha > 1.0 else 0.0
     try:
-        return x ** (1.0 - alpha) / (1.0 - alpha)
-    except OverflowError:
+        return math.log(x) if alpha == 1.0 else x ** (1.0 - alpha) / (1.0 - alpha)
+    except (ValueError, ZeroDivisionError, OverflowError):
         return -math.inf
 
 

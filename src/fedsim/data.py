@@ -96,14 +96,13 @@ def make_synth_task(
     samples_per_class: int,
     test_samples_per_class: int,
     separation: float,
-    seed: int,
+    rng: np.random.Generator,
 ) -> tuple[Dataset, Dataset]:
-    """Train/test datasets drawn from the same class clusters: Gaussian with
-    unit covariance around class means of norm ``separation``."""
+    """Train/test datasets drawn from ``rng`` around the same class clusters:
+    Gaussian with unit covariance around class means of norm ``separation``."""
     if min(num_classes, dim, samples_per_class, test_samples_per_class) < 1:
         raise ValueError("num_classes, dim, samples_per_class and "
                          "test_samples_per_class must be positive")
-    rng = np.random.default_rng([seed, 0x5D])
     means = rng.normal(size=(num_classes, dim))
     means = separation * means / np.linalg.norm(means, axis=1, keepdims=True)
 

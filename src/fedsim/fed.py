@@ -5,9 +5,10 @@ server and clients, geometric-weighted local updates, quantized uplink of
 model differences) alongside plain federated averaging and the SCAFFOLD
 baseline. The three share one round engine, ``run_round``; each algorithm is
 an object with its start point, local step, aggregate and upload cost. All
-randomness flows through streams keyed by (seed, label, round, client), so
-results are independent of client scheduling order; ``stream_seeds`` derives
-them, many keys at a time.
+randomness flows through streams keyed by the five 32-bit words (seed low,
+seed high, label, round, client), so results are independent of client
+scheduling order; ``stream_keys`` lays the keys out and ``stream_seeds``
+hashes them, many keys at a time.
 """
 
 from __future__ import annotations
@@ -73,29 +74,53 @@ class RoundReport:
     uplink_bits: int
 
 
-# Stream labels. Each random stream of a run is keyed by a list of
-# non-negative integers that starts with the run's seed (README, "Random
-# streams"): [seed, PARTITION] and [seed, PLACEMENT] once per run,
-# [seed, SAMPLING, r] and [seed, HLU, r] for round r, [seed, CHANNEL, r, c]
-# for client c's fading in round r, and [seed, r, c], with no label, for
-# client c's minibatches and quantizer in round r.
-PARTITION, PLACEMENT, SAMPLING, CHANNEL, HLU = 1, 2, 3, 4, 5
+# Stream labels. A key is five 32-bit words [seed_lo, seed_hi, label, round,
+# client], with a label that is never 0 and round = client = 0 for a stream
+# drawn once per run (README, "Random streams"). Only this module knows the
+# layout: every key is made by ``stream_keys``.
+PARTITION, PLACEMENT, SAMPLING, CHANNEL, HLU, CLIENT, INIT, DATA = range(1, 9)
+KEY_WORDS = 5
+
+_MASK32 = 0xFFFFFFFF
 
 
-def stream_keys(seed: int, *columns) -> np.ndarray:
-    """Keys [seed, *columns] as the rows of a uint64 array; each column is an
-    integer or a 1-D array, and together they give one key per row."""
-    return np.atleast_2d(np.stack(np.broadcast_arrays(
-        *(np.asarray(c, dtype=np.uint64) for c in (seed, *columns))), axis=-1))
+def stream_keys(seed: int, label, rounds=0, clients=0) -> np.ndarray:
+    """Keys [seed_lo, seed_hi, label, round, client] as the rows of an (n, 5)
+    uint32 array; ``label``, ``rounds`` and ``clients`` are integers or 1-D
+    arrays that broadcast to one key per row. An entry that does not fit its
+    words (a label must also be >= 1) raises ValueError; none is wrapped."""
+    key = np.atleast_2d(np.stack(np.broadcast_arrays(
+        *map(np.asarray, (seed & _MASK32, seed >> 32, label, rounds, clients))), axis=-1))
+    if not (np.all((key >= 0) & (key <= _MASK32)) and np.all(key[:, 2] >= 1)):
+        raise ValueError("stream key entries must fit their 32-bit words: seed in [0, 2**64), "
+                         "label in [1, 2**32), round and client in [0, 2**32)")
+    return key.astype(np.uint32)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its default
 # pool of four 32-bit words
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constants of ``calls`` hashmix calls, one row per call and one more."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(calls + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+# a key's hashmix calls: its four pool words, the 4 x 3 pool mixes, then its
+# fifth word once per pool word; and the eight calls that draw the state
+_HASH_A = _constants(0x43B0D7E5, 0x931E8875, _POOL + _POOL * (_POOL - 1) + _POOL)
+_HASH_B = _constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray, k: int) -> np.ndarray:
+    """SeedSequence's hashmix of each row i of ``v`` as its call k + i: an
+    xor with constant k + i, then a product with constant k + i + 1."""
+    v = v ^ consts[k:k + len(v)]
+    v *= consts[k + 1:k + 1 + len(v)]
+    return v ^ (v >> np.uint32(16))
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,56 +130,29 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def stream_seeds(keys) -> np.ndarray:
     """The PCG64 seed words that ``np.random.default_rng(list(key))`` derives
-    from each row of ``keys``, an (n, k) array of integers in [0, 2**64), k >= 1.
+    from each row of ``keys``, an (n, 5) array of 32-bit words such as
+    ``stream_keys`` gives.
 
     Returns (n, 4) uint64: ``SeedSequence(key).generate_state(4, np.uint64)``
     for each row, computed with uint32 array operations over all rows at once.
-    SeedSequence turns each entry into its 32-bit words, low word first (one
-    word below 2**32, else two), hashes the first four words into its pool
-    (missing words count as 0), mixes the pool, then mixes in every further
-    word. The hash constants advance the same way for every key, so rows
-    with fewer words just skip those updates.
+    SeedSequence hashes the first four words into its pool, mixes each pool
+    word into the three others, then the fifth word into every pool word, and
+    draws the state from the pool; calls that do not depend on each other
+    run as the rows of one operation.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    n = keys.shape[0]
-    lo = (keys & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (keys >> np.uint64(32)).astype(np.uint32)
-    two = hi != 0
-    ends = np.cumsum(1 + two, axis=1)  # one past each entry's last word
-    lengths = ends[:, -1]
-    words = np.zeros((n, max(_POOL, int(lengths.max(initial=0)))), dtype=np.uint32)
-    rows = np.arange(n)[:, None]
-    words[rows, ends - 1 - two] = lo
-    r2, c2 = np.nonzero(two)
-    words[r2, ends[r2, c2] - 1] = hi[r2, c2]
-
-    const = _INIT_A
-
-    def hashmix(v: np.ndarray) -> np.ndarray:
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = (const * _MULT_A) & _MASK32
-        v = v * np.uint32(const)
-        return v ^ (v >> np.uint32(16))
-
-    pool = [hashmix(words[:, i]) for i in range(_POOL)]
+    words = np.asarray(keys, dtype=np.uint32)
+    if words.ndim != 2 or words.shape[1] != KEY_WORDS:
+        raise ValueError(f"keys must be an (n, {KEY_WORDS}) array, got shape {words.shape}")
+    words = words.T
+    pool = _hashmix(words[:_POOL], _HASH_A, 0)
+    k = _POOL
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, words.shape[1]):
-        more = lengths > src
-        for dst in range(_POOL):
-            pool[dst] = np.where(more, _mix(pool[dst], hashmix(words[:, src])), pool[dst])
-
-    const = _INIT_B
-    state = np.empty((n, 8), dtype=np.uint64)
-    for i in range(8):
-        v = pool[i % _POOL] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        v = v * np.uint32(const)
-        state[:, i] = v ^ (v >> np.uint32(16))
-    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[[src] * len(dst)], _HASH_A, k))
+        k += len(dst)
+    pool = _mix(pool, _hashmix(words[[_POOL] * _POOL], _HASH_A, k))
+    state = _hashmix(pool[[*range(_POOL)] * 2], _HASH_B, 0).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
 
 
 class _SeedWords(ISeedSequence):
@@ -497,8 +495,8 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
     compute them: they keep their control variates, as inactive clients do,
     and divergence is checked on the iterates the server receives. ``rngs``
     maps every other active client to its stream in this round, keyed
-    [seed, round, client]; fedqvr's quantizer draws from it after the
-    minibatches.
+    [seed_lo, seed_hi, CLIENT, round, client]; fedqvr's quantizer draws from
+    it after the minibatches.
 
     ``algo`` gives the start point, the in-place local step, the aggregate
     and the upload cost; the round is otherwise the same for every algorithm.

@@ -135,7 +135,7 @@ class ExperimentConfig:
             errors.append("eta must be positive")
         if self.eta_g <= 0:
             errors.append("eta_g must be positive")
-        if not 0 <= self.seed < 2**64:  # every stream key holds the seed as a uint64
+        if not 0 <= self.seed < 2**64:  # every stream key holds the seed as two 32-bit words
             errors.append(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.eval_every < 1:
             errors.append("eval_every must be >= 1")
@@ -248,6 +248,7 @@ def parse_config(path: str) -> ExperimentConfig:
 def _build_task(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset, data.Partition]:
     """Train and test sets and the clients' shards; a dataset that cannot be
     built as configured raises ConfigError."""
+    data_rng, part_rng = fed.generators(fed.stream_keys(cfg.seed, [fed.DATA, fed.PARTITION]))
     ds = cfg.dataset
     try:
         if ds["kind"] == "synthetic":
@@ -255,12 +256,11 @@ def _build_task(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset, data
                 num_classes=ds["num_classes"], dim=ds["dim"],
                 samples_per_class=ds["samples_per_class"],
                 test_samples_per_class=ds.get("test_samples_per_class", 100),
-                separation=ds["separation"], seed=cfg.seed)
+                separation=ds["separation"], rng=data_rng)
         else:
             train = data.load_mnist_idx(ds["images_path"], ds["labels_path"])
             test = data.load_mnist_idx(ds["test_images_path"], ds["test_labels_path"])
-        part = data.shard_partition(train, cfg.num_clients, cfg.labels_per_client,
-                                    fed.generators(fed.stream_keys(cfg.seed, fed.PARTITION))[0])
+        part = data.shard_partition(train, cfg.num_clients, cfg.labels_per_client, part_rng)
     except (ValueError, TypeError) as e:  # IdxFormatError is a ValueError
         raise ConfigError(f"dataset: {e}") from e
     return train, test, part
@@ -293,10 +293,10 @@ class _RoundStreams(NamedTuple):
 
 def _schedule(cfg: ExperimentConfig) -> Iterator[_RoundStreams]:
     """Every round's cohort, local steps and stream seeds, made a block of
-    rounds at a time: first the block's sampling and HLU streams, then its
-    sampled sets and epochs, then the seed words of the channel (with the
-    wireless layer on) and client streams of every (round, sampled client).
-    Each stream is the one its key gives under ``default_rng``."""
+    rounds at a time: first the block's sampling and HLU streams of each
+    round r, then its sampled sets and epochs, then the seed words of the
+    channel (with the wireless layer on) and client streams of every (r,
+    sampled client c). Each stream is the one ``default_rng`` gives its key."""
     m = cfg.sample_size
     labels = [fed.SAMPLING, fed.HLU] if cfg.hlu else [fed.SAMPLING]
     per_block = max(1, _KEYS_PER_BLOCK // (2 + 2 * m))
@@ -308,7 +308,7 @@ def _schedule(cfg: ExperimentConfig) -> Iterator[_RoundStreams]:
         epochs = [_epochs_for(cfg, s, fed.generator(w) if cfg.hlu else None)
                   for s, w in zip(sampled, seeds[-1])]
         pairs = (np.repeat(rounds, m), np.concatenate(sampled))
-        client = fed.stream_seeds(fed.stream_keys(cfg.seed, *pairs)).reshape(-1, m, 4)
+        client = fed.stream_seeds(fed.stream_keys(cfg.seed, fed.CLIENT, *pairs)).reshape(-1, m, 4)
         chan = (fed.stream_seeds(fed.stream_keys(cfg.seed, fed.CHANNEL, *pairs)).reshape(-1, m, 4)
                 if cfg.wireless_cfg.enabled else [None] * len(rounds))
         yield from map(_RoundStreams, rounds.tolist(), sampled, epochs, chan, client)
@@ -361,7 +361,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     offsets = np.cumsum([a.size for a in part.assignments])[:-1]
     client_data = list(zip(np.split(train_X, offsets), np.split(train_y, offsets)))
 
-    theta0 = learner.init_params(spec, cfg.seed)
+    init_rng, place_rng = fed.generators(fed.stream_keys(cfg.seed, [fed.INIT, fed.PLACEMENT]))
+    theta0 = learner.init_params(spec, init_rng)
     server = ServerState(theta=theta0.copy(), c=np.zeros(spec.dim))
     clients = [ClientState(p=float(p), c_i=np.zeros(spec.dim)) for p in part.weights]
 
@@ -370,9 +371,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     plan_round = _allocated_plan if cfg.algorithm == "fedqvr_e" else _equal_split_plan
 
     wcfg = cfg.wireless_cfg
-    distances = wireless.place_devices(
-        cfg.num_clients, fed.generators(fed.stream_keys(cfg.seed, fed.PLACEMENT))[0],
-        r_min=wcfg.r_min, r_max=wcfg.r_max)
+    distances = wireless.place_devices(cfg.num_clients, place_rng,
+                                       r_min=wcfg.r_min, r_max=wcfg.r_max)
     channel_trace: list[dict] = []
     round_trace: list[dict] = []
 

@@ -76,12 +76,11 @@ class ModelSpec:
         return blocks
 
 
-def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
-    """Seeded Gaussian init, scale 1/sqrt(fan_in) for weights, zero biases.
+def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian init, scale 1/sqrt(fan_in) for weights, zero biases.
 
-    One stream draws the weight blocks in layer order.
+    ``rng`` draws the weight blocks in layer order.
     """
-    rng = np.random.default_rng(seed)
     theta = np.zeros(spec.dim)
     for w, b, _, (_, fan_in) in spec._layers:
         theta[w:b] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), b - w)

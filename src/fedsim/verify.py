@@ -46,7 +46,7 @@ def check_control_variate_identity(seed: int = 2) -> tuple[bool, str]:
         X = rng.normal(size=(30, 5))
         y = rng.integers(0, 3, size=30)
         datasets.append((X, y))
-    server = ServerState(theta=learner.init_params(spec, seed), c=np.zeros(spec.dim))
+    server = ServerState(theta=learner.init_params(spec, rng), c=np.zeros(spec.dim))
     clients = [ClientState(p=1.0 / n_clients, c_i=np.zeros(spec.dim)) for _ in range(n_clients)]
     worst = 0.0
     for r in range(15):
@@ -56,7 +56,7 @@ def check_control_variate_identity(seed: int = 2) -> tuple[bool, str]:
                          local_epochs={c: 2 for c in active},
                          bits={c: 2 for c in active},
                          batch_size=10, eta=0.01)
-        rngs = dict(zip(active, fed.generators(fed.stream_keys(seed, r, active))))
+        rngs = dict(zip(active, fed.generators(fed.stream_keys(seed, fed.CLIENT, r, active))))
         server, _ = fed.run_round_fedqvr(spec, server, clients, datasets, plan, rngs)
         mix = sum(cl.p * cl.c_i for cl in clients)
         worst = max(worst, float(np.max(np.abs(server.c - mix))))
@@ -73,11 +73,10 @@ def check_closed_form_update(seed: int = 3) -> tuple[bool, str]:
     for ge in (1e-3, 1e-2, 1e-1):
         for E in (1, 2, 5):
             eta, gamma = 0.05, ge / 0.05
-            theta0 = learner.init_params(spec, seed + E)
+            theta0 = learner.init_params(spec, rng)
             c_i = rng.normal(size=spec.dim) * 0.01
             theta_new, logs = fed.local_update(
-                spec, theta0, c_i, X, y, E, 8, eta, gamma,
-                np.random.default_rng([seed, E]))
+                spec, theta0, c_i, X, y, E, 8, eta, gamma, rng)
             b = fed.b_weights(gamma, eta, E)
             et = fed.e_tilde(gamma, eta, E)
             pred = -eta * et * sum(

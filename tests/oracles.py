@@ -6,17 +6,26 @@ import math
 import numpy as np
 
 from fedsim.alloc import AllocProblem, b_of_w, objective_value, utility
+from fedsim.fed import CLIENT
 
 
 def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.Generator:
-    """A client's stream in a round, built by numpy itself from its key
-    [seed, round, client]."""
-    return np.random.default_rng([master_seed, round_index, client_id])
+    """A client's stream in a round, built by numpy itself from its key of
+    32-bit words [seed_lo, seed_hi, CLIENT, round, client]."""
+    return np.random.default_rng(
+        [master_seed % 2**32, master_seed // 2**32, CLIENT, round_index, client_id])
 
 
 def client_rngs(master_seed: int, round_index: int, ids) -> dict[int, np.random.Generator]:
     """The streams ``fed.run_round`` takes: each of ``ids`` to its ``client_rng``."""
     return {cid: client_rng(master_seed, round_index, cid) for cid in ids}
+
+
+def numpy_stream_seeds(keys) -> np.ndarray:
+    """``fed.stream_seeds`` one key at a time, by numpy's own SeedSequence;
+    the fixtures of whole runs are recorded with it."""
+    return np.array([np.random.SeedSequence(key).generate_state(4, np.uint64)
+                     for key in np.asarray(keys).tolist()], dtype=np.uint64).reshape(-1, 4)
 
 
 def slope_oracle(x: float) -> float:

@@ -96,7 +96,7 @@ def test_criterion_03_control_variate_identity(m):
                 for _ in range(n_clients)]
     sizes = rng.integers(20, 40, size=n_clients).astype(float)
     weights = sizes / sizes.sum()
-    server = ServerState(theta=learner.init_params(spec, m),
+    server = ServerState(theta=learner.init_params(spec, np.random.default_rng(m)),
                          c=np.zeros(spec.dim))
     clients = [ClientState(p=float(p), c_i=np.zeros(spec.dim)) for p in weights]
     worst = 0.0
@@ -130,7 +130,7 @@ def test_criterion_04_closed_form_local_update():
         gamma = ge / eta
         for E in (1, 2, 5, 17):
             for trial in range(20):
-                theta0 = learner.init_params(spec, trial) \
+                theta0 = learner.init_params(spec, np.random.default_rng(trial)) \
                     + 0.1 * rng.normal(size=spec.dim)
                 c_i = 0.01 * rng.normal(size=spec.dim)
                 theta_new, logs = fed.local_update(
@@ -171,7 +171,7 @@ def test_criterion_06_gradient_correctness(spec):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(25, 6))
     y = rng.integers(0, 4, size=25)
-    theta = learner.init_params(spec, 6) + 0.1 * rng.normal(size=spec.dim)
+    theta = learner.init_params(spec, np.random.default_rng(6)) + 0.1 * rng.normal(size=spec.dim)
     g = learner.grad(spec, theta, X, y)
     eps = 1e-6
     worst = 0.0
@@ -263,9 +263,11 @@ def test_criterion_09_fewer_rounds_and_bits_than_fedavg():
     details = []
     ok = True
     for seed in seeds:
-        train, test = data.make_synth_task(5, 20, 200, 100, 3.0, seed)
+        # the run's dataset and initial model, from their streams
+        data_rng, init_rng = fed.generators(fed.stream_keys(seed, [fed.DATA, fed.INIT]))
+        train, test = data.make_synth_task(5, 20, 200, 100, 3.0, data_rng)
         spec = ModelSpec(kind=LOGISTIC, input_dim=20, num_classes=5)
-        theta = learner.init_params(spec, seed)
+        theta = learner.init_params(spec, init_rng)
         for _ in range(400):
             theta -= 0.5 * learner.grad(spec, theta, train.features,
                                         train.labels)

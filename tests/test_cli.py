@@ -89,11 +89,14 @@ class TestRun:
 
     @pytest.mark.parametrize("field,value,message", [
         ("total_bandwidth_hz", 1e200, "allocation failed: numerical breakdown"),
-        ("tau", 1e250, "allocation failed: device 0: bit count 4.27e+256 at the whole "
+        ("tau", 1e250, "allocation failed: device 0: bit count 1.89e+256 at the whole "
                        "bandwidth is not a finite number below 2**63"),
     ])
     def test_failed_allocation_is_one_line_validation_error(
             self, tmp_path, capsys, field, value, message):
+        """The bit count quoted at tau = 1e250 is that of round 0's first
+        sampled device, at the gain its channel stream draws at the shipped
+        config's seed."""
         raw = json.loads((CONFIGS / "wireless_fedqvr_e.json").read_text())
         raw["wireless_cfg"][field] = value
         raw["rounds"] = 2
@@ -578,8 +581,8 @@ class TestVerify:
         assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_identity_check_samples_from_the_sampling_stream(self, monkeypatch):
-        """Round r's cohort comes from the key [seed, SAMPLING, r], as in a
-        run, not from [seed, r], the stream of the check's own client 0."""
+        """Round r's cohort comes from the key [seed_lo, seed_hi, SAMPLING, r, 0],
+        as in a run, built here by numpy itself."""
         states = []
         sample_clients = fed.sample_clients
 
@@ -590,5 +593,5 @@ class TestVerify:
         monkeypatch.setattr(fed, "sample_clients", capture)
         ok, _ = verify.check_control_variate_identity(seed=2)
         assert ok
-        assert states == [np.random.default_rng([2, fed.SAMPLING, r]).bit_generator.state
+        assert states == [np.random.default_rng([2, 0, fed.SAMPLING, r, 0]).bit_generator.state
                           for r in range(15)]

@@ -102,8 +102,8 @@ class TestDataset:
 
 class TestSynth:
     def test_deterministic_and_balanced(self):
-        a, _ = data.make_synth_task(3, 5, 10, 1, 2.0, seed=1)
-        b, _ = data.make_synth_task(3, 5, 10, 1, 2.0, seed=1)
+        a, _ = data.make_synth_task(3, 5, 10, 1, 2.0, rng=np.random.default_rng(1))
+        b, _ = data.make_synth_task(3, 5, 10, 1, 2.0, rng=np.random.default_rng(1))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.n == 30
@@ -112,10 +112,10 @@ class TestSynth:
     def test_rejects_bad_args(self):
         for sizes in [(0, 5, 10, 5), (3, 0, 10, 5), (3, 5, 0, 5), (3, 5, 10, 0)]:
             with pytest.raises(ValueError, match="must be positive"):
-                data.make_synth_task(*sizes, 2.0, seed=0)
+                data.make_synth_task(*sizes, 2.0, rng=np.random.default_rng(0))
 
     def test_task_train_test_share_structure(self):
-        train, test = data.make_synth_task(4, 8, 50, 25, 4.0, seed=3)
+        train, test = data.make_synth_task(4, 8, 50, 25, 4.0, rng=np.random.default_rng(3))
         assert train.n == 200 and test.n == 100
         # with wide separation a nearest-class-mean rule trained on train
         # should classify test well: confirms both splits share the clusters
@@ -126,16 +126,16 @@ class TestSynth:
         assert (pred == test.labels).mean() > 0.9
 
     def test_task_deterministic_in_seed(self):
-        a_train, _ = data.make_synth_task(3, 4, 10, 5, 2.0, seed=7)
-        b_train, _ = data.make_synth_task(3, 4, 10, 5, 2.0, seed=7)
+        a_train, _ = data.make_synth_task(3, 4, 10, 5, 2.0, rng=np.random.default_rng(7))
+        b_train, _ = data.make_synth_task(3, 4, 10, 5, 2.0, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(a_train.features, b_train.features)
-        c_train, _ = data.make_synth_task(3, 4, 10, 5, 2.0, seed=8)
+        c_train, _ = data.make_synth_task(3, 4, 10, 5, 2.0, rng=np.random.default_rng(8))
         assert not np.array_equal(a_train.features, c_train.features)
 
 
 class TestShardPartition:
     def test_basic_invariants(self):
-        ds = data.make_synth_task(5, 3, 40, 1, 2.0, seed=2)[0]
+        ds = data.make_synth_task(5, 3, 40, 1, 2.0, rng=np.random.default_rng(2))[0]
         part = data.shard_partition(ds, 10, 2, np.random.default_rng(3))
         all_idx = np.concatenate(part.assignments + [part.dropped_indices])
         assert np.array_equal(np.sort(all_idx), np.arange(ds.n))
@@ -144,7 +144,7 @@ class TestShardPartition:
             assert len(np.unique(ds.labels[a])) <= 2
 
     def test_equal_shards_no_drop_when_divisible(self):
-        ds = data.make_synth_task(5, 3, 40, 1, 2.0, seed=4)[0]
+        ds = data.make_synth_task(5, 3, 40, 1, 2.0, rng=np.random.default_rng(4))[0]
         part = data.shard_partition(ds, 10, 2, np.random.default_rng(5))
         assert part.dropped_indices.size == 0
         assert all(a.size == 20 for a in part.assignments)
@@ -157,18 +157,18 @@ class TestShardPartition:
         assert all(a.size == 10 for a in part.assignments)
 
     def test_single_label_per_client(self):
-        ds = data.make_synth_task(5, 3, 40, 1, 2.0, seed=7)[0]
+        ds = data.make_synth_task(5, 3, 40, 1, 2.0, rng=np.random.default_rng(7))[0]
         part = data.shard_partition(ds, 5, 1, np.random.default_rng(8))
         for a in part.assignments:
             assert len(np.unique(ds.labels[a])) == 1
 
     def test_too_many_shards_rejected(self):
-        ds = data.make_synth_task(2, 2, 3, 1, 1.0, seed=9)[0]
+        ds = data.make_synth_task(2, 2, 3, 1, 1.0, rng=np.random.default_rng(9))[0]
         with pytest.raises(ValueError):
             data.shard_partition(ds, 10, 2, np.random.default_rng(10))
 
     def test_deterministic_in_rng(self):
-        ds = data.make_synth_task(5, 3, 40, 1, 2.0, seed=11)[0]
+        ds = data.make_synth_task(5, 3, 40, 1, 2.0, rng=np.random.default_rng(11))[0]
         a = data.shard_partition(ds, 10, 2, np.random.default_rng(12))
         b = data.shard_partition(ds, 10, 2, np.random.default_rng(12))
         for x, y in zip(a.assignments, b.assignments):
@@ -189,7 +189,7 @@ class TestShardPartition:
     seed=st.integers(0, 1000),
 )
 def test_partition_is_disjoint_and_weights_normalized(num_clients, k, seed):
-    ds = data.make_synth_task(4, 2, 30, 1, 1.0, seed=99)[0]
+    ds = data.make_synth_task(4, 2, 30, 1, 1.0, rng=np.random.default_rng(99))[0]
     part = data.shard_partition(ds, num_clients, k, np.random.default_rng(seed))
     combined = np.concatenate(part.assignments)
     assert combined.size == np.unique(combined).size

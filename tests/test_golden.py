@@ -1,9 +1,13 @@
 """Golden metrics CSVs and round traces for every algorithm.
 
 The fixture holds, for each config in ``grid()``, the metrics CSV text and
-the SHA-256 of the round trace (JSON lines). It was recorded once, before
-the round engine was unified, with the three per-algorithm round functions;
-each rerun must reproduce both byte for byte. The delay budgets are tight
+the SHA-256 of the round trace (JSON lines); each rerun must reproduce both
+byte for byte. It was first recorded before the round engine was unified,
+with the three per-algorithm round functions, and the unified engine
+reproduced it. It was re-recorded once when the stream keys took their
+five-word layout, which moves every stream, with every stream's seed words
+from numpy's own SeedSequence one key at a time
+(``oracles.numpy_stream_seeds``), not from ``fed.stream_seeds``. The delay budgets are tight
 enough that every algorithm loses some uploads, and the fedqvr MLP run with
 the wireless layer loses all of them, so the empty-cohort path is covered.
 
@@ -17,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from fedsim import harness, learner
+from fedsim import fed, harness, learner
+from oracles import numpy_stream_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "fixtures" / "round_golden.json"
@@ -78,6 +83,7 @@ if __name__ == "__main__":
     import tempfile
 
     out = {}
+    fed.stream_seeds = numpy_stream_seeds
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in grid().items():
             csv, trace_sha = run_case(config, Path(tmp))

@@ -51,20 +51,20 @@ class TestModelSpec:
 
 class TestInitParams:
     def test_deterministic_in_seed(self):
-        a = learner.init_params(MLP_SPEC, 7)
-        b = learner.init_params(MLP_SPEC, 7)
+        a = learner.init_params(MLP_SPEC, np.random.default_rng(7))
+        b = learner.init_params(MLP_SPEC, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, learner.init_params(MLP_SPEC, 8))
+        assert not np.array_equal(a, learner.init_params(MLP_SPEC, np.random.default_rng(8)))
 
     def test_biases_start_at_zero(self):
-        theta = learner.init_params(MLP_SPEC, 0)
+        theta = learner.init_params(MLP_SPEC, np.random.default_rng(0))
         W1, b1, W2, b2 = MLP_SPEC.unpack(theta)
         assert np.all(b1 == 0) and np.all(b2 == 0)
         assert np.any(W1 != 0) and np.any(W2 != 0)
 
     def test_weight_scale_tracks_fan_in(self):
         wide = ModelSpec(kind=LOGISTIC, input_dim=10_000, num_classes=3)
-        theta = learner.init_params(wide, 0)
+        theta = learner.init_params(wide, np.random.default_rng(0))
         W, _ = wide.unpack(theta)
         assert abs(W.std() - 1 / np.sqrt(10_000)) < 0.01 / np.sqrt(10_000) * 5
 
@@ -78,7 +78,7 @@ class TestLossAndGrad:
 
     def test_loss_is_mean_over_samples(self):
         X, y = make_data()
-        theta = learner.init_params(LOG_SPEC, 1)
+        theta = learner.init_params(LOG_SPEC, np.random.default_rng(1))
         per_sample = [learner.loss(LOG_SPEC, theta, X[i:i + 1], y[i:i + 1])
                       for i in range(X.shape[0])]
         assert learner.loss(LOG_SPEC, theta, X, y) == pytest.approx(
@@ -88,7 +88,7 @@ class TestLossAndGrad:
     def test_grad_matches_finite_differences(self, spec):
         X, y = make_data(seed=2)
         rng = np.random.default_rng(3)
-        theta = learner.init_params(spec, 3) + 0.1 * rng.normal(size=spec.dim)
+        theta = learner.init_params(spec, np.random.default_rng(3)) + 0.1 * rng.normal(size=spec.dim)
         g = learner.grad(spec, theta, X, y)
         eps = 1e-6
         for j in rng.choice(spec.dim, size=15, replace=False):
@@ -100,7 +100,7 @@ class TestLossAndGrad:
 
     def test_gradient_descent_reduces_loss(self):
         X, y = make_data(seed=4)
-        theta = learner.init_params(MLP_SPEC, 4)
+        theta = learner.init_params(MLP_SPEC, np.random.default_rng(4))
         before = learner.loss(MLP_SPEC, theta, X, y)
         for _ in range(50):
             theta -= 0.5 * learner.grad(MLP_SPEC, theta, X, y)
@@ -130,7 +130,7 @@ class TestLossAndGrad:
 
     def test_predict_is_the_most_likely_class(self):
         X, y = make_data(seed=11)
-        theta = learner.init_params(MLP_SPEC, 11)
+        theta = learner.init_params(MLP_SPEC, np.random.default_rng(11))
         pred = learner.predict(MLP_SPEC, theta, X)
         assert pred.shape == y.shape
         assert 0 <= pred.min() and pred.max() < MLP_SPEC.num_classes
@@ -152,7 +152,7 @@ class TestStochasticGrad:
     def test_full_batch_without_sampling_noise_matches_exact(self):
         # batch of size 1 drawn from a single-sample dataset is deterministic
         X, y = make_data(n=1)
-        theta = learner.init_params(LOG_SPEC, 5)
+        theta = learner.init_params(LOG_SPEC, np.random.default_rng(5))
         sg = learner.stochastic_grad(LOG_SPEC, theta, X, y, 4,
                                      np.random.default_rng(0))
         np.testing.assert_allclose(sg, learner.grad(LOG_SPEC, theta, X, y),
@@ -160,7 +160,7 @@ class TestStochasticGrad:
 
     def test_unbiased_over_many_draws(self):
         X, y = make_data(n=20, seed=6)
-        theta = learner.init_params(LOG_SPEC, 6)
+        theta = learner.init_params(LOG_SPEC, np.random.default_rng(6))
         rng = np.random.default_rng(7)
         mean = np.mean([learner.stochastic_grad(LOG_SPEC, theta, X, y, 5, rng)
                         for _ in range(4000)], axis=0)
@@ -169,7 +169,7 @@ class TestStochasticGrad:
 
     def test_deterministic_given_rng_state(self):
         X, y = make_data(seed=8)
-        theta = learner.init_params(LOG_SPEC, 8)
+        theta = learner.init_params(LOG_SPEC, np.random.default_rng(8))
         a = learner.stochastic_grad(LOG_SPEC, theta, X, y, 10,
                                     np.random.default_rng(123))
         b = learner.stochastic_grad(LOG_SPEC, theta, X, y, 10,
@@ -188,7 +188,7 @@ class TestStochasticGrad:
 def test_loss_invariant_to_logit_shift(shift):
     # adding a constant to every class bias leaves softmax unchanged
     X, y = make_data(seed=9)
-    theta = learner.init_params(LOG_SPEC, 9)
+    theta = learner.init_params(LOG_SPEC, np.random.default_rng(9))
     shifted = theta.copy()
     shifted[4 * 6:] += shift
     base = learner.loss(LOG_SPEC, theta, X, y)
