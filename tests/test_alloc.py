@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,11 @@ class TestUtility:
     def test_general_alpha(self):
         assert alloc.utility(4.0, 0.5) == pytest.approx(2 * 2.0)
         assert alloc.utility(-1.0, 0.5) == -math.inf
+        assert alloc.utility(0.0, 2.0) == -math.inf
+        # 0.3^-999 is beyond the floats: the limit, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert alloc.utility(np.float64(0.3), 1000.0) == -math.inf
 
 
 class TestProblemValidation:
