@@ -18,7 +18,9 @@ The output has ``description``, ``command``, ``parent``, ``machine`` and
 records ``workload``, ``pair``, ``first``, ``tree``, ``result`` (the
 benchmark's last output line) and ``info`` (the line before it). At the end
 it prints, per workload and end-to-end metric, both medians, the parent's
-interquartile range and the number of pairs the change did better in.
+interquartile range, the number of pairs the change did better in, and a
+verdict: ``gain``, ``regressed``, ``unresolved`` or ``within bound`` (see
+``verdict``).
 """
 
 from __future__ import annotations
@@ -104,11 +106,43 @@ def machine(info: dict) -> str:
             f"numpy {env['numpy']}, {env['blas']} ({env['blas_threads']} BLAS threads)")
 
 
+def verdict(parent: dict[int, float], change: dict[int, float], better: str,
+            bound: float) -> tuple[int, float, str]:
+    """One metric compared over paired runs, each tree's values by pair:
+    the pairs the change did better in, the parent's interquartile range,
+    and the verdict. ``better`` and ``bound`` are the metric's entries in
+    BENCHMARK.json; the bound is a fraction of the parent's median.
+
+    - ``regressed``: the change's median is worse than the parent's by more
+      than the bound;
+    - ``gain``: the change did better in at least nine tenths of the pairs
+      (ties count for neither), and its median is better by more than the
+      parent's interquartile range;
+    - ``unresolved``: the parent's interquartile range is wider than the
+      bound, and not every run of the change beats every run of the parent;
+    - ``within bound`` otherwise.
+    """
+    sign = -1 if better == "lower" else 1
+    wins = sum(sign * (change[p] - parent[p]) > 0 for p in parent)
+    q = statistics.quantiles(parent.values(), n=4) if len(parent) > 1 else [0, 0, 0]
+    iqr = q[2] - q[0]
+    base = statistics.median(parent.values())
+    gap = sign * (statistics.median(change.values()) - base)  # > 0: the change is better
+    beats_all = min(sign * v for v in change.values()) > max(sign * v for v in parent.values())
+    if -gap > bound * abs(base):
+        return wins, iqr, "regressed"
+    if wins >= 0.9 * len(parent) and gap > iqr:
+        return wins, iqr, "gain"
+    if iqr > bound * abs(base) and not beats_all:
+        return wins, iqr, "unresolved"
+    return wins, iqr, "within bound"
+
+
 def summary(runs: list[dict]) -> list[str]:
     """Per workload and end-to-end metric: each tree's median, the parent's
-    interquartile range, and in how many pairs the change did better."""
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    interquartile range, in how many pairs the change did better, and the
+    ``verdict``."""
+    metrics = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     values: dict = {}
     for run in runs:
         for name, metric in run["result"]["metrics"].items():
@@ -117,12 +151,10 @@ def summary(runs: list[dict]) -> list[str]:
     lines = []
     for (workload, name), by_tree in values.items():
         parent, change = by_tree["parent"], by_tree["change"]
-        sign = -1 if better.get(name) == "lower" else 1
-        wins = sum(sign * (change[p] - parent[p]) > 0 for p in parent)
-        q = statistics.quantiles(parent.values(), n=4) if len(parent) > 1 else [0, 0, 0]
+        wins, iqr, word = verdict(parent, change, metrics[name]["better"], metrics[name]["bound"])
         lines.append(f"{workload} {name}: parent {statistics.median(parent.values()):.6g} "
-                     f"(IQR {q[2] - q[0]:.3g}), change {statistics.median(change.values()):.6g}, "
-                     f"change better in {wins} of {len(parent)} pairs")
+                     f"(IQR {iqr:.3g}), change {statistics.median(change.values()):.6g}, "
+                     f"change better in {wins} of {len(parent)} pairs: {word}")
     return lines
 
 

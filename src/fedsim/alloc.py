@@ -139,15 +139,21 @@ class AllocSolution:
     iterations: int = 0     # prices at which the slices were summed
 
     def to_json(self) -> str:
+        """Standard JSON: a ``log_price`` or ``objective`` that is not finite
+        (-inf when every device is dropped, or at the utility's limit) is
+        written as null."""
+        def finite(x: float) -> float | None:
+            return x if math.isfinite(x) else None
+
         return json.dumps({
             "bandwidths": self.bandwidths.tolist(),
             "bits_continuous": self.bits_continuous.tolist(),
             "bits_floored": self.bits_floored.tolist(),
             "dropped": sorted(self.dropped),
-            "log_price": self.log_price,
+            "log_price": finite(self.log_price),
             "kkt_residual": self.kkt_residual,
             "feasible": self.feasible,
-            "objective": self.objective,
+            "objective": finite(self.objective),
             "iterations": self.iterations,
         })
 

@@ -87,7 +87,8 @@ def load_mnist_idx(images_path: str, labels_path: str) -> Dataset:
     if n != n_labels:
         raise IdxFormatError(
             f"image count {n} does not match label count {n_labels}")
-    return Dataset(features=pixels.astype(np.float64) / 255.0, labels=labels)
+    # one float64 array: the division casts each pixel as it goes
+    return Dataset(features=np.divide(pixels, 255.0), labels=labels)
 
 
 def make_synth_task(

@@ -321,48 +321,57 @@ def _local_phase(
     rngs: list[np.random.Generator],
     step,
 ) -> np.ndarray:
-    """Local iterations of the whole cohort as stacked arrays.
+    """Local iterations of the cohort as stacked arrays, a block of clients
+    at a time.
 
     Row j is client ``ids[j]``; it starts at ``start`` and takes
-    ``epochs[j]`` steps. Each client first draws all its minibatches from
-    its own stream ``rngs[j]`` in one ``integers`` call of shape (epochs,
-    batch). That call yields the same indices as one call per step and
-    leaves the stream in the same state, since the bit generator keeps any
-    spare 32-bit half between calls;
-    ``test_fed.py::test_merged_minibatch_draw_keeps_the_stream``
-    pins this. Step t gathers the features of the k clients still running,
-    computes one stacked gradient ``g`` for them and calls
-    ``step(theta, g, k)``, which updates the first k rows in place (it may
-    overwrite ``g``). Returns the final iterates.
+    ``epochs[j]`` steps. The rows run in blocks of ``max(1,
+    learner.BLOCK_ROWS // batch_size)`` clients, so one stacked gradient
+    holds at most ``BLOCK_ROWS`` sample rows (or one minibatch, if that is
+    larger); each block takes all its steps before the next starts. Each
+    client of a block first draws all its minibatches from its own stream
+    ``rngs[j]`` in one ``integers`` call of shape (epochs, batch). That call
+    yields the same indices as one call per step and leaves the stream in
+    the same state, since the bit generator keeps any spare 32-bit half
+    between calls; ``test_fed.py::test_merged_minibatch_draw_keeps_the_stream``
+    pins this. Step t gathers the features of the block's k clients still
+    running, computes one stacked gradient ``g`` for them and calls
+    ``step(theta, g, rows)``, which updates ``theta``, the iterates of the
+    rows ``rows`` (a slice), in place (it may overwrite ``g``). Returns the
+    final iterates.
     """
     m, bs = len(ids), batch_size
     theta = np.tile(start, (m, 1))
-    if m == 0:
-        return theta
-    feats: list[np.ndarray] = []  # per client, its features
-    idx: list[np.ndarray] = []    # per client, its draws (epochs, batch)
-    ys = np.empty((epochs[0], m, bs), dtype=np.intp)
-    for j, cid in enumerate(ids):
-        X, y = datasets[cid]
-        if X.shape[0] == 0:
-            raise ValueError("empty client dataset")
-        idx.append(rngs[j].integers(0, X.shape[0], size=(epochs[j], bs)))
-        ys[:epochs[j], j] = y[idx[j]]
-        feats.append(X)
-    # k at each step t: the clients still stepping, a prefix of the rows
-    ks = np.count_nonzero(epochs > np.arange(epochs[0])[:, None], axis=1).tolist()
-    # one step's features at a time, so memory stays at m * batch * input
-    xb = np.empty((m, bs, spec.input_dim))
-    # overflow surfaces as the non-finite iterate check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, k in enumerate(ks):
-            for j in range(k):
-                # the draws are in range; "clip" only spares take's buffered copy
-                feats[j].take(idx[j][t], axis=0, out=xb[j], mode="clip")
-            g = learner.grad(spec, theta[:k], xb[:k], ys[t, :k])
-            step(theta[:k], g, k)
-            if not np.isfinite(theta[:k]).all():
-                raise FloatingPointError("local update diverged to non-finite iterate")
+    per_block = max(1, learner.BLOCK_ROWS // bs)
+    # one step's features of one block at a time, so memory stays at
+    # block * batch * input
+    xb = np.empty((min(m, per_block), bs, spec.input_dim))
+    for lo in range(0, m, per_block):
+        hi = min(lo + per_block, m)
+        feats: list[np.ndarray] = []  # per client of the block, its features
+        idx: list[np.ndarray] = []    # per client of the block, its draws (epochs, batch)
+        ys = np.empty((epochs[lo], hi - lo, bs), dtype=np.intp)
+        for j in range(lo, hi):
+            X, y = datasets[ids[j]]
+            if X.shape[0] == 0:
+                raise ValueError("empty client dataset")
+            idx.append(rngs[j].integers(0, X.shape[0], size=(epochs[j], bs)))
+            ys[:epochs[j], j - lo] = y[idx[-1]]
+            feats.append(X)
+        # k at each step t: the block's clients still stepping, a prefix of
+        # its rows, since rows run longest first
+        ks = np.count_nonzero(epochs[lo:hi] > np.arange(epochs[lo])[:, None], axis=1).tolist()
+        # overflow surfaces as the non-finite iterate check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, k in enumerate(ks):
+                for j in range(k):
+                    # the draws are in range; "clip" only spares take's buffered copy
+                    feats[j].take(idx[j][t], axis=0, out=xb[j], mode="clip")
+                rows = slice(lo, lo + k)
+                g = learner.grad(spec, theta[rows], xb[:k], ys[t, :k])
+                step(theta[rows], g, rows)
+                if not np.isfinite(theta[rows]).all():
+                    raise FloatingPointError("local update diverged to non-finite iterate")
     return theta
 
 
@@ -394,9 +403,10 @@ class FedAvg:
         return server.theta
 
     def stepper(self, server, plan, start, c_rows):
-        """The round's local step: ``step(theta, g, k)`` updates the first k
-        rows of ``theta`` in place from their gradients ``g``."""
-        def step(theta, g, k):
+        """The round's local step: ``step(theta, g, rows)`` updates
+        ``theta``, the iterates of the cohort's rows ``rows`` (a slice), in
+        place from their gradients ``g``."""
+        def step(theta, g, rows):
             g *= plan.eta
             theta -= g
         return step
@@ -417,10 +427,10 @@ class Scaffold(FedAvg):
         return 2 * RAW_BITS_PER_ELEMENT * spec.dim
 
     def stepper(self, server, plan, start, c_rows):
-        def step(theta, g, k):
+        def step(theta, g, rows):
             # theta <- theta - eta * ((g + c) - c_i)
             g += server.c
-            g -= c_rows[:k]
+            g -= c_rows[rows]
             g *= plan.eta
             theta -= g
         return step
@@ -460,9 +470,9 @@ class FedQVR:
         ge = plan.gamma * plan.eta
         anchor = (ge / (1.0 + ge)) * start
 
-        def step(theta, g, k):
+        def step(theta, g, rows):
             # theta <- (theta - eta * (g - c_i)) / (1 + ge) + (ge / (1 + ge)) * theta0
-            g -= c_rows[:k]
+            g -= c_rows[rows]
             g *= plan.eta
             theta -= g
             theta /= 1.0 + ge

@@ -357,6 +357,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     # global training loss is evaluated over the partitioned samples only
     used = np.concatenate(part.assignments)
     train_X, train_y = train.features[used], train.labels[used]
+    del train  # the client-ordered rows are the one copy of the training set a run keeps
     # each client's shard is a view of its rows, which ``used`` holds in client order
     offsets = np.cumsum([a.size for a in part.assignments])[:-1]
     client_data = list(zip(np.split(train_X, offsets), np.split(train_y, offsets)))

@@ -7,6 +7,10 @@ but the last is followed by tanh (smooth, so finite-difference gradient
 checks hold everywhere). Parameters live in a single float64 vector: per
 layer, weights row-major then biases. The gradient also takes a stack of
 such vectors, one per client, with one minibatch each.
+
+No stacked computation holds more than ``BLOCK_ROWS`` sample rows: ``loss``
+and ``predict`` walk their set in blocks, and the round engine steps its
+cohort in blocks of clients.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import numpy as np
 
 LOGISTIC = "multinomial-logistic"
 MLP = "one-hidden-layer-mlp"
+
+BLOCK_ROWS = 1024  # the most sample rows one stacked computation holds
 
 
 @dataclass(frozen=True)
@@ -110,21 +116,48 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices that cover ``range(n)`` in order: as few blocks as hold at most
+    ``BLOCK_ROWS`` rows each, equal in size to within one row.
+
+    Each output row of a product is computed from its own input row, so a
+    block gives the rows of the whole stack bit for bit, as long as the BLAS
+    runs it through the same kernel. OpenBLAS takes a separate small-matrix
+    kernel for a product of few rows times a narrow layer, which rounds
+    differently; equal blocks, of at least half ``BLOCK_ROWS`` when there is
+    more than one, leave no short remainder block to land there.
+    """
+    count = -(-n // BLOCK_ROWS)
+    edges = [i * n // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in pairwise(edges)]
+
+
 def loss(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy over the slice."""
+    """Mean cross-entropy over the slice, computed a block of rows at a time.
+
+    The mean is one sum over every row's log-probability, as over a single
+    stack.
+    """
     if X.shape[0] == 0:
         raise ValueError("empty data slice")
-    logits, _ = _forward(spec.unpack(theta), X)
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(y.size), y].mean())
+    blocks = spec.unpack(theta)
+    picked = np.empty(y.size)  # each row's log-probability of its label
+    for rows in _row_blocks(y.size):
+        logp = _log_softmax(_forward(blocks, X[rows])[0])
+        picked[rows] = logp[np.arange(logp.shape[0]), y[rows]]
+    return float(-picked.mean())
 
 
 def predict(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Predicted classes: argmax of the logits, ties to the lowest class."""
+    """Predicted classes: argmax of the logits, ties to the lowest class;
+    computed a block of rows at a time."""
     if X.shape[0] == 0:
         raise ValueError("empty data slice")
-    logits, _ = _forward(spec.unpack(theta), X)
-    return logits.argmax(axis=1)
+    blocks = spec.unpack(theta)
+    labels = np.empty(X.shape[0], dtype=np.intp)
+    for rows in _row_blocks(X.shape[0]):
+        labels[rows] = _forward(blocks, X[rows])[0].argmax(axis=1)
+    return labels
 
 
 def grad(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:

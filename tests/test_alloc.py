@@ -15,6 +15,11 @@ NOISE = 10 ** (-14.3) / 1e3  # -143 dBm/Hz in W/Hz
 GOLDEN = Path(__file__).parent / "fixtures" / "alloc_golden.jsonl"
 
 
+def strict_json(constant: str):
+    """``json.loads``'s ``parse_constant``: NaN and ±Infinity are not JSON."""
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 def make_problem(gains, taus=None, w_total=1e8, alpha=0.5, d=10_000, mu=384,
                  b_lower=1):
     gains = np.asarray(gains, dtype=np.float64)
@@ -210,7 +215,7 @@ class TestSolve:
 
     def test_solution_json_roundtrip(self):
         sol = alloc.solve_alloc(make_problem([1e-6, 2e-7]))
-        restored = json.loads(sol.to_json())
+        restored = json.loads(sol.to_json(), parse_constant=strict_json)
         np.testing.assert_allclose(restored["bandwidths"], sol.bandwidths)
         np.testing.assert_allclose(restored["bits_continuous"], sol.bits_continuous)
         np.testing.assert_array_equal(restored["bits_floored"], sol.bits_floored)
@@ -220,6 +225,16 @@ class TestSolve:
         assert restored["objective"] == sol.objective
         assert restored["feasible"] == sol.feasible
         assert restored["iterations"] == sol.iterations > 0
+
+    def test_all_dropped_solution_json_is_standard(self):
+        """With every device dropped, the log price and the objective are
+        -inf, which standard JSON cannot hold; they are written as null."""
+        sol = alloc.solve_alloc(make_problem([1e-20, 2e-20], w_total=1e6))
+        assert sol.log_price == sol.objective == -math.inf
+        restored = json.loads(sol.to_json(), parse_constant=strict_json)
+        assert restored["log_price"] is None and restored["objective"] is None
+        assert restored["dropped"] == [0, 1] and restored["feasible"] is False
+        assert restored["kkt_residual"] == sol.kkt_residual
 
 
 class TestFloorAndDrop:

@@ -221,6 +221,8 @@ class TestRun:
           for value in (0, [], "", False, None, [1])],
         ({"model_kind": "cnn"}, "model_kind"),
         ({"hlu": True, "hlu_range": [3]}, "hlu_range"),
+        ({"hlu": True, "hlu_range": [3, 1]},
+         "invalid config: hlu_range must be an increasing pair of positive ints"),
         ({"labels_per_client": 0}, "labels_per_client"),
         ({"num_clients": 2000}, "cannot build 2000 shards from 120 samples"),
         ({"wireless_cfg": {"total_bandwidth_hz": 0}},
@@ -236,7 +238,7 @@ class TestRun:
             "test-samples-true", "classes-null", "mnist-path-list",
             "wireless-cfg-0", "wireless-cfg-empty-list", "wireless-cfg-empty-str",
             "wireless-cfg-false", "wireless-cfg-null", "wireless-cfg-list", "model-kind",
-            "hlu-range-of-one", "labels-0", "too-many-clients", "bandwidth-0-layer-off",
+            "hlu-range-of-one", "hlu-range-decreasing", "labels-0", "too-many-clients", "bandwidth-0-layer-off",
             "channel-replay-option",
             "non-idx-file", "string-config", "null-config", "number-config"])
     def test_setup_defect_is_one_line_validation_error(self, tmp_path, capsys, extra, message):
@@ -485,6 +487,22 @@ class TestAlloc:
         out = json.loads(capsys.readouterr().out)
         assert out["feasible"] is True
         assert sum(out["bandwidths"]) > 0
+
+    def test_every_device_dropped_prints_standard_json(self, tmp_path, capsys):
+        """Both devices are pre-dropped, so the log price and the objective
+        are -inf; the output is still JSON that a strict parser reads, with
+        null in those fields."""
+        def strict(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        problem = json.loads(self.PROBLEM.to_json())
+        problem.update(gains=[1e-20, 2e-20], w_total=1e6)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert cli.main(["alloc", "--problem", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=strict)
+        assert out["feasible"] is False and out["dropped"] == [0, 1]
+        assert out["log_price"] is None and out["objective"] is None
 
     def test_bad_problem_file(self, tmp_path, capsys):
         path = tmp_path / "problem.json"

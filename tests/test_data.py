@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,23 @@ class TestIdxLoading:
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
         np.testing.assert_array_equal(ds.labels, labels)
         np.testing.assert_allclose(ds.features, pixels.reshape(7, 12) / 255.0)
+
+    def test_pixels_are_scaled_in_one_float_array(self, tmp_path):
+        """The features equal ``pixels.astype(float64) / 255`` bit for bit,
+        and loading holds about one float64 copy of them at its peak, not the
+        cast and the quotient both."""
+        rng = np.random.default_rng(1)
+        pixels = rng.integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        paths = write_idx_pair(tmp_path, pixels, rng.integers(0, 10, size=2000, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            ds = data.load_mnist_idx(*paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = pixels.reshape(2000, 784).astype(np.float64) / 255.0
+        np.testing.assert_array_equal(ds.features.view(np.uint64), expected.view(np.uint64))
+        assert peak < 1.5 * expected.nbytes
 
     def test_bad_image_magic(self, tmp_path):
         p = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8),

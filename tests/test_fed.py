@@ -627,6 +627,70 @@ class TestLostUploads:
         assert np.isfinite(server.theta).all()
 
 
+def reference_iterate(algo, spec, server, c_i, data, E, plan, rng):
+    """One client's final local iterate, one single-client step at a time."""
+    if algo is fed.FEDQVR:
+        return fed.local_update(spec, fed.broadcast_point(server, plan.gamma), c_i, *data, E,
+                                plan.batch_size, plan.eta, plan.gamma, rng)[0]
+    theta = server.theta.copy()
+    for _ in range(E):
+        g = learner.stochastic_grad(spec, theta, *data, plan.batch_size, rng)
+        if algo is fed.SCAFFOLD:
+            g = g + server.c - c_i
+        theta -= plan.eta * g
+    return theta
+
+
+class TestCohortBlocks:
+    """A cohort wider than one block of ``learner.BLOCK_ROWS`` sample rows
+    steps a block of clients at a time."""
+
+    @ALGOS
+    def test_rows_across_blocks_equal_single_client_runs(self, algo, monkeypatch):
+        """Eight clients of batch BLOCK_ROWS // 3 run in blocks of 3, 3 and 2
+        (one lost), with uneven epochs inside and across the blocks. Every
+        row equals its single-client run bit for bit, and no gradient call
+        holds more than BLOCK_ROWS sample rows."""
+        batch = learner.BLOCK_ROWS // 3
+        rows_seen, iterates = [], []
+        grad, phase = learner.grad, fed._local_phase
+
+        def counting_grad(spec, theta, X, y):
+            rows_seen.append(y.size)
+            return grad(spec, theta, X, y)
+
+        def recording_phase(spec, start, ids, *rest):
+            theta = phase(spec, start, ids, *rest)
+            iterates.append(dict(zip(ids, theta)))
+            return theta
+
+        monkeypatch.setattr(learner, "grad", counting_grad)
+        monkeypatch.setattr(fed, "_local_phase", recording_phase)
+        clients, datasets = make_clients(8, seed=31, spec=MLP_SPEC)
+        ref_clients = copy.deepcopy(clients)
+        server = ref_server = fresh_server(31, spec=MLP_SPEC)
+        for epochs, failed in (([5, 2, 4, 4, 1, 3, 4, 2], {5}), ([1, 3, 3, 2, 5, 1, 2, 4], set())):
+            plan = RoundPlan(active_set=list(range(8)), local_epochs=dict(enumerate(epochs)),
+                             bits={c: 3 for c in range(8)}, batch_size=batch, eta=0.05,
+                             failed=frozenset(failed))
+            before = copy.deepcopy((server, clients))
+            rows_seen.clear()
+            server, _ = fed.run_round(algo, MLP_SPEC, server, clients, datasets, plan,
+                                      client_rngs(31, server.round, plan.active_set))
+            delivered = [c for c in range(8) if c not in failed]
+            assert max(rows_seen) <= learner.BLOCK_ROWS
+            assert sum(rows_seen) == batch * sum(epochs[c] for c in delivered)
+            assert len(rows_seen) > max(epochs)  # more than one block ran
+            assert sorted(iterates[-1]) == delivered
+            for cid in delivered:
+                expected = reference_iterate(
+                    algo, MLP_SPEC, before[0], before[1][cid].c_i, datasets[cid], epochs[cid],
+                    plan, client_rng(31, before[0].round, cid))
+                np.testing.assert_array_equal(iterates[-1][cid], expected)
+            ref_server = reference_round(algo, MLP_SPEC, ref_server, ref_clients, datasets, plan, 31)
+            assert_same_state(server, clients, ref_server, ref_clients)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     gamma=st.floats(1e-4, 10.0),

@@ -67,6 +67,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=msg):
             cfg.validate()
 
+    def test_hidden_dim_is_checked_for_the_mlp_only(self):
+        with pytest.raises(ConfigError, match="hidden_dim must be >= 1"):
+            small_config(model_kind=learner.MLP, hidden_dim=0).validate()
+        cfg = small_config(model_kind=learner.LOGISTIC, hidden_dim=0, rounds=1)
+        cfg.validate()
+        assert [row.round for row in harness.run_experiment(cfg)] == [0, 1]
+
     def test_multiple_errors_are_joined(self):
         cfg = small_config(eta=0.0, rounds=-1)
         with pytest.raises(ConfigError, match="rounds.*eta|eta.*rounds"):

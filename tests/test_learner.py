@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,56 @@ class TestLossAndGrad:
             learner.loss(LOG_SPEC, np.zeros(LOG_SPEC.dim), X[:0], y[:0])
         with pytest.raises(ValueError):
             learner.grad(LOG_SPEC, np.zeros(LOG_SPEC.dim), X[:0], y[:0])
+
+
+class TestBlockedEvaluation:
+    """``loss`` and ``predict`` hold at most ``BLOCK_ROWS`` rows at a time."""
+
+    @pytest.mark.parametrize("n", [1, 511, 1024, 1025, 2048, 2049, 10_000])
+    def test_row_blocks_cover_the_rows_in_equal_blocks(self, n):
+        blocks = learner._row_blocks(n)
+        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert max(sizes) <= learner.BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+        assert len(blocks) == -(-n // learner.BLOCK_ROWS)
+
+    @pytest.mark.parametrize("n", [1025, 3000])
+    @pytest.mark.parametrize("spec", [ModelSpec(MLP, 50, 10, 64), ModelSpec(LOGISTIC, 30, 10)],
+                             ids=["mlp", "logistic"])
+    def test_blocks_give_the_single_stack_bit_for_bit(self, spec, n):
+        """The reference is the whole set as one stack. Each block's logits
+        are the stack's rows; a block of 1,024 rows and one of a single row
+        would not be, as the one-row product runs through another BLAS
+        kernel."""
+        rng = np.random.default_rng(21)
+        theta = learner.init_params(spec, rng)
+        X = rng.normal(size=(n, spec.input_dim))
+        y = rng.integers(0, spec.num_classes, size=n)
+        blocks = spec.unpack(theta)
+        logits, _ = learner._forward(blocks, X)
+        for rows in learner._row_blocks(n):
+            np.testing.assert_array_equal(learner._forward(blocks, X[rows])[0], logits[rows])
+        pred = logits.argmax(axis=1)
+        logp = learner._log_softmax(logits)
+        assert learner.loss(spec, theta, X, y) == float(-logp[np.arange(y.size), y].mean())
+        np.testing.assert_array_equal(learner.predict(spec, theta, X), pred)
+
+    def test_evaluation_memory_is_bounded_by_the_block(self):
+        """20,000 rows through a 64-wide hidden layer: one stack would hold a
+        10 MB hidden layer; a block holds 0.5 MB."""
+        spec = ModelSpec(MLP, 20, 10, 64)
+        rng = np.random.default_rng(22)
+        theta = learner.init_params(spec, rng)
+        X = rng.normal(size=(20_000, spec.input_dim))
+        y = rng.integers(0, spec.num_classes, size=20_000)
+        tracemalloc.start()
+        try:
+            learner.loss(spec, theta, X, y)
+            learner.predict(spec, theta, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestStochasticGrad:

@@ -150,6 +150,16 @@ class TestOmega:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             probe(np.ones(5), 2, 0, rng())
 
+    def test_probes_take_a_single_trial(self):
+        """One trial is one dequantized draw: its mean is the draw, and its
+        relative error is the draw's."""
+        z = rng(18).normal(size=6)
+        draw = q.empirical_mean_dequantized(z, 2, 1, rng(19))
+        assert np.all(np.sign(draw) == np.sign(z))
+        assert np.all((np.abs(z).min() <= np.abs(draw)) & (np.abs(draw) <= np.abs(z).max()))
+        assert q.empirical_omega(z, 2, 1, rng(19)) == pytest.approx(
+            float((draw - z) @ (draw - z)) / float(z @ z), rel=1e-12)
+
     def test_empirical_bounded_by_omega(self):
         r = rng(14)
         z = r.uniform(-0.4, 0.4, size=100)

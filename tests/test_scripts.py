@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -10,6 +11,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 ENV = {**os.environ,
@@ -70,3 +78,52 @@ def test_bench_pairs_writes_one_alternating_pair(tmp_path):
         assert set(run["result"]["metrics"]) == {"run_s", "steps_per_s", "setup_s", "peak_rss_mb"}
         assert run["info"]["workload"] == "wireless_alloc" and run["info"]["seed"] == 1000
     assert len(done.stdout.splitlines()) == 4  # one summary line per end-to-end metric
+
+
+def synthetic_runs(values: dict[str, tuple[list[float], list[float]]]) -> list[dict]:
+    """bench_pairs runs of one workload: per metric, the parent's and the
+    change's value in each pair."""
+    pairs = len(next(iter(values.values()))[0])
+    return [{"workload": "w", "pair": pair + 1, "tree": tree,
+             "result": {"metrics": {name: {"value": by_tree[side][pair]}
+                                    for name, by_tree in values.items()}}}
+            for pair in range(pairs) for side, tree in enumerate(("parent", "change"))]
+
+
+def test_bench_pairs_summary_states_each_verdict():
+    """Synthetic pairs, no benchmark process: one metric per verdict, read
+    against BENCHMARK.json's directions and bounds (run_s 25%, lower is
+    better; steps_per_s 25%, higher; setup_s 25%, lower; peak_rss_mb 5%,
+    lower)."""
+    bench_pairs = load_script("bench_pairs")
+    steady = [0.01 * i for i in range(10)]
+    runs = synthetic_runs({
+        # 20% faster in every pair, far beyond the parent's spread
+        "run_s": ([1.0 + d for d in steady], [0.8 + d for d in steady]),
+        # half the throughput: worse by more than the bound
+        "steps_per_s": ([100.0 + d for d in steady], [50.0 + d for d in steady]),
+        # the parent's own runs spread over twice the bound, and the change
+        # is no better
+        "setup_s": ([0.5, 1.5] * 5, [1.5, 0.5] * 5),
+        # 0.2% more memory, inside the bound, with a tight spread
+        "peak_rss_mb": ([60.0 + d for d in steady], [60.12 + d for d in steady]),
+    })
+    verdicts = {line.split(":")[0]: line.rsplit(": ", 1)[1]
+                for line in bench_pairs.summary(runs)}
+    assert verdicts == {"w run_s": "gain", "w steps_per_s": "regressed",
+                        "w setup_s": "unresolved", "w peak_rss_mb": "within bound"}
+
+
+def test_bench_pairs_verdict_counts_wins_and_the_spread():
+    bench_pairs = load_script("bench_pairs")
+    wide = dict(enumerate([1.0, 2.0] * 5))
+    # every change run beats every parent run, by less than the parent's
+    # interquartile range: resolved, but no gain
+    assert bench_pairs.verdict(wide, dict.fromkeys(wide, 0.99), "lower", 0.25) == (
+        10, 1.0, "within bound")
+    # better by far in 8 of 10 pairs: short of nine tenths
+    parent = dict.fromkeys(range(10), 1.0)
+    change = {p: 0.5 if p < 8 else 1.0 for p in parent}
+    assert bench_pairs.verdict(parent, change, "lower", 0.25)[::2] == (8, "within bound")
+    change[8] = 0.5
+    assert bench_pairs.verdict(parent, change, "lower", 0.25)[::2] == (9, "gain")
