@@ -4,7 +4,9 @@ Implements the quantized variance-reduced protocol (control variates at
 server and clients, geometric-weighted local updates, quantized uplink of
 model differences) alongside plain federated averaging and the SCAFFOLD
 baseline. The three share one round engine, ``run_round``; each algorithm is
-an object with its start point, local step, aggregate and upload cost. All
+an object with its start point, local step, aggregate and upload cost.
+Fedqvr's aggregate folds each quantized upload into the server's theta and c
+as it is made, so its memory does not grow with the cohort. All
 randomness flows through streams keyed by the five 32-bit words (seed low,
 seed high, label, round, client), so results are independent of client
 scheduling order; ``stream_keys`` lays the keys out and ``stream_seeds``
@@ -265,32 +267,6 @@ def client_finish(
     return upload, c_i - step_scale * delta_hat
 
 
-def server_aggregate(
-    server: ServerState,
-    theta0: np.ndarray,
-    uploads: list[tuple[ClientUpload, float]],
-    m: int,
-    num_clients: int,
-) -> ServerState:
-    """Apply the weighted quantized deltas to theta and c.
-
-    theta <- theta0 + (N/m) * sum_i p_i * delta_hat_i
-    c     <- c - sum_i p_i * step_scale_i * delta_hat_i
-
-    Uploads are reduced in ascending client-id order for deterministic
-    float summation. An empty upload list yields a no-op round.
-    """
-    ids = [u.client_id for u, _ in uploads]
-    if len(ids) != len(set(ids)):
-        raise ValueError("duplicate client id among uploads")
-    theta = theta0.copy()
-    c = server.c.copy()
-    for upload, p in sorted(uploads, key=lambda t: t[0].client_id):
-        theta += (num_clients / m) * p * upload.delta_hat
-        c -= p * upload.step_scale * upload.delta_hat
-    return ServerState(theta=theta, c=c, round=server.round + 1)
-
-
 def _cohort(plan: RoundPlan, clients: list[ClientState],
             dim: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The active clients whose uploads arrive, longest local run first (ties
@@ -480,16 +456,27 @@ class FedQVR:
         return step
 
     def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
+        """Fold each upload into theta and c as it is made, in client-id order:
+
+        theta <- theta0 + (N/m) * sum_i p_i * delta_hat_i
+        c     <- c - sum_i p_i * step_scale_i * delta_hat_i
+
+        Each c_i is committed at once and each upload is dropped once folded
+        in, so the call's memory does not grow with the number of uploads. No
+        upload leaves theta at theta0.
+        """
         groups = spec.layer_groups()
-        uploads: list[tuple[ClientUpload, float]] = []
-        for cid, j in cohort.by_id:  # each c_i is committed as soon as it is made
+        m = plan.m_sampled if plan.m_sampled is not None else len(plan.active_set)
+        theta, c = cohort.start.copy(), server.c.copy()
+        for cid, j in cohort.by_id:
+            p = clients[cid].p
             upload, clients[cid].c_i = client_finish(
                 cohort.theta[j], cohort.start, cohort.c_rows[j], cid, plan.bits[cid], plan.eta,
                 e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a, cohort.rngs[j],
                 groups=groups)
-            uploads.append((upload, clients[cid].p))
-        m = plan.m_sampled if plan.m_sampled is not None else len(plan.active_set)
-        return server_aggregate(server, cohort.start, uploads, m, len(clients))
+            theta += (len(clients) / m) * p * upload.delta_hat
+            c -= p * upload.step_scale * upload.delta_hat
+        return ServerState(theta=theta, c=c, round=server.round + 1)
 
 
 FEDAVG, SCAFFOLD, FEDQVR = FedAvg(), Scaffold(), FedQVR()
@@ -510,6 +497,8 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
 
     ``algo`` gives the start point, the in-place local step, the aggregate
     and the upload cost; the round is otherwise the same for every algorithm.
+    Fedqvr's aggregate makes each upload in client-id order and adds it to
+    the server's theta and c at once, so no round holds all its uploads.
     Every row reproduces the single-client computation (``local_update`` for
     fedqvr) bit for bit, so leaving a client out moves no other result.
     """

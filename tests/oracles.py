@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from fedsim.alloc import AllocProblem, b_of_w, objective_value, utility
-from fedsim.fed import CLIENT
+from fedsim.fed import CLIENT, ClientUpload, ServerState
 
 
 def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.Generator:
@@ -19,6 +19,32 @@ def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.
 def client_rngs(master_seed: int, round_index: int, ids) -> dict[int, np.random.Generator]:
     """The streams ``fed.run_round`` takes: each of ``ids`` to its ``client_rng``."""
     return {cid: client_rng(master_seed, round_index, cid) for cid in ids}
+
+
+def server_aggregate(
+    server: ServerState,
+    theta0: np.ndarray,
+    uploads: list[tuple[ClientUpload, float]],
+    m: int,
+    num_clients: int,
+) -> ServerState:
+    """Apply the weighted quantized deltas to theta and c.
+
+    theta <- theta0 + (N/m) * sum_i p_i * delta_hat_i
+    c     <- c - sum_i p_i * step_scale_i * delta_hat_i
+
+    Uploads are reduced in ascending client-id order for deterministic
+    float summation. An empty upload list yields a no-op round.
+    """
+    ids = [u.client_id for u, _ in uploads]
+    if len(ids) != len(set(ids)):
+        raise ValueError("duplicate client id among uploads")
+    theta = theta0.copy()
+    c = server.c.copy()
+    for upload, p in sorted(uploads, key=lambda t: t[0].client_id):
+        theta += (num_clients / m) * p * upload.delta_hat
+        c -= p * upload.step_scale * upload.delta_hat
+    return ServerState(theta=theta, c=c, round=server.round + 1)
 
 
 def numpy_stream_seeds(keys) -> np.ndarray:

@@ -524,6 +524,23 @@ def test_price_finer_than_a_float_ulp():
     assert sol.iterations <= MAX_PRICES
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1000.0])
+def test_prices_when_a_slice_sits_at_its_bound(alpha):
+    """Slices that sit at a cap or a floor add to the excess's slope only at
+    that bound's own price. Counting them at every price (the mutant
+    ``t == refs[j]`` -> ``t != refs[j]`` in ``_price_search``) makes Newton
+    step too short: up to 26 and 27 prices on this family at alpha = 0 and
+    1000, and over 20 on 1 and 27 of its 100 problems; the search takes at
+    most 6 at either alpha."""
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        m = int(rng.integers(2, 8))
+        p = AllocProblem(gains=rng.uniform(1e-10, 1e-8, size=m), taus=np.full(m, 4e-6),
+                         w_total=10.0 ** rng.uniform(7, 22), alpha=alpha, d=105, mu=128,
+                         noise_psd=5e-18)
+        assert alloc.solve_alloc(p).iterations <= MAX_PRICES
+
+
 class TestBruteForceOracle:
     def test_matches_solver_on_random_instances(self):
         rng = np.random.default_rng(7)

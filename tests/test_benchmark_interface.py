@@ -25,11 +25,24 @@ def load_tracing():
     return module
 
 
+# Targets the benchmark still names that the package removed on purpose: fedqvr
+# folds each upload into the server state as it is made, so there is no
+# separate aggregation call. Their per-layer metrics read 0 until the
+# benchmark drops them.
+REMOVED = {("fed", "server_aggregate")}
+
+
 @pytest.mark.parametrize("module_name,attr",
-                         [(module_name, attr) for module_name, attr, _, _ in load_tracing().TARGETS])
+                         [(module_name, attr) for module_name, attr, _, _ in load_tracing().TARGETS
+                          if (module_name, attr) not in REMOVED])
 def test_every_tracer_target_resolves(module_name, attr):
     module = importlib.import_module(f"fedsim.{module_name}")
     assert callable(getattr(module, attr, None)), f"fedsim.{module_name}.{attr} is gone"
+
+
+def test_removed_targets_are_gone():
+    for module_name, attr in REMOVED:
+        assert not hasattr(importlib.import_module(f"fedsim.{module_name}"), attr)
 
 
 def test_runner_entry_points_exist():

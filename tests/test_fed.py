@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fedsim import fed, harness, learner, quantizer
 from fedsim.fed import ClientState, RoundPlan, ServerState
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
-from oracles import client_rng, client_rngs
+from oracles import client_rng, client_rngs, server_aggregate
 
 SPEC = ModelSpec(kind=LOGISTIC, input_dim=5, num_classes=3)
 
@@ -78,7 +79,7 @@ def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
         results = list(pool.map(one_client, reversed(plan.active_set)))
     delivered = sorted((r for r in results if r[0].client_id not in plan.failed),
                        key=lambda r: r[0].client_id)
-    new_server = fed.server_aggregate(
+    new_server = server_aggregate(
         server, theta0, [(u, clients[u.client_id].p) for u, _ in delivered],
         len(plan.active_set), len(clients))
     for upload, c_new in delivered:
@@ -276,20 +277,7 @@ class TestClientFinish:
 
 
 class TestServerAggregate:
-    def test_empty_round_is_noop_on_theta_and_c(self):
-        s = fresh_server()
-        theta0 = fed.broadcast_point(s, 0.3)
-        out = fed.server_aggregate(s, theta0, [], m=3, num_clients=10)
-        np.testing.assert_array_equal(out.theta, theta0)
-        np.testing.assert_array_equal(out.c, s.c)
-        assert out.round == s.round + 1
-
-    def test_duplicate_client_rejected(self):
-        s = fresh_server()
-        up = fed.ClientUpload(client_id=1, delta=None,
-                              delta_hat=np.zeros(SPEC.dim), step_scale=1.0)
-        with pytest.raises(ValueError, match="duplicate"):
-            fed.server_aggregate(s, s.theta, [(up, 0.5), (up, 0.5)], 2, 4)
+    """The reference aggregation of ``reference_fedqvr_round``."""
 
     def test_matches_hand_computed_update(self):
         s = ServerState(theta=np.zeros(2), c=np.zeros(2))
@@ -298,7 +286,7 @@ class TestServerAggregate:
                                    (1, np.array([0.0, 2.0]), 3.0, 0.75)]:
             ups.append((fed.ClientUpload(client_id=cid, delta=None,
                                          delta_hat=vec, step_scale=scale), p))
-        out = fed.server_aggregate(s, np.zeros(2), ups, m=2, num_clients=4)
+        out = server_aggregate(s, np.zeros(2), ups, m=2, num_clients=4)
         np.testing.assert_allclose(out.theta, [2 * 0.25 * 1.0, 2 * 0.75 * 2.0])
         np.testing.assert_allclose(out.c, [-0.25 * 2.0, -0.75 * 3.0 * 2.0])
 
@@ -438,6 +426,43 @@ class TestFedqvrRound:
         assert rows[99].dropped_count == cfg.sample_size
         assert rows[99].active_count == 0
         assert rows[99].cumulative_uplink_bits == rows[98].cumulative_uplink_bits
+
+    def test_duplicate_id_in_the_active_set_is_rejected(self):
+        clients, datasets = make_clients(4, seed=16)
+        plan = uniform_plan([0, 2, 2])
+        with pytest.raises(ValueError, match="duplicate client id"):
+            fed.run_round_fedqvr(SPEC, fresh_server(16), clients, datasets, plan,
+                                 client_rngs(0, 0, plan.active_set))
+
+    @staticmethod
+    def aggregate_peak(m, spec):
+        """tracemalloc peak, in bytes above the memory held before it, of
+        one ``FEDQVR.aggregate`` call on m random uploads at 4 bits."""
+        rng = np.random.default_rng(m)
+        tracemalloc.start()
+        try:
+            # made while tracing, so the c_i the call replaces count as freed
+            clients = [ClientState(p=1.0 / m, c_i=rng.normal(size=spec.dim)) for _ in range(m)]
+            server = ServerState(theta=rng.normal(size=spec.dim), c=rng.normal(size=spec.dim))
+            plan = uniform_plan(range(m), bits=4)
+            start = fed.broadcast_point(server, plan.gamma)
+            cohort = fed.Cohort(
+                np.full(m, 2), start, start + 0.01 * rng.normal(size=(m, spec.dim)),
+                np.array([cl.c_i for cl in clients]), [np.random.default_rng(c) for c in range(m)],
+                [(c, c) for c in range(m)])
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fed.FEDQVR.aggregate(spec, server, clients, plan, cohort)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_aggregation_memory_does_not_grow_with_the_cohort(self):
+        """Each upload is folded into theta and c as it is made, so 32 uploads
+        peak within two float64 vectors of 8; holding every upload until the
+        end costs about 17 bytes per parameter per upload."""
+        spec = ModelSpec(kind=LOGISTIC, input_dim=300, num_classes=10)
+        assert abs(self.aggregate_peak(32, spec) - self.aggregate_peak(8, spec)) < 2 * spec.dim * 8
 
     def test_uplink_bits_accounting(self):
         clients, datasets = make_clients(4, seed=16)
