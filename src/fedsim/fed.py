@@ -25,7 +25,6 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import learner, quantizer
 from .learner import ModelSpec
-from .quantizer import QuantizedDelta
 
 RAW_BITS_PER_ELEMENT = 32  # uncompressed float32 wire cost per parameter
 
@@ -59,14 +58,6 @@ class RoundPlan:
     failed: frozenset[int] = frozenset()
     # original sampled-cohort size when active_set was thinned by allocation
     m_sampled: int | None = None
-
-
-@dataclass
-class ClientUpload:
-    client_id: int
-    delta: QuantizedDelta
-    delta_hat: np.ndarray            # dequantized model difference
-    step_scale: float                # a / (eta * E_tilde)
 
 
 @dataclass
@@ -212,59 +203,30 @@ def b_weights(gamma: float, eta: float, E: int) -> np.ndarray:
     return (1.0 + ge) ** (-(E - np.arange(E, dtype=np.float64)))
 
 
-def local_update(
-    spec: ModelSpec,
-    theta0: np.ndarray,
-    c_i: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    epochs: int,
-    batch_size: int,
-    eta: float,
-    gamma: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Variance-reduced local iteration; returns final iterate and SG log."""
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    ge = gamma * eta
-    theta = theta0.copy()
-    logs: list[np.ndarray] = []
-    for _ in range(epochs):
-        g = learner.stochastic_grad(spec, theta, X, y, batch_size, rng)
-        logs.append(g)
-        theta = (theta - eta * (g - c_i)) / (1.0 + ge) + (ge / (1.0 + ge)) * theta0
-        if not np.all(np.isfinite(theta)):
-            raise FloatingPointError("local update diverged to non-finite iterate")
-    return theta, logs
-
-
 def client_finish(
     theta_new: np.ndarray,
     theta0: np.ndarray,
     c_i: np.ndarray,
-    client_id: int,
     bits: int,
     eta: float,
     e_tilde_val: float,
     a: float,
     rng: np.random.Generator,
     groups: list[tuple[int, int]] | None = None,
-) -> tuple[ClientUpload, np.ndarray]:
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Quantize the model difference and advance the client control variate.
 
-    The control variate moves by the *quantized* difference, never the raw
-    one; this is what keeps the server-side identity c = sum_i p_i c_i exact.
+    Returns the dequantized difference delta_hat, the step scale
+    a / (eta * E_tilde) and the new control variate. The control variate
+    moves by the *quantized* difference, never the raw one; this is what
+    keeps the server-side identity c = sum_i p_i c_i exact.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    diff = theta_new - theta0
     step_scale = a / (eta * e_tilde_val)
-    q = quantizer.quantize(diff, bits, rng=rng, groups=groups)
-    delta_hat = quantizer.dequantize(q)
-    upload = ClientUpload(client_id=client_id, delta=q, delta_hat=delta_hat,
-                          step_scale=step_scale)
-    return upload, c_i - step_scale * delta_hat
+    delta_hat = quantizer.dequantize(
+        quantizer.quantize(theta_new - theta0, bits, rng=rng, groups=groups))
+    return delta_hat, step_scale, c_i - step_scale * delta_hat
 
 
 def _cohort(plan: RoundPlan, clients: list[ClientState],
@@ -470,12 +432,12 @@ class FedQVR:
         theta, c = cohort.start.copy(), server.c.copy()
         for cid, j in cohort.by_id:
             p = clients[cid].p
-            upload, clients[cid].c_i = client_finish(
-                cohort.theta[j], cohort.start, cohort.c_rows[j], cid, plan.bits[cid], plan.eta,
+            delta_hat, step_scale, clients[cid].c_i = client_finish(
+                cohort.theta[j], cohort.start, cohort.c_rows[j], plan.bits[cid], plan.eta,
                 e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a, cohort.rngs[j],
                 groups=groups)
-            theta += (len(clients) / m) * p * upload.delta_hat
-            c -= p * upload.step_scale * upload.delta_hat
+            theta += (len(clients) / m) * p * delta_hat
+            c -= p * step_scale * delta_hat
         return ServerState(theta=theta, c=c, round=server.round + 1)
 
 
@@ -499,8 +461,9 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
     and the upload cost; the round is otherwise the same for every algorithm.
     Fedqvr's aggregate makes each upload in client-id order and adds it to
     the server's theta and c at once, so no round holds all its uploads.
-    Every row reproduces the single-client computation (``local_update`` for
-    fedqvr) bit for bit, so leaving a client out moves no other result.
+    This is the package's only local update. Every row equals the client's
+    steps taken alone, one minibatch gradient at a time, bit for bit, so
+    leaving a client out moves no other result.
     """
     ids, epochs, c_rows = _cohort(plan, clients, spec.dim)
     start = algo.start(server, plan)

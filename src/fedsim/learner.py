@@ -190,19 +190,3 @@ def grad(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np
             dZ *= A
     return g
 
-
-def stochastic_grad(
-    spec: ModelSpec,
-    theta: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Gradient over a uniform with-replacement mini-batch of ``batch_size``."""
-    if X.shape[0] == 0:
-        raise ValueError("empty client dataset")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    idx = rng.integers(0, X.shape[0], size=batch_size)
-    return grad(spec, theta, X[idx], y[idx])

@@ -3,7 +3,9 @@
 A fast subset of the oracle suite: quantizer unbiasedness and contraction,
 the control-variate aggregation identity, the closed-form local-update
 equivalence, and allocation KKT residuals on random instances whose
-bandwidth is drawn log-uniform over [1e3, 1e30] Hz.
+bandwidth is drawn log-uniform over [1e3, 1e30] Hz. The closed form is
+checked on the round engine's own fedqvr step (``fedqvr_steps``), so it
+watches the step every run takes.
 """
 
 from __future__ import annotations
@@ -64,7 +66,34 @@ def check_control_variate_identity(seed: int = 2) -> tuple[bool, str]:
     return ok, f"max ||c - sum p_i c_i||_inf = {worst:.3g}"
 
 
+def fedqvr_steps(spec: learner.ModelSpec, theta0: np.ndarray, c_i: np.ndarray,
+                 X: np.ndarray, y: np.ndarray, epochs: int, batch_size: int,
+                 eta: float, gamma: float, rng: np.random.Generator,
+                 ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One client's fedqvr local steps from ``theta0``, taken by the round
+    engine: ``fed._local_phase`` with ``fed.FEDQVR.stepper``.
+
+    Returns the final iterate and each step's minibatch gradient, copied
+    before the step overwrites it.
+    """
+    plan = RoundPlan(active_set=[0], local_epochs={0: epochs}, bits={},
+                     batch_size=batch_size, eta=eta, gamma=gamma)
+    server = ServerState(theta=theta0, c=np.zeros_like(theta0))  # broadcasts theta0
+    step = fed.FEDQVR.stepper(server, plan, theta0, c_i[None])
+    grads: list[np.ndarray] = []
+
+    def recording_step(theta, g, rows):
+        grads.append(g[0].copy())
+        step(theta, g, rows)
+
+    theta = fed._local_phase(spec, theta0, [0], np.array([epochs]), [(X, y)], batch_size,
+                             [rng], recording_step)
+    return theta[0], grads
+
+
 def check_closed_form_update(seed: int = 3) -> tuple[bool, str]:
+    """E steps of the engine equal one step of length eta * E_tilde on the
+    b_t-weighted mean of (g_t - c_i)."""
     rng = np.random.default_rng(seed)
     spec = learner.ModelSpec(kind=learner.LOGISTIC, input_dim=4, num_classes=3)
     X = rng.normal(size=(40, 4))
@@ -75,12 +104,11 @@ def check_closed_form_update(seed: int = 3) -> tuple[bool, str]:
             eta, gamma = 0.05, ge / 0.05
             theta0 = learner.init_params(spec, rng)
             c_i = rng.normal(size=spec.dim) * 0.01
-            theta_new, logs = fed.local_update(
-                spec, theta0, c_i, X, y, E, 8, eta, gamma, rng)
+            theta_new, grads = fedqvr_steps(spec, theta0, c_i, X, y, E, 8, eta, gamma, rng)
             b = fed.b_weights(gamma, eta, E)
             et = fed.e_tilde(gamma, eta, E)
             pred = -eta * et * sum(
-                (b[t] / b.sum()) * (logs[t] - c_i) for t in range(E))
+                (b[t] / b.sum()) * (grads[t] - c_i) for t in range(E))
             worst = max(worst, float(np.max(np.abs((theta_new - theta0) - pred))))
     ok = worst <= 1e-10
     return ok, f"max closed-form deviation = {worst:.3g}"

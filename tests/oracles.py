@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 from fedsim.alloc import AllocProblem, b_of_w, objective_value, utility
-from fedsim.fed import CLIENT, ClientUpload, ServerState
+from fedsim.fed import CLIENT, ServerState
+from fedsim.learner import ModelSpec, grad
 
 
 def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.Generator:
@@ -21,10 +22,58 @@ def client_rngs(master_seed: int, round_index: int, ids) -> dict[int, np.random.
     return {cid: client_rng(master_seed, round_index, cid) for cid in ids}
 
 
+def stochastic_grad(
+    spec: ModelSpec,
+    theta: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    batch_size: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Gradient over a uniform with-replacement mini-batch of ``batch_size``."""
+    if X.shape[0] == 0:
+        raise ValueError("empty client dataset")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    idx = rng.integers(0, X.shape[0], size=batch_size)
+    return grad(spec, theta, X[idx], y[idx])
+
+
+def local_update(
+    spec: ModelSpec,
+    theta0: np.ndarray,
+    c_i: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    epochs: int,
+    batch_size: int,
+    eta: float,
+    gamma: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Variance-reduced local iteration; returns final iterate and SG log.
+
+    One client, one step at a time: the reference the round engine's
+    stacked fedqvr step is compared against bit for bit.
+    """
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    ge = gamma * eta
+    theta = theta0.copy()
+    logs: list[np.ndarray] = []
+    for _ in range(epochs):
+        g = stochastic_grad(spec, theta, X, y, batch_size, rng)
+        logs.append(g)
+        theta = (theta - eta * (g - c_i)) / (1.0 + ge) + (ge / (1.0 + ge)) * theta0
+        if not np.all(np.isfinite(theta)):
+            raise FloatingPointError("local update diverged to non-finite iterate")
+    return theta, logs
+
+
 def server_aggregate(
     server: ServerState,
     theta0: np.ndarray,
-    uploads: list[tuple[ClientUpload, float]],
+    uploads: list[tuple[int, np.ndarray, float, float]],
     m: int,
     num_clients: int,
 ) -> ServerState:
@@ -33,17 +82,18 @@ def server_aggregate(
     theta <- theta0 + (N/m) * sum_i p_i * delta_hat_i
     c     <- c - sum_i p_i * step_scale_i * delta_hat_i
 
-    Uploads are reduced in ascending client-id order for deterministic
-    float summation. An empty upload list yields a no-op round.
+    ``uploads`` holds one (client id, delta_hat, step_scale, p) row per
+    upload. Uploads are reduced in ascending client-id order for
+    deterministic float summation. An empty upload list yields a no-op round.
     """
-    ids = [u.client_id for u, _ in uploads]
+    ids = [cid for cid, *_ in uploads]
     if len(ids) != len(set(ids)):
         raise ValueError("duplicate client id among uploads")
     theta = theta0.copy()
     c = server.c.copy()
-    for upload, p in sorted(uploads, key=lambda t: t[0].client_id):
-        theta += (num_clients / m) * p * upload.delta_hat
-        c -= p * upload.step_scale * upload.delta_hat
+    for _, delta_hat, step_scale, p in sorted(uploads, key=lambda row: row[0]):
+        theta += (num_clients / m) * p * delta_hat
+        c -= p * step_scale * delta_hat
     return ServerState(theta=theta, c=c, round=server.round + 1)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim import alloc, data, fed, harness, learner, quantizer
+from fedsim import alloc, data, fed, harness, learner, quantizer, verify
 from fedsim.fed import ClientState, RoundPlan, ServerState
 from fedsim.harness import ExperimentConfig, WirelessConfig
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
@@ -118,8 +118,9 @@ def test_criterion_03_control_variate_identity(m):
 
 
 def test_criterion_04_closed_form_local_update():
-    """E local steps collapse to one effective step on the geometric-weighted
-    average of the logged gradients."""
+    """E local steps of the round engine (``fed._local_phase`` with
+    ``fed.FEDQVR.stepper``) collapse to one effective step on the
+    geometric-weighted average of the logged gradients."""
     spec = ModelSpec(kind=LOGISTIC, input_dim=4, num_classes=3)
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 4))
@@ -133,7 +134,7 @@ def test_criterion_04_closed_form_local_update():
                 theta0 = learner.init_params(spec, np.random.default_rng(trial)) \
                     + 0.1 * rng.normal(size=spec.dim)
                 c_i = 0.01 * rng.normal(size=spec.dim)
-                theta_new, logs = fed.local_update(
+                theta_new, logs = verify.fedqvr_steps(
                     spec, theta0, c_i, X, y, E, 8, eta, gamma,
                     np.random.default_rng([E, trial]))
                 b = fed.b_weights(gamma, eta, E)

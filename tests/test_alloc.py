@@ -489,13 +489,20 @@ def test_every_kept_device_pinned():
     one's at its floor. At the price where the strong slice leaves its cap the
     weak one holds its floor, so every kept slice sits at a bound, and below
     that price the excess has no slope. The weak device's zero bits then drop
-    it."""
+    it.
+
+    The objective counts the weak device at its floor as zero bits, so it is
+    the strong device's continuous bits alone (about 139.9). That kills the
+    ``objective_value`` mutant ``max(b, 0.0)`` -> ``max(b, 1.0)``, which adds
+    one bit for the floored device."""
     p = make_problem([1e-5, 1e-9], alpha=0.0)
     sol = alloc.solve_alloc(p)
     floor = alloc._w_zero(p, 1)
     np.testing.assert_allclose(sol.bandwidths, [p.w_total - floor, floor], rtol=1e-12, atol=0)
     assert sol.dropped == {1}
     assert_solved(p, sol)
+    strong_bits = alloc.b_of_w(sol.bandwidths[0], p.gains[0], p.taus[0], p.d, p.mu, p.noise_psd)
+    assert sol.objective == pytest.approx(strong_bits, rel=1e-12)
     # the price is the strong device's marginal at its cap, an end of the bracket
     assert sol.iterations == 1
 

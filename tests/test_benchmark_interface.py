@@ -25,11 +25,14 @@ def load_tracing():
     return module
 
 
-# Targets the benchmark still names that the package removed on purpose: fedqvr
-# folds each upload into the server state as it is made, so there is no
-# separate aggregation call. Their per-layer metrics read 0 until the
-# benchmark drops them.
-REMOVED = {("fed", "server_aggregate")}
+# Targets the benchmark still names that the package removed on purpose. Their
+# per-layer metrics read 0 until the benchmark drops them:
+# - fedqvr folds each upload into the server state as it is made, so there is
+#   no separate aggregation call;
+# - the round engine is the only local update, so the single-client
+#   ``local_update`` and ``stochastic_grad`` live in ``tests/oracles.py``.
+REMOVED = {("fed", "server_aggregate"), ("fed", "local_update"),
+           ("learner", "stochastic_grad")}
 
 
 @pytest.mark.parametrize("module_name,attr",

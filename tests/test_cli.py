@@ -598,6 +598,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
+    def test_closed_form_check_runs_the_engine_step(self, monkeypatch):
+        """With fedqvr's step adding half its anchor, the closed-form check
+        fails: it checks the step a run takes, not a copy of it."""
+        def halved_anchor(server, plan, start, c_rows):
+            ge = plan.gamma * plan.eta
+            anchor = (ge / (1.0 + ge)) * start
+
+            def step(theta, g, rows):
+                g -= c_rows[rows]
+                g *= plan.eta
+                theta -= g
+                theta /= 1.0 + ge
+                theta += 0.5 * anchor
+            return step
+
+        monkeypatch.setattr(fed.FEDQVR, "stepper", halved_anchor)
+        ok, detail = verify.check_closed_form_update()
+        assert not ok, detail
+
     def test_identity_check_samples_from_the_sampling_stream(self, monkeypatch):
         """Round r's cohort comes from the key [seed_lo, seed_hi, SAMPLING, r, 0],
         as in a run, built here by numpy itself."""

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim import fed, harness, learner, quantizer
+from fedsim import fed, harness, learner, quantizer, verify
 from fedsim.fed import ClientState, RoundPlan, ServerState
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
-from oracles import client_rng, client_rngs, server_aggregate
+from oracles import client_rng, client_rngs, local_update, server_aggregate, stochastic_grad
 
 SPEC = ModelSpec(kind=LOGISTIC, input_dim=5, num_classes=3)
 
@@ -60,7 +60,7 @@ def uneven_plans(spec, rounds=4, **kw):
 
 
 def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
-    """Single-client reference: ``local_update`` and ``client_finish`` per
+    """Single-client reference: ``local_update`` and the quantized upload per
     client, run concurrently in reverse order, then ``server_aggregate``."""
     theta0 = fed.broadcast_point(server, plan.gamma)
     groups = spec.layer_groups()
@@ -68,25 +68,25 @@ def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
     def one_client(cid):
         rng = client_rng(seed, server.round, cid)
         E = plan.local_epochs[cid]
-        theta, _ = fed.local_update(
+        theta, _ = local_update(
             spec, theta0, clients[cid].c_i, *datasets[cid], E,
             plan.batch_size, plan.eta, plan.gamma, rng)
-        return fed.client_finish(
-            theta, theta0, clients[cid].c_i, cid, plan.bits[cid], plan.eta,
-            fed.e_tilde(plan.gamma, plan.eta, E), plan.a, rng, groups=groups)
+        q = quantizer.quantize(theta - theta0, plan.bits[cid], rng=rng, groups=groups)
+        delta_hat = quantizer.dequantize(q)
+        step_scale = plan.a / (plan.eta * fed.e_tilde(plan.gamma, plan.eta, E))
+        # the quantizer's own count of the payload it built
+        return cid, delta_hat, step_scale, q.payload_bits
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(one_client, reversed(plan.active_set)))
-    delivered = sorted((r for r in results if r[0].client_id not in plan.failed),
-                       key=lambda r: r[0].client_id)
+    delivered = sorted(r for r in results if r[0] not in plan.failed)
     new_server = server_aggregate(
-        server, theta0, [(u, clients[u.client_id].p) for u, _ in delivered],
+        server, theta0, [(cid, dh, scale, clients[cid].p) for cid, dh, scale, _ in delivered],
         len(plan.active_set), len(clients))
-    for upload, c_new in delivered:
-        clients[upload.client_id].c_i = c_new
-    # the quantizer's own count of each payload it built
-    return (new_server, sum(u.delta.payload_bits for u, _ in delivered),
-            [u.client_id for u, _ in delivered])
+    for cid, delta_hat, step_scale, _ in delivered:
+        clients[cid].c_i = clients[cid].c_i - step_scale * delta_hat
+    return (new_server, sum(bits for *_, bits in delivered),
+            [cid for cid, *_ in delivered])
 
 
 def reference_scaffold_round(spec, server, clients, datasets, plan, seed, eta_g):
@@ -99,7 +99,7 @@ def reference_scaffold_round(spec, server, clients, datasets, plan, seed, eta_g)
         theta = server.theta.copy()
         grads = []
         for _ in range(E):
-            g = learner.stochastic_grad(spec, theta, *datasets[cid], plan.batch_size, rng)
+            g = stochastic_grad(spec, theta, *datasets[cid], plan.batch_size, rng)
             grads.append(g)
             theta -= eta * (g + server.c - clients[cid].c_i)
         c_i_new = clients[cid].c_i - server.c + (server.theta - theta) / (E * eta)
@@ -125,7 +125,7 @@ def reference_fedavg_round(spec, server, datasets, plan, seed):
         rng = client_rng(seed, server.round, cid)
         theta = server.theta.copy()
         for _ in range(plan.local_epochs[cid]):
-            theta -= plan.eta * learner.stochastic_grad(
+            theta -= plan.eta * stochastic_grad(
                 spec, theta, *datasets[cid], plan.batch_size, rng)
         if cid not in plan.failed:
             models.append((cid, theta))
@@ -195,6 +195,10 @@ class TestPrimitives:
 
 
 class TestLocalUpdate:
+    """FedQVR's local update as the round engine takes it (``fed._local_phase``
+    with ``fed.FEDQVR.stepper``, via ``verify.fedqvr_steps``), and the guard
+    of the single-client reference in ``oracles``."""
+
     def test_matches_straight_line_reference(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, SPEC.input_dim))
@@ -202,7 +206,7 @@ class TestLocalUpdate:
         theta0 = learner.init_params(SPEC, np.random.default_rng(1))
         c_i = 0.01 * rng.normal(size=SPEC.dim)
         eta, gamma, E = 0.05, 0.4, 3
-        theta_new, logs = fed.local_update(
+        theta_new, logs = verify.fedqvr_steps(
             SPEC, theta0, c_i, X, y, E, 8, eta, gamma, np.random.default_rng(42))
         # replay the recursion directly from the logged gradients
         ge = gamma * eta
@@ -218,7 +222,7 @@ class TestLocalUpdate:
         theta0 = learner.init_params(SPEC, np.random.default_rng(2))
         c_i = 0.01 * rng.normal(size=SPEC.dim)
         eta, gamma, E = 0.05, 0.2, 4
-        theta_new, logs = fed.local_update(
+        theta_new, logs = verify.fedqvr_steps(
             SPEC, theta0, c_i, X, y, E, 8, eta, gamma, np.random.default_rng(7))
         b = fed.b_weights(gamma, eta, E)
         et = fed.e_tilde(gamma, eta, E)
@@ -230,21 +234,16 @@ class TestLocalUpdate:
         X = np.zeros((4, SPEC.input_dim))
         y = np.zeros(4, dtype=int)
         with pytest.raises(ValueError):
-            fed.local_update(SPEC, np.zeros(SPEC.dim), np.zeros(SPEC.dim),
-                             X, y, 0, 2, 0.01, 0.3, np.random.default_rng(0))
+            local_update(SPEC, np.zeros(SPEC.dim), np.zeros(SPEC.dim),
+                         X, y, 0, 2, 0.01, 0.3, np.random.default_rng(0))
 
     def test_divergence_raises(self):
         rng = np.random.default_rng(30)
         X = rng.normal(size=(4, SPEC.input_dim))
         y = np.array([0, 1, 2, 0])
-        old = np.seterr(over="ignore", invalid="ignore")
-        try:
-            with pytest.raises(FloatingPointError, match="diverged"):
-                fed.local_update(SPEC, np.ones(SPEC.dim), np.zeros(SPEC.dim),
-                                 X, y, 5, 2, 1e308, 1e-315,
-                                 np.random.default_rng(0))
-        finally:
-            np.seterr(**old)
+        with pytest.raises(FloatingPointError, match="diverged"):
+            verify.fedqvr_steps(SPEC, np.ones(SPEC.dim), np.zeros(SPEC.dim),
+                                X, y, 5, 2, 1e308, 1e-315, np.random.default_rng(0))
 
 
 class TestClientFinish:
@@ -254,25 +253,23 @@ class TestClientFinish:
         theta_new = theta0 + 0.1 * rng.normal(size=SPEC.dim)
         c_i = rng.normal(size=SPEC.dim)
         et = fed.e_tilde(0.3, 0.01, 2)
-        upload, c_new = fed.client_finish(
-            theta_new, theta0, c_i, 0, 2, 0.01, et, 0.3, np.random.default_rng(4))
-        np.testing.assert_allclose(
-            c_new, c_i - upload.step_scale * upload.delta_hat, atol=1e-15)
-        assert upload.step_scale == pytest.approx(0.3 / (0.01 * et))
+        delta_hat, step_scale, c_new = fed.client_finish(
+            theta_new, theta0, c_i, 2, 0.01, et, 0.3, np.random.default_rng(4))
+        np.testing.assert_allclose(c_new, c_i - step_scale * delta_hat, atol=1e-15)
+        assert step_scale == pytest.approx(0.3 / (0.01 * et))
 
     def test_high_bit_quantization_is_near_exact(self):
         rng = np.random.default_rng(7)
         theta0 = rng.normal(size=SPEC.dim)
         theta_new = theta0 + 0.1 * rng.normal(size=SPEC.dim)
-        upload, _ = fed.client_finish(
-            theta_new, theta0, np.zeros(SPEC.dim), 0, 24, 0.01, 2.0, 0.3,
+        delta_hat, _, _ = fed.client_finish(
+            theta_new, theta0, np.zeros(SPEC.dim), 24, 0.01, 2.0, 0.3,
             np.random.default_rng(8))
-        np.testing.assert_allclose(upload.delta_hat, theta_new - theta0,
-                                   atol=1e-5)
+        np.testing.assert_allclose(delta_hat, theta_new - theta0, atol=1e-5)
 
     def test_rejects_bad_a(self):
         with pytest.raises(ValueError):
-            fed.client_finish(np.ones(3), np.zeros(3), np.zeros(3), 0, 2,
+            fed.client_finish(np.ones(3), np.zeros(3), np.zeros(3), 2,
                               0.01, 2.0, 1.5, np.random.default_rng(0))
 
 
@@ -281,11 +278,8 @@ class TestServerAggregate:
 
     def test_matches_hand_computed_update(self):
         s = ServerState(theta=np.zeros(2), c=np.zeros(2))
-        ups = []
-        for cid, vec, scale, p in [(0, np.array([1.0, 0.0]), 2.0, 0.25),
-                                   (1, np.array([0.0, 2.0]), 3.0, 0.75)]:
-            ups.append((fed.ClientUpload(client_id=cid, delta=None,
-                                         delta_hat=vec, step_scale=scale), p))
+        ups = [(0, np.array([1.0, 0.0]), 2.0, 0.25),
+               (1, np.array([0.0, 2.0]), 3.0, 0.75)]
         out = server_aggregate(s, np.zeros(2), ups, m=2, num_clients=4)
         np.testing.assert_allclose(out.theta, [2 * 0.25 * 1.0, 2 * 0.75 * 2.0])
         np.testing.assert_allclose(out.c, [-0.25 * 2.0, -0.75 * 3.0 * 2.0])
@@ -324,7 +318,7 @@ class TestFedqvrRound:
                 rng = client_rng(seed, r, i)
                 th = theta0.copy()
                 for _ in range(E):
-                    g = learner.stochastic_grad(SPEC, th, *datasets[i], bs, rng)
+                    g = stochastic_grad(SPEC, th, *datasets[i], bs, rng)
                     th = (th - eta * (g - ref_ci[i])) / (1 + ge) \
                         + ge / (1 + ge) * theta0
                 deltas.append(quantizer.dequantize(quantizer.quantize(
@@ -375,7 +369,7 @@ class TestFedqvrRound:
 
     def test_result_independent_of_client_processing_order(self):
         """The stacked round engine equals the single-client reference bit for
-        bit: per-client ``local_update`` + ``client_finish`` computed
+        bit: per-client ``local_update`` and quantized upload computed
         concurrently in reverse order, then aggregated. Rounds mix uneven
         (HLU) epochs, lost uploads and per-client bit widths, for both model
         kinds."""
@@ -482,7 +476,7 @@ class TestFedavgRound:
         seed = 5
         plan = uniform_plan(range(n), E=1)
         expected = np.mean([
-            server.theta - plan.eta * learner.stochastic_grad(
+            server.theta - plan.eta * stochastic_grad(
                 SPEC, server.theta, *datasets[cid], plan.batch_size,
                 client_rng(seed, 0, cid))
             for cid in range(n)], axis=0)
@@ -652,14 +646,37 @@ class TestLostUploads:
         assert np.isfinite(server.theta).all()
 
 
+@ALGOS
+@pytest.mark.parametrize("epochs,batch_size,match", [
+    ({0: 2, 1: 0, 2: 2}, 10, "epochs must be >= 1"),
+    ({0: 2, 1: 2, 2: 2}, 0, "batch_size must be >= 1"),
+], ids=["zero_epochs", "zero_batch"])
+def test_plan_without_local_steps_is_rejected(algo, epochs, batch_size, match, monkeypatch):
+    """A client with 0 local epochs, or a batch of 0 samples, ends the round
+    with ValueError before any gradient is taken or any state moves."""
+    def no_grad(*args):
+        raise AssertionError("a gradient was taken")
+
+    monkeypatch.setattr(learner, "grad", no_grad)
+    clients, datasets = make_clients(4, seed=32)
+    before = copy.deepcopy(clients)
+    plan = RoundPlan(active_set=[0, 1, 2], local_epochs=epochs, bits={c: 2 for c in epochs},
+                     batch_size=batch_size, eta=0.01)
+    with pytest.raises(ValueError, match=match):
+        fed.run_round(algo, SPEC, fresh_server(32), clients, datasets, plan,
+                      client_rngs(0, 0, plan.active_set))
+    for cl, ref in zip(clients, before):
+        np.testing.assert_array_equal(cl.c_i, ref.c_i)
+
+
 def reference_iterate(algo, spec, server, c_i, data, E, plan, rng):
     """One client's final local iterate, one single-client step at a time."""
     if algo is fed.FEDQVR:
-        return fed.local_update(spec, fed.broadcast_point(server, plan.gamma), c_i, *data, E,
-                                plan.batch_size, plan.eta, plan.gamma, rng)[0]
+        return local_update(spec, fed.broadcast_point(server, plan.gamma), c_i, *data, E,
+                            plan.batch_size, plan.eta, plan.gamma, rng)[0]
     theta = server.theta.copy()
     for _ in range(E):
-        g = learner.stochastic_grad(spec, theta, *data, plan.batch_size, rng)
+        g = stochastic_grad(spec, theta, *data, plan.batch_size, rng)
         if algo is fed.SCAFFOLD:
             g = g + server.c - c_i
         theta -= plan.eta * g

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fedsim import learner
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
+from oracles import stochastic_grad
 
 
 LOG_SPEC = ModelSpec(kind=LOGISTIC, input_dim=6, num_classes=4)
@@ -201,12 +202,14 @@ class TestBlockedEvaluation:
 
 
 class TestStochasticGrad:
+    """The single-client minibatch gradient of ``oracles``, which the round
+    engine's stacked gradients equal bit for bit (``test_fed.py``)."""
+
     def test_full_batch_without_sampling_noise_matches_exact(self):
         # batch of size 1 drawn from a single-sample dataset is deterministic
         X, y = make_data(n=1)
         theta = learner.init_params(LOG_SPEC, np.random.default_rng(5))
-        sg = learner.stochastic_grad(LOG_SPEC, theta, X, y, 4,
-                                     np.random.default_rng(0))
+        sg = stochastic_grad(LOG_SPEC, theta, X, y, 4, np.random.default_rng(0))
         np.testing.assert_allclose(sg, learner.grad(LOG_SPEC, theta, X, y),
                                    atol=1e-14)
 
@@ -214,7 +217,7 @@ class TestStochasticGrad:
         X, y = make_data(n=20, seed=6)
         theta = learner.init_params(LOG_SPEC, np.random.default_rng(6))
         rng = np.random.default_rng(7)
-        mean = np.mean([learner.stochastic_grad(LOG_SPEC, theta, X, y, 5, rng)
+        mean = np.mean([stochastic_grad(LOG_SPEC, theta, X, y, 5, rng)
                         for _ in range(4000)], axis=0)
         np.testing.assert_allclose(mean, learner.grad(LOG_SPEC, theta, X, y),
                                    atol=0.02)
@@ -222,17 +225,14 @@ class TestStochasticGrad:
     def test_deterministic_given_rng_state(self):
         X, y = make_data(seed=8)
         theta = learner.init_params(LOG_SPEC, np.random.default_rng(8))
-        a = learner.stochastic_grad(LOG_SPEC, theta, X, y, 10,
-                                    np.random.default_rng(123))
-        b = learner.stochastic_grad(LOG_SPEC, theta, X, y, 10,
-                                    np.random.default_rng(123))
+        a = stochastic_grad(LOG_SPEC, theta, X, y, 10, np.random.default_rng(123))
+        b = stochastic_grad(LOG_SPEC, theta, X, y, 10, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_batch(self):
         X, y = make_data()
         with pytest.raises(ValueError):
-            learner.stochastic_grad(LOG_SPEC, np.zeros(LOG_SPEC.dim), X, y, 0,
-                                    np.random.default_rng(0))
+            stochastic_grad(LOG_SPEC, np.zeros(LOG_SPEC.dim), X, y, 0, np.random.default_rng(0))
 
 
 @settings(max_examples=25, deadline=None)
