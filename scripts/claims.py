@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Per-seed margins of the claim criteria 9, 10 and 11, written as one JSON file.
 
-For each seed, runs the experiments of ``tests/test_acceptance.py``'s
-claim criteria and records how far each claim holds at that seed:
+This file is the one definition of the claim experiments: each is a shipped
+config (``configs/synthetic_fedqvr.json`` for criteria 9 and 10,
+``configs/wireless_fedqvr_e.json`` for criterion 11) with only its
+algorithm, seed, rounds, ``eval_every`` and bits set, and
+``tests/test_acceptance.py`` checks its criteria on the records of the
+functions below. For each seed it records how far each claim holds:
 
 - criterion 9: the rounds fedqvr and fedavg take to reach 90% of the
   centralized accuracy (``null`` if never), and fedqvr's uplink bits there
@@ -10,8 +14,8 @@ claim criteria and records how far each claim holds at that seed:
 - criterion 10: fedqvr's final test accuracy and training loss at B = 4 and
   at B = 1 (the claim is acc(B=4) >= acc(B=1) - 0.01);
 - criterion 11: the final training loss of the equal split and of the
-  allocation at the delay budget 4e-6 (the claim is that the allocation is
-  lower), and the equal split's lost and sent uploads.
+  allocation at the config's delay budget (the claim is that the allocation
+  is lower), and the equal split's lost and sent uploads.
 
 A margin is positive where the claim holds at that seed. The file lets a
 change that moves the random streams show each criterion's margin before
@@ -23,75 +27,71 @@ and after it:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import tempfile
 from pathlib import Path
 
 from fedsim import data, fed, harness, learner
-from fedsim.harness import ExperimentConfig, WirelessConfig
-from fedsim.learner import LOGISTIC, ModelSpec
+from fedsim.learner import ModelSpec
 
-TAU = 4e-6  # criterion 11's delay budget
-
-
-def config(algorithm: str, seed: int, rounds: int, eval_every: int, bits: int = 2,
-           wireless: bool = False) -> ExperimentConfig:
-    """``tests/test_acceptance.py``'s ``experiment_config``."""
-    return ExperimentConfig(
-        algorithm=algorithm,
-        dataset={"kind": "synthetic", "num_classes": 5, "dim": 20,
-                 "samples_per_class": 200, "test_samples_per_class": 100,
-                 "separation": 3.0},
-        num_clients=20, sample_size=5, rounds=rounds, batch_size=50,
-        eta=0.01, bits=bits, labels_per_client=1, eval_every=eval_every, seed=seed,
-        wireless_cfg=WirelessConfig(enabled=True, tau=TAU) if wireless else WirelessConfig())
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SYNTHETIC = CONFIGS / "synthetic_fedqvr.json"  # criteria 9 and 10
+WIRELESS = CONFIGS / "wireless_fedqvr_e.json"  # criteria 11 and 12
 
 
 def criterion_9(seed: int, rounds: int) -> dict:
+    cfg = dataclasses.replace(harness.parse_config(SYNTHETIC), seed=seed, rounds=rounds,
+                              eval_every=1)
     # the run's dataset and initial model, from their streams
     data_rng, init_rng = fed.generators(fed.stream_keys(seed, [fed.DATA, fed.INIT]))
-    train, test = data.make_synth_task(5, 20, 200, 100, 3.0, data_rng)
-    spec = ModelSpec(kind=LOGISTIC, input_dim=20, num_classes=5)
+    ds = {k: v for k, v in cfg.dataset.items() if k != "kind"}
+    train, test = data.make_synth_task(**ds, rng=data_rng)
+    spec = ModelSpec(cfg.model_kind, ds["dim"], ds["num_classes"], cfg.hidden_dim)
     theta = learner.init_params(spec, init_rng)
     for _ in range(400):
         theta -= 0.5 * learner.grad(spec, theta, train.features, train.labels)
     target = 0.9 * harness.evaluate(spec, theta, test.features, test.labels)
 
     def milestone(algorithm: str):
-        rows = harness.run_experiment(config(algorithm, seed, rounds, eval_every=1))
+        rows = harness.run_experiment(dataclasses.replace(cfg, algorithm=algorithm))
         return next(((row.round, row.cumulative_uplink_bits) for row in rows
                      if row.test_accuracy >= target), None)
 
     qvr, avg = milestone("fedqvr"), milestone("fedavg")
     out = {"target": target, "fedqvr_rounds": qvr and qvr[0], "fedavg_rounds": avg and avg[0]}
     if qvr:
-        ratio = qvr[1] / (32 * spec.dim * 5 * qvr[0])
+        raw_bits_per_round = fed.FEDAVG.payload_bits(spec, None) * cfg.sample_size
+        ratio = qvr[1] / (raw_bits_per_round * qvr[0])
         out.update(bit_ratio=ratio, bit_margin=0.25 - ratio,
                    round_margin=(avg[0] if avg else rounds + 1) - qvr[0])
     return out
 
 
 def criterion_10(seed: int, rounds: int) -> dict:
+    cfg = harness.parse_config(SYNTHETIC)
     out = {}
     for B in (1, 4):
-        last = harness.run_experiment(config("fedqvr", seed, rounds, eval_every=50, bits=B))[-1]
+        last = harness.run_experiment(dataclasses.replace(
+            cfg, algorithm="fedqvr", seed=seed, rounds=rounds, eval_every=50, bits=B))[-1]
         out[f"accuracy_b{B}"], out[f"train_loss_b{B}"] = last.test_accuracy, last.train_loss
     out["margin"] = out["accuracy_b4"] - (out["accuracy_b1"] - 0.01)
     return out
 
 
 def criterion_11(seed: int, rounds: int, work: Path) -> dict:
-    cfg = config("fedqvr", seed, rounds, eval_every=50, wireless=True)
-    cfg.trace_rounds_out = str(work / "rounds.jsonl")
-    equal = harness.run_experiment(cfg)[-1]
+    cfg = dataclasses.replace(harness.parse_config(WIRELESS), seed=seed, rounds=rounds,
+                              eval_every=50)
+    trace = work / "rounds.jsonl"
+    equal = harness.run_experiment(dataclasses.replace(
+        cfg, algorithm="fedqvr", trace_rounds_out=str(trace)))[-1]
     sent = lost = 0
-    for line in Path(cfg.trace_rounds_out).read_text().splitlines():
+    for line in trace.read_text().splitlines():
         rec = json.loads(line)
         sent += len(rec["active"])
         lost += len(rec["active"]) - len(rec["delivered"])
-    allocated = harness.run_experiment(
-        config("fedqvr_e", seed, rounds, eval_every=50, wireless=True))[-1]
+    allocated = harness.run_experiment(cfg)[-1]  # the shipped algorithm, fedqvr_e
     return {"train_loss_equal": equal.train_loss, "train_loss_allocated": allocated.train_loss,
             "accuracy_equal": equal.test_accuracy, "accuracy_allocated": allocated.test_accuracy,
             "margin": equal.train_loss - allocated.train_loss, "lost": lost, "sent": sent}

@@ -144,6 +144,8 @@ class ExperimentConfig:
             errors.append(f"unknown dataset kind {ds.get('kind')!r}")
         else:
             keys = _DATASET_KEYS[ds["kind"]]
+            if unknown := set(ds) - {"kind", *keys}:
+                errors.append(f"unknown dataset fields: {sorted(unknown)}")
             if missing := [k for k in keys if k not in ds and k not in _OPTIONAL_DATASET_KEYS]:
                 errors.append(f"{ds['kind']} dataset needs {missing}")
             errors += _type_errors(ds, keys, "dataset ")
@@ -169,6 +171,8 @@ class ExperimentConfig:
         w = self.wireless_cfg
         if w.total_bandwidth_hz <= 0:
             errors.append("wireless total_bandwidth_hz must be positive")
+        if not 0 < w.r_min <= w.r_max:
+            errors.append("wireless placement needs 0 < r_min <= r_max")
         if w.enabled:
             if w.alpha < 0:
                 errors.append("wireless alpha must be >= 0")

@@ -1,13 +1,26 @@
-"""Reference implementations the tests compare the simulator against."""
+"""Reference implementations the tests compare the simulator against, and
+the loader of the scripts under scripts/."""
 
 import decimal
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
 from fedsim.alloc import AllocProblem, b_of_w, objective_value, utility
 from fedsim.fed import CLIENT, ServerState
 from fedsim.learner import ModelSpec, grad
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    """``scripts/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def client_rng(master_seed: int, round_index: int, client_id: int) -> np.random.Generator:

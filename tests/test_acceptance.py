@@ -5,17 +5,17 @@ criterion. Each test prints a one-line summary with the measured values
 (visible with ``-s`` or on failure).
 """
 
-import json
-from pathlib import Path
+import dataclasses
 
 import numpy as np
 import pytest
 
-from fedsim import alloc, data, fed, harness, learner, quantizer, verify
+from fedsim import alloc, fed, harness, learner, quantizer, verify
 from fedsim.fed import ClientState, RoundPlan, ServerState
-from fedsim.harness import ExperimentConfig, WirelessConfig
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
-from oracles import brute_force_alloc, client_rngs
+from oracles import brute_force_alloc, client_rngs, load_script
+
+claims = load_script("claims")  # the claim experiments of criteria 9-12
 
 NOISE = 10 ** (-14.3) / 1e3
 
@@ -23,21 +23,6 @@ NOISE = 10 ** (-14.3) / 1e3
 def report(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def experiment_config(algorithm, seed, rounds, eval_every=1, bits=2,
-                      wireless=None):
-    cfg = ExperimentConfig(
-        algorithm=algorithm,
-        dataset={"kind": "synthetic", "num_classes": 5, "dim": 20,
-                 "samples_per_class": 200, "test_samples_per_class": 100,
-                 "separation": 3.0},
-        num_clients=20, sample_size=5, rounds=rounds, batch_size=50,
-        eta=0.01, bits=bits, labels_per_client=1, eval_every=eval_every,
-        seed=seed)
-    if wireless is not None:
-        cfg.wireless_cfg = wireless
-    return cfg
 
 
 def test_criterion_01_quantizer_unbiasedness():
@@ -259,52 +244,25 @@ def test_criterion_09_fewer_rounds_and_bits_than_fedavg():
     quarter of the 32-bit uplink cost, on every seed. A fedavg run that never
     reaches the target in its 150 rounds counts as more rounds than any run
     that does."""
-    seeds = (0, 1, 2)
-    rounds = 150
     details = []
     ok = True
-    for seed in seeds:
-        # the run's dataset and initial model, from their streams
-        data_rng, init_rng = fed.generators(fed.stream_keys(seed, [fed.DATA, fed.INIT]))
-        train, test = data.make_synth_task(5, 20, 200, 100, 3.0, data_rng)
-        spec = ModelSpec(kind=LOGISTIC, input_dim=20, num_classes=5)
-        theta = learner.init_params(spec, init_rng)
-        for _ in range(400):
-            theta -= 0.5 * learner.grad(spec, theta, train.features,
-                                        train.labels)
-        central_acc = harness.evaluate(spec, theta, test.features, test.labels)
-        target = 0.9 * central_acc
-
-        def milestone(rows):
-            for row in rows:
-                if row.test_accuracy >= target:
-                    return row.round, row.cumulative_uplink_bits
-            return None
-
-        qvr = milestone(harness.run_experiment(
-            experiment_config("fedqvr", seed, rounds)))
-        avg = milestone(harness.run_experiment(
-            experiment_config("fedavg", seed, rounds)))
-        if qvr is None or (avg is not None and qvr[0] >= avg[0]):
+    for seed in (0, 1, 2):
+        rec = claims.criterion_9(seed, 150)
+        qvr, avg = rec["fedqvr_rounds"], rec["fedavg_rounds"]
+        if qvr is None:
             ok = False
-        raw_cost_same_rounds = 32 * spec.dim * 5 * qvr[0] if qvr else 0
-        if qvr and qvr[1] >= 0.25 * raw_cost_same_rounds:
-            ok = False
-        details.append(f"seed {seed}: target {target:.3f}, rounds "
-                       f"{qvr[0] if qvr else '-'} vs {avg[0] if avg else 'never'}, "
-                       f"bit ratio {qvr[1] / raw_cost_same_rounds:.3f}"
-                       if qvr else f"seed {seed}: never reached target")
+            details.append(f"seed {seed}: never reached target")
+            continue
+        ok = ok and (avg is None or qvr < avg) and rec["bit_ratio"] < 0.25
+        details.append(f"seed {seed}: target {rec['target']:.3f}, rounds {qvr} vs "
+                       f"{'never' if avg is None else avg}, bit ratio {rec['bit_ratio']:.3f}")
     report("fewer-rounds-fewer-bits", ok, "; ".join(details))
 
 
 def test_criterion_10_more_bits_never_hurt_final_accuracy():
     """Median final accuracy at B=4 is at least that at B=1 (within 0.01)."""
-    finals = {}
-    for B in (1, 4):
-        finals[B] = [harness.run_experiment(
-            experiment_config("fedqvr", seed, 150, eval_every=50, bits=B)
-        )[-1].test_accuracy for seed in (0, 1, 2)]
-    med1, med4 = np.median(finals[1]), np.median(finals[4])
+    recs = [claims.criterion_10(seed, 150) for seed in (0, 1, 2)]
+    med1, med4 = (np.median([rec[f"accuracy_b{B}"] for rec in recs]) for B in (1, 4))
     report("bit-width-monotonicity", med4 >= med1 - 0.01,
            f"median final accuracy B=4: {med4:.3f} vs B=1: {med1:.3f}")
 
@@ -317,42 +275,24 @@ def test_criterion_11_allocation_beats_equal_split_under_drops(tmp_path):
     by round 150 and cannot separate the two; the training loss can. Both
     runs of a seed see the same channel realizations: no stream key holds
     the algorithm."""
-    tau = 4e-6
-    seeds = range(20)
-    drops = transmissions = wins = 0
-    for seed in seeds:
-        rounds_log = str(tmp_path / f"rounds_{seed}.jsonl")
-        cfg = experiment_config(
-            "fedqvr", seed, 150, eval_every=50,
-            wireless=WirelessConfig(enabled=True, tau=tau))
-        cfg.trace_rounds_out = rounds_log
-        equal = harness.run_experiment(cfg)[-1].train_loss
-        for line in Path(rounds_log).read_text().splitlines():
-            rec = json.loads(line)
-            transmissions += len(rec["active"])
-            drops += len(rec["active"]) - len(rec["delivered"])
-        cfg_e = experiment_config(
-            "fedqvr_e", seed, 150, eval_every=50,
-            wireless=WirelessConfig(enabled=True, tau=tau))
-        wins += harness.run_experiment(cfg_e)[-1].train_loss < equal
-    drop_frac = drops / transmissions
+    recs = [claims.criterion_11(seed, 150, tmp_path) for seed in range(20)]
+    drop_frac = sum(rec["lost"] for rec in recs) / sum(rec["sent"] for rec in recs)
+    wins = sum(rec["train_loss_allocated"] < rec["train_loss_equal"] for rec in recs)
     ok = drop_frac >= 0.30 and wins >= 15
     report("wireless-allocation-advantage", ok,
            f"equal-split drop fraction = {drop_frac:.2f}, allocated final training "
-           f"loss below the equal split's in {wins} of {len(seeds)} seeds")
+           f"loss below the equal split's in {wins} of {len(recs)} seeds")
 
 
 def test_criterion_12_byte_identical_reruns(tmp_path):
     """The same config produces byte-identical metrics CSVs on rerun."""
     outs = []
     for tag in ("a", "b"):
-        out = str(tmp_path / f"{tag}.csv")
-        cfg = experiment_config(
-            "fedqvr_e", 3, 20, eval_every=5,
-            wireless=WirelessConfig(enabled=True, tau=4e-6))
-        cfg.out = out
-        harness.run_experiment(cfg)
-        outs.append(Path(out).read_bytes())
+        out = tmp_path / f"{tag}.csv"
+        harness.run_experiment(dataclasses.replace(
+            harness.parse_config(claims.WIRELESS), seed=3, rounds=20, eval_every=5,
+            out=str(out)))
+        outs.append(out.read_bytes())
     ok = outs[0] == outs[1] and len(outs[0]) > 0
     report("byte-identical-reruns", ok,
            f"{len(outs[0])} CSV bytes identical across independent reruns")

@@ -229,6 +229,13 @@ class TestRun:
          "wireless total_bandwidth_hz must be positive"),
         ({"wireless_cfg": {"trace_in": "chan.jsonl"}},
          "invalid config: unknown wireless_cfg fields: ['trace_in']"),
+        ({"dataset": {**BASE_CONFIG["dataset"], "test_samples_per_clas": 7}},
+         "invalid config: unknown dataset fields: ['test_samples_per_clas']"),
+        *[({"wireless_cfg": annulus},
+           "invalid config: wireless placement needs 0 < r_min <= r_max")
+          for annulus in ({"r_min": -5}, {"r_min": 600}, {"r_max": 5})],
+        ({"algorithm": "fedqvr_e", "wireless_cfg": {"enabled": True, "tau": 4e-6, "r_min": 0}},
+         "invalid config: wireless placement needs 0 < r_min <= r_max"),
         ({"dataset": "idx"}, "bad image magic"),
         ('"abc"', "config must be a JSON object, got str"),
         ("null", "config must be a JSON object, got NoneType"),
@@ -239,7 +246,8 @@ class TestRun:
             "wireless-cfg-0", "wireless-cfg-empty-list", "wireless-cfg-empty-str",
             "wireless-cfg-false", "wireless-cfg-null", "wireless-cfg-list", "model-kind",
             "hlu-range-of-one", "hlu-range-decreasing", "labels-0", "too-many-clients", "bandwidth-0-layer-off",
-            "channel-replay-option",
+            "channel-replay-option", "dataset-misspelled-key", "r-min-negative",
+            "r-min-beyond-r-max", "r-max-inside-r-min", "r-min-0",
             "non-idx-file", "string-config", "null-config", "number-config"])
     def test_setup_defect_is_one_line_validation_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, str):  # the whole config file is this JSON text

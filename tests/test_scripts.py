@@ -1,6 +1,5 @@
 """Smoke tests of the scripts under scripts/."""
 
-import importlib.util
 import json
 import os
 import shutil
@@ -10,30 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from oracles import load_script
+
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                    os.environ.get("PYTHONPATH")]))}
-
-
-def test_run_wireless_prints_one_line_per_seed_and_the_medians():
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_wireless.py"), "--rounds", "2",
-         "--seeds", "0"], capture_output=True, text=True, env=ENV, timeout=120)
-    assert done.returncode == 0, done.stderr
-    lines = [line for line in done.stdout.splitlines() if line]
-    assert len(lines) == 2
-    assert lines[0].startswith("seed 0: equal-split acc ")
-    assert lines[1].startswith("median final accuracy: equal-split ")
 
 
 def test_claims_writes_each_criterion_margin_per_seed(tmp_path):
