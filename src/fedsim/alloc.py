@@ -14,11 +14,13 @@ bracket, started from the slice's first-order prediction. Its last
 derivative gives dw_i/dt, and their sum is the derivative of the budget
 excess, so the outer step is a dual Newton step (Palomar and Chiang, IEEE
 JSAC 2006). The first price is where the slices, linearised at their
-equal-spare points, sum to the budget. The zero-bit floors come from Newton
-on b_i(w) = 0. At m = 5 a solve tries about 4.5 prices and evaluates the
-marginal about 65 times; the Illinois iteration on the price that this
-replaced tried about 9.4 and evaluated it about 180 times. Integer flooring
-and dropping of devices below the bit floor follow.
+equal-spare points, sum to the budget. Each zero-bit floor, the smallest w
+with b_i(w) >= 0, comes from its closed form through the Lambert W function:
+Newton in u = P/(w N0), started from W's asymptotic form, then an ulp walk.
+At m = 5 a solve tries about 4.5 prices and evaluates the marginal about
+65 times; the Illinois iteration on the price that this replaced tried about
+9.4 and evaluated it about 180 times. Integer flooring and dropping of
+devices below the bit floor follow.
 Both b_i' and M_i read one slope of the rate, summed as a power series at
 small x = P/(w N0), where its closed form cancels; a slope past the float
 range fails the solve.
@@ -30,7 +32,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -120,10 +122,17 @@ class AllocProblem:
 
     @classmethod
     def from_json(cls, text: str) -> "AllocProblem":
+        """A JSON object with exactly the eight fields; anything else is a
+        ValueError that names what is wrong."""
         d = json.loads(text)
-        return cls(gains=d["gains"], taus=d["taus"],
-                   w_total=d["w_total"], alpha=d["alpha"], d=d["d"],
-                   mu=d["mu"], noise_psd=d["noise_psd"], b_lower=d["b_lower"])
+        if not isinstance(d, dict):
+            raise ValueError(f"problem must be a JSON object, got {type(d).__name__}")
+        names = [f.name for f in fields(cls)]
+        if unknown := sorted(set(d) - set(names)):
+            raise ValueError(f"unknown problem keys: {unknown}")
+        if missing := [name for name in names if name not in d]:
+            raise ValueError(f"missing problem keys: {missing}")
+        return cls(**d)
 
 
 @dataclass
@@ -222,28 +231,33 @@ def _newton(fn, w: float, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _w_zero(p: AllocProblem, i: int) -> float:
-    """Minimum bandwidth at which the device can afford zero-bit payloads.
+    """Zero-bit floor: the smallest float w with b(w) >= 0, set by the device alone.
 
-    b(w) is concave and increasing, so Newton started left of the root climbs
-    to it monotonically; the last ulps are walked so that b(w) >= 0. As
-    ln(1+y) <= sqrt(y), b < 0 below w = r^2 N0/P with r = (d+mu) ln2/tau, and
-    r N0/P < 1 for a kept device: half that is a finite start left of the root.
+    With u = P/(w N0) and r = (d+mu) ln2/tau, b(w) = 0 reads log1p(u) = c u,
+    c = r N0/P < 1, and w = r/(c u). The root is u = -W(-c e^-c)/c - 1, W the
+    lower branch of the Lambert W function (Corless et al., "On the Lambert W
+    function", Adv. Comput. Math. 5, 1996). Newton on h(u) = c u - log1p(u)
+    starts from W's asymptotic form L1 - L2 + L2/L1 (L1 = ln c - c, L2 = ln -L1)
+    in (1/c - 1, 1/c^2]: h is least at 1/c - 1, where h' = 0, and log1p(u) <
+    sqrt(u) makes h(1/c^2) > 0. The ulps around its root are walked either way.
     """
     gain, tau, noise_psd = float(p.gains[i]), float(p.taus[i]), p.noise_psd
-
-    def bits(w: float) -> tuple[float, float]:
-        return (b_of_w(w, gain, tau, p.d, p.mu, noise_psd),
-                tau * _slope(gain / (w * noise_psd)) / (p.d * _LN2))
-
     r = (p.d + p.mu) / tau * _LN2
-    left = 0.5 * r * (r * noise_psd / gain)
-    w = _newton(bits, min(1e-12 * p.w_total, left), 0.0, p.w_total)[0]
+    c = r * noise_psd / gain
+    if not (c < 1.0 and c * c >= _TINY):  # else the bracket is empty or not finite
+        raise AllocationError(f"numerical breakdown: zero-bit floor at c = {c:.3g}")
+    lo, hi, l1 = 1.0 / c - 1.0, 1.0 / c / c, math.log(c) - c
+    start = max(-(l1 - math.log(-l1) * (1.0 - 1.0 / l1)) / c - 1.0, math.nextafter(lo, hi))
+    w = r / (c * _newton(lambda u: (c * u - math.log1p(u), max(c - 1.0 / (1.0 + u), _TINY)),
+                         start, lo, hi)[0])
+    ok = b_of_w(w, gain, tau, p.d, p.mu, noise_psd) >= 0.0
     for _ in range(_ULP_WALK):
-        if b_of_w(w, gain, tau, p.d, p.mu, noise_psd) >= 0.0:
-            return w
-        w = math.nextafter(w, math.inf)
-    raise AllocationError(f"numerical breakdown: b(w) < 0 for {_ULP_WALK} ulps right of "
-                          f"Newton's root, up to w = {w:.3g} Hz")
+        nxt = math.nextafter(w, 0.0 if ok else math.inf)
+        if (b_of_w(nxt, gain, tau, p.d, p.mu, noise_psd) >= 0.0) != ok:
+            return w if ok else nxt
+        w = nxt
+    raise AllocationError(f"numerical breakdown: b(w) = 0 not within {_ULP_WALK} ulps of "
+                          f"Newton's root, at w = {w:.3g} Hz")
 
 
 def _log_marginal(w: float, gain: float, noise_psd: float, tau: float,

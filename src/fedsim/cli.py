@@ -93,6 +93,10 @@ def _cmd_sweep(args) -> int:
         print("error: grid must be a non-empty JSON object of field -> non-empty list "
               "of values", file=sys.stderr)
         return EXIT_VALIDATION
+    if "out" in grid:
+        print("error: grid must not set out: the sweep writes each combination's "
+              "metrics CSV in --out-dir", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as e:
@@ -104,8 +108,10 @@ def _cmd_sweep(args) -> int:
     for combo in itertools.product(*(grid[k] for k in keys)):
         tag = "_".join(f"{k}-{v}" for k, v in zip(keys, combo))
         rest = "_".join(f"{k}-{v}" for k, v in zip(keys, combo) if k != "seed")
+        # '%' and '/' percent-escaped: each CSV lands in --out-dir, under its own name
+        name = tag.replace("%", "%25").replace("/", "%2F")
         raw = {**base, **dict(zip(keys, combo)),
-               "out": os.path.join(args.out_dir, f"metrics_{tag}.csv")}
+               "out": os.path.join(args.out_dir, f"metrics_{name}.csv")}
         code, result = _run_config(json.dumps(raw))
         if code != EXIT_OK:
             print(f"[{tag}] {result}", file=sys.stderr)
@@ -135,7 +141,7 @@ def _cmd_alloc(args) -> int:
         return EXIT_IO
     try:
         problem = alloc.AllocProblem.from_json(text)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, TypeError) as e:
         print(f"error: invalid problem: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

@@ -312,6 +312,31 @@ class TestGolden:
         assert np.mean(prices) <= 6
         assert max(prices) <= 7
 
+    def test_newton_evaluations_per_floor(self, monkeypatch):
+        """The zero-bit floors of the golden solves' 2,188 kept devices take
+        3.20 Newton evaluations each from the Lambert W start; Newton on b(w)
+        from a start proved left of the root took 6.17."""
+        evaluations = 0
+        newton = alloc._newton
+
+        def counted(fn, *args):
+            def fn_counted(u):
+                nonlocal evaluations
+                evaluations += 1
+                return fn(u)
+            return newton(fn_counted, *args)
+
+        monkeypatch.setattr(alloc, "_newton", counted)
+        floors = 0
+        for line in GOLDEN.read_text().splitlines():
+            p = AllocProblem.from_json(json.dumps(json.loads(line)["problem"]))
+            for i in range(p.num_devices):
+                if alloc.b_of_w(p.w_total, p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd) > 0:
+                    alloc._w_zero(p, i)
+                    floors += 1
+        assert floors == 2188
+        assert evaluations <= 4 * floors
+
 
 # Newton on the log price needs at most 9 prices on this family (m = 500,
 # alpha = 0, where devices reach their floors one price after another), and
@@ -393,15 +418,17 @@ def test_kkt_holds_at_every_bandwidth(log_gains, log_w, alpha):
 @given(log_gains=_LOG_GAINS, log_w=st.floats(3, 150))
 @example(log_gains=[-6], log_w=79.0)
 def test_zero_bit_floor_is_the_root_at_any_bandwidth(log_gains, log_w):
-    """Newton starts left of the root however large the budget, so it climbs
-    to the root instead of bisecting down from 1e-12 of the budget."""
+    """The floor is the float where b(w) turns non-negative, to one ulp, and
+    it does not move when the budget grows tenfold."""
     p = probe_problem(log_gains, 10.0 ** log_w, 0.5)
+    wider = probe_problem(log_gains, 10.0 ** (log_w + 1), 0.5)
     for i in range(p.num_devices):
         def b(w):
             return alloc.b_of_w(w, p.gains[i], p.taus[i], p.d, p.mu, p.noise_psd)
         if b(p.w_total) > 0.0:
             w0 = alloc._w_zero(p, i)
-            assert b(w0) >= 0.0 > b(w0 * (1 - 1e-9))
+            assert b(w0) >= 0.0 > b(math.nextafter(w0, 0.0))
+            assert alloc._w_zero(wider, i) == w0
 
 
 def test_newton_out_of_steps_is_allocation_error():
@@ -412,17 +439,55 @@ def test_newton_out_of_steps_is_allocation_error():
 
 
 def test_zero_bit_floor_walks_a_bounded_number_of_ulps(monkeypatch):
-    """A Newton root a million ulps short of b(w) = 0 fails the solve instead
-    of being walked one ulp at a time."""
+    """A Newton root a million ulps off b(w) = 0, on either side, fails the
+    solve instead of being walked one ulp at a time."""
     newton = alloc._newton
+    for side in (-1.0, 1.0):
+        def off(*args):
+            u, df = newton(*args)
+            return u + side * 1e6 * math.ulp(u), df
 
-    def short(*args):
-        w, df = newton(*args)
-        return w - 1e6 * math.ulp(w), df
+        monkeypatch.setattr(alloc, "_newton", off)
+        with pytest.raises(alloc.AllocationError,
+                           match="^numerical breakdown: b\\(w\\) = 0 not within 64 ulps"):
+            alloc._w_zero(make_problem([1e-6]), 0)
 
-    monkeypatch.setattr(alloc, "_newton", short)
-    with pytest.raises(alloc.AllocationError, match="^numerical breakdown: b\\(w\\) < 0"):
-        alloc._w_zero(make_problem([1e-6]), 0)
+
+def edge_problem(c, log_noise):
+    """One device whose c = (d+mu) ln2 N0/(tau P) is ``c``, up to rounding,
+    at noise PSD 10**log_noise, with a budget of 1e300 Hz."""
+    noise_psd, tau, d, mu = 10.0 ** log_noise, 1e-2, 105, 128
+    gain = (d + mu) * math.log(2.0) / tau * noise_psd / c
+    return AllocProblem(gains=[gain], taus=[tau], w_total=1e300, alpha=0.5, d=d, mu=mu,
+                        noise_psd=noise_psd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.one_of(st.integers(1, 2**20).map(lambda k: 1.0 - k * 2.0 ** -53),
+                   st.floats(-320, -100).map(lambda e: 10.0 ** e)),
+       log_noise=st.floats(-300, -1))
+@example(c=1.0 - 2.0 ** -53, log_noise=-17.3)  # b(w_total) barely positive
+@example(c=1e-153, log_noise=-17.3)            # 1/c^2 = 1e306
+@example(c=1e-154, log_noise=-17.3)            # 1/c^2 beyond the normal floats' reciprocals
+@example(c=1e-310, log_noise=-300.0)           # P/N0 = 1.6e314
+def test_zero_bit_floor_at_the_edges(c, log_noise):
+    """With c within ulps of 1, with a tiny c, or with P/N0 beyond the float
+    range, a kept device gets a floor with b >= 0 there or one
+    AllocationError, never another exception."""
+    try:
+        p = edge_problem(c, log_noise)
+    except ValueError:  # a gain beyond the float range
+        return
+    def b(w):
+        return alloc.b_of_w(w, p.gains[0], p.taus[0], p.d, p.mu, p.noise_psd)
+    if not b(p.w_total) > 0.0:
+        return
+    try:
+        w0 = alloc._w_zero(p, 0)
+    except alloc.AllocationError as e:
+        assert str(e).startswith("numerical breakdown: ")
+        return
+    assert 0.0 < w0 <= p.w_total and b(w0) >= 0.0
 
 
 @settings(max_examples=100, deadline=None)

@@ -454,6 +454,38 @@ class TestSweep:
         assert out == ""
         assert err == "[eta-0.01] out of memory\n[eta-0.05] out of memory\n"
 
+    def test_grid_values_with_a_path_separator_write_inside_out_dir(self, tmp_path, capsys):
+        """A trace path in the grid puts '/' into the combination's tag; its
+        CSV still lands in --out-dir, and two trace paths that differ only in
+        '/' against '%2F' give two files."""
+        (tmp_path / "t").mkdir()
+        traces = [str(tmp_path / "t" / "a.jsonl"), str(tmp_path / "t%2Fa.jsonl")]
+        out_dir = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", write_config(tmp_path), "--out-dir", str(out_dir),
+                       "--grid", json.dumps({"rounds": [2], "trace_rounds_out": traces})])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split("]")[0][1:] for line in out.splitlines()] == [
+            f"rounds-2_trace_rounds_out-{trace}" for trace in traces]
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == sorted(
+            "metrics_rounds-2_trace_rounds_out-"
+            + trace.replace("%", "%25").replace("/", "%2F") + ".csv" for trace in traces)
+        assert all(Path(trace).is_file() for trace in traces)
+
+    def test_out_in_the_grid_is_one_line(self, tmp_path, capsys):
+        """The sweep sets each combination's out itself, so a grid that sets
+        it is rejected instead of being overridden in silence."""
+        out_dir = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", write_config(tmp_path), "--out-dir", str(out_dir),
+                       "--grid", json.dumps({"out": [str(tmp_path / "m.csv")]})])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: grid must not set out") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_bad_grid_json(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["sweep", "--config", cfg, "--grid", "not json",
@@ -533,6 +565,31 @@ class TestAlloc:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
+
+    def test_unknown_key_is_validation_error(self, tmp_path, capsys):
+        """A key the problem does not have is not dropped in silence."""
+        err = self.assert_one_line_rejection(tmp_path, capsys, b_upper=3)
+        assert err == "error: invalid problem: unknown problem keys: ['b_upper']\n"
+
+    def test_missing_key_is_validation_error(self, tmp_path, capsys):
+        problem = json.loads(self.PROBLEM.to_json())
+        del problem["b_lower"]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert cli.main(["alloc", "--problem", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid problem: missing problem keys: ['b_lower']\n"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+    def test_problem_that_is_not_an_object_is_validation_error(self, tmp_path, capsys, text):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        assert cli.main(["alloc", "--problem", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid problem: problem must be a JSON object, got ")
+        assert err.count("\n") == 1
 
     def test_null_alpha_is_validation_error(self, tmp_path, capsys):
         self.assert_one_line_rejection(tmp_path, capsys, alpha=None)
