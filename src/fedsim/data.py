@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,17 +34,6 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
-
-
-@dataclass
-class Partition:
-    assignments: list[np.ndarray]      # per-client index lists, disjoint
-    weights: np.ndarray                # p_i = n_i / n
-    dropped_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.assignments)
 
 
 def _read_be_u32(f, what: str, path: str) -> int:
@@ -123,11 +112,13 @@ def shard_partition(
     num_clients: int,
     labels_per_client: int,
     rng: np.random.Generator,
-) -> Partition:
+) -> list[np.ndarray]:
     """Sort by label, split into num_clients * k equal shards, deal k per client.
 
-    Shards are assigned by a seeded random permutation; remainder samples
-    (when n is not divisible by the shard count) are dropped and recorded.
+    Returns each client's sorted sample indices; the clients' arrays are
+    disjoint. Shards are assigned by a seeded random permutation; the
+    remainder samples (when n is not divisible by the shard count) belong to
+    no client.
     """
     n = ds.n
     num_shards = num_clients * labels_per_client
@@ -136,21 +127,10 @@ def shard_partition(
         raise ValueError(
             f"cannot build {num_shards} shards from {n} samples")
     order = np.argsort(ds.labels, kind="stable")
-    used = order[: num_shards * shard_size]
-    dropped = order[num_shards * shard_size:]
-    shards = used.reshape(num_shards, shard_size)
+    shards = order[: num_shards * shard_size].reshape(num_shards, shard_size)
     shard_ids = rng.permutation(num_shards)
     assignments = []
     for c in range(num_clients):
         ids = shard_ids[c * labels_per_client:(c + 1) * labels_per_client]
         assignments.append(np.sort(np.concatenate([shards[s] for s in ids])))
-    weights = client_weights_from_sizes([a.size for a in assignments])
-    return Partition(assignments=assignments, weights=weights,
-                     dropped_indices=np.sort(dropped))
-
-
-def client_weights_from_sizes(sizes) -> np.ndarray:
-    sizes = np.asarray(sizes, dtype=np.float64)
-    if np.any(sizes <= 0):
-        raise ValueError("every client must hold at least one sample")
-    return sizes / sizes.sum()
+    return assignments

@@ -10,7 +10,8 @@ as it is made, so its memory does not grow with the cohort. All
 randomness flows through streams keyed by the five 32-bit words (seed low,
 seed high, label, round, client), so results are independent of client
 scheduling order; ``stream_keys`` lays the keys out and ``stream_seeds``
-hashes them, many keys at a time.
+hashes them, many keys at a time. The caller counts the rounds and hands
+each round its streams; the server state is only theta and c.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ RAW_BITS_PER_ELEMENT = 32  # uncompressed float32 wire cost per parameter
 class ServerState:
     theta: np.ndarray
     c: np.ndarray
-    round: int = 0
 
 
 @dataclass
@@ -351,7 +351,7 @@ class FedAvg:
 
     def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
         theta = cohort.mean() if cohort.by_id else server.theta.copy()
-        return ServerState(theta=theta, c=server.c.copy(), round=server.round + 1)
+        return ServerState(theta=theta, c=server.c.copy())
 
 
 class Scaffold(FedAvg):
@@ -382,7 +382,7 @@ class Scaffold(FedAvg):
             for cid, j in cohort.by_id:
                 c_new += (c_rows[j] - clients[cid].c_i) / len(clients)
                 clients[cid].c_i = c_rows[j].copy()
-        return ServerState(theta=theta_new, c=c_new, round=server.round + 1)
+        return ServerState(theta=theta_new, c=c_new)
 
 
 class FedQVR:
@@ -438,7 +438,7 @@ class FedQVR:
                 groups=groups)
             theta += (len(clients) / m) * p * delta_hat
             c -= p * step_scale * delta_hat
-        return ServerState(theta=theta, c=c, round=server.round + 1)
+        return ServerState(theta=theta, c=c)
 
 
 FEDAVG, SCAFFOLD, FEDQVR = FedAvg(), Scaffold(), FedQVR()

@@ -18,8 +18,6 @@ from .learner import ModelSpec
 ALGORITHMS = {"fedavg": fed.FEDAVG, "scaffold": fed.SCAFFOLD,
               "fedqvr": fed.FEDQVR, "fedqvr_e": fed.FEDQVR}
 
-CSV_HEADER = "round,train_loss,test_accuracy,cumulative_uplink_bits,active_count,dropped_count"
-
 # each dataset kind's keys with their declared types; all but the optional ones are required
 _DATASET_KEYS = {
     "synthetic": {"num_classes": "int", "dim": "int", "samples_per_class": "int",
@@ -158,6 +156,9 @@ class ExperimentConfig:
         if self.algorithm in ("fedqvr", "fedqvr_e"):
             if self.gamma <= 0:
                 errors.append("gamma must be positive for variance-reduced algorithms")
+            elif 1.0 + self.gamma * self.eta == 1.0:  # E_tilde would be 0
+                errors.append(f"gamma*eta must leave 1 + gamma*eta above 1 in float64, "
+                              f"got {self.gamma * self.eta!r}")
             if not 0 < self.a < 1:
                 errors.append("a must lie in (0, 1)")
         if self.algorithm == "fedqvr" and not 1 <= self.bits <= quantizer.MAX_BITS:
@@ -173,6 +174,10 @@ class ExperimentConfig:
             errors.append("wireless total_bandwidth_hz must be positive")
         if not 0 < w.r_min <= w.r_max:
             errors.append("wireless placement needs 0 < r_min <= r_max")
+        for name, path in (("out", self.out), ("trace_rounds_out", self.trace_rounds_out),
+                           ("wireless trace_out", w.trace_out)):
+            if path is not None and "\x00" in path:
+                errors.append(f"{name} must not contain a NUL character")
         if w.enabled:
             if w.alpha < 0:
                 errors.append("wireless alpha must be >= 0")
@@ -223,6 +228,9 @@ class MetricsRow:
                 f"{self.cumulative_uplink_bits},{self.active_count},{self.dropped_count}")
 
 
+CSV_HEADER = ",".join(f.name for f in fields(MetricsRow))
+
+
 def evaluate(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Accuracy on a held-out set; argmax ties break to the lowest class."""
     if X.shape[0] == 0:
@@ -249,9 +257,10 @@ def parse_config(path: str) -> ExperimentConfig:
         return ExperimentConfig.from_json(f.read())
 
 
-def _build_task(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset, data.Partition]:
-    """Train and test sets and the clients' shards; a dataset that cannot be
-    built as configured raises ConfigError."""
+def _build_task(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset, list[np.ndarray]]:
+    """Train and test sets and each client's sample indices; a dataset that
+    cannot be built as configured, or a test set that cannot score the
+    model, raises ConfigError."""
     data_rng, part_rng = fed.generators(fed.stream_keys(cfg.seed, [fed.DATA, fed.PARTITION]))
     ds = cfg.dataset
     try:
@@ -264,10 +273,15 @@ def _build_task(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset, data
         else:
             train = data.load_mnist_idx(ds["images_path"], ds["labels_path"])
             test = data.load_mnist_idx(ds["test_images_path"], ds["test_labels_path"])
-        part = data.shard_partition(train, cfg.num_clients, cfg.labels_per_client, part_rng)
+        if test.n == 0:
+            raise ValueError("the test set is empty")
+        if test.features.shape[1] != train.features.shape[1]:
+            raise ValueError(f"test samples have {test.features.shape[1]} features, "
+                             f"training samples {train.features.shape[1]}")
+        shards = data.shard_partition(train, cfg.num_clients, cfg.labels_per_client, part_rng)
     except (ValueError, TypeError) as e:  # IdxFormatError is a ValueError
         raise ConfigError(f"dataset: {e}") from e
-    return train, test, part
+    return train, test, shards
 
 
 def _epochs_for(cfg: ExperimentConfig, active: list[int],
@@ -356,20 +370,22 @@ def _allocated_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPlan,
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     cfg.validate()
-    train, test, part = _build_task(cfg)
+    train, test, shards = _build_task(cfg)
     spec = ModelSpec(cfg.model_kind, train.features.shape[1], train.num_classes, cfg.hidden_dim)
     # global training loss is evaluated over the partitioned samples only
-    used = np.concatenate(part.assignments)
+    used = np.concatenate(shards)
     train_X, train_y = train.features[used], train.labels[used]
     del train  # the client-ordered rows are the one copy of the training set a run keeps
     # each client's shard is a view of its rows, which ``used`` holds in client order
-    offsets = np.cumsum([a.size for a in part.assignments])[:-1]
+    sizes = [a.size for a in shards]
+    offsets = np.cumsum(sizes)[:-1]
     client_data = list(zip(np.split(train_X, offsets), np.split(train_y, offsets)))
 
     init_rng, place_rng = fed.generators(fed.stream_keys(cfg.seed, [fed.INIT, fed.PLACEMENT]))
     theta0 = learner.init_params(spec, init_rng)
     server = ServerState(theta=theta0.copy(), c=np.zeros(spec.dim))
-    clients = [ClientState(p=float(p), c_i=np.zeros(spec.dim)) for p in part.weights]
+    # p_i = n_i / n over the partitioned samples
+    clients = [ClientState(p=n_i / used.size, c_i=np.zeros(spec.dim)) for n_i in sizes]
 
     algo = ALGORITHMS[cfg.algorithm]
     run_round = getattr(fed, f"run_round_{algo.name}")
@@ -412,7 +428,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         cumulative_bits += report.uplink_bits
         if cfg.trace_rounds_out:
             round_trace.append({
-                "round": r, "active": report.active_ids,
+                "round": r, "active": plan.active_set,
                 "delivered": report.delivered_ids,
                 "epochs": {str(k): v for k, v in plan.local_epochs.items()},
                 "bits": {str(k): v for k, v in plan.bits.items()} if algo.quantized else {},

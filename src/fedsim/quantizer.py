@@ -33,15 +33,6 @@ class QuantizedDelta:
     bits_per_element: int
     group_boundaries: list[tuple[int, int]]
 
-    @property
-    def dim(self) -> int:
-        return int(self.level_indices.size)
-
-    @property
-    def payload_bits(self) -> int:
-        return payload_bits(self.dim, self.bits_per_element,
-                            side_bits(len(self.group_boundaries)))
-
     def validate(self) -> None:
         k_max = (1 << self.bits_per_element) - 1
         if self.level_indices.min(initial=0) < 0 or self.level_indices.max(initial=0) > k_max:

@@ -141,11 +141,10 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(verbose: bool = True) -> bool:
+def run_all() -> bool:
     all_ok = True
     for name, fn in ALL_CHECKS:
         ok, detail = fn()
         all_ok &= ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

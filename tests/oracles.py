@@ -107,7 +107,7 @@ def server_aggregate(
     for _, delta_hat, step_scale, p in sorted(uploads, key=lambda row: row[0]):
         theta += (num_clients / m) * p * delta_hat
         c -= p * step_scale * delta_hat
-    return ServerState(theta=theta, c=c, round=server.round + 1)
+    return ServerState(theta=theta, c=c)
 
 
 def numpy_stream_seeds(keys) -> np.ndarray:

@@ -4,11 +4,13 @@
 times ``harness.run_experiment``. ``perfbench/tracing.py`` wraps the module
 attributes its ``TARGETS`` names and skips an attribute that is missing, so
 a deleted or renamed target would read as 0 calls instead of failing. These
-tests load the tracer by path, as the benchmark does, and check each name.
+tests load the tracer by path, as the benchmark does, and check each name,
+and that its observers can read what each algorithm's round returns.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from fedsim import harness
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def load_tracing():
@@ -51,3 +54,23 @@ def test_removed_targets_are_gone():
 def test_runner_entry_points_exist():
     assert callable(harness.parse_config)
     assert callable(harness.run_experiment)
+
+
+@pytest.mark.parametrize("algorithm", sorted(harness.ALGORITHMS))
+def test_tracer_observes_every_algorithm(algorithm):
+    """A 2-round run under the tracer: one ``fed.round`` span per round, and
+    the round and allocation observers counted what they read (the round
+    observer reads ``RoundReport.active_ids`` and ``delivered_ids``)."""
+    tracing = load_tracing()
+    shipped = "wireless_fedqvr_e" if algorithm == "fedqvr_e" else "synthetic_fedqvr"
+    raw = json.loads((CONFIGS / f"{shipped}.json").read_text())
+    raw.update(algorithm=algorithm, rounds=2)
+    cfg = harness.ExperimentConfig.from_json(json.dumps(raw))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.begin_run()
+        harness.run_experiment(cfg)
+    assert sum(span.name == "fed.round" for span in tracer.spans) == cfg.rounds
+    assert tracer.counters["fed.computed"] > 0
+    assert tracer.counters["fed.delivered"] > 0
+    assert (tracer.counters["alloc.offered"] > 0) == (algorithm == "fedqvr_e")

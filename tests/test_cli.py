@@ -236,6 +236,12 @@ class TestRun:
           for annulus in ({"r_min": -5}, {"r_min": 600}, {"r_max": 5})],
         ({"algorithm": "fedqvr_e", "wireless_cfg": {"enabled": True, "tau": 4e-6, "r_min": 0}},
          "invalid config: wireless placement needs 0 < r_min <= r_max"),
+        # 1 + gamma*eta rounds to 1, so E_tilde, the divisor of each step scale, is 0
+        ({"gamma": 1e-14, "eta": 1e-3},
+         "invalid config: gamma*eta must leave 1 + gamma*eta above 1 in float64, got 1e-17"),
+        ({"algorithm": "fedqvr_e", "gamma": 1e-14, "eta": 1e-3,
+          "wireless_cfg": {"enabled": True, "tau": 4e-6}},
+         "invalid config: gamma*eta must leave 1 + gamma*eta above 1 in float64, got 1e-17"),
         ({"dataset": "idx"}, "bad image magic"),
         ('"abc"', "config must be a JSON object, got str"),
         ("null", "config must be a JSON object, got NoneType"),
@@ -248,7 +254,7 @@ class TestRun:
             "hlu-range-of-one", "hlu-range-decreasing", "labels-0", "too-many-clients", "bandwidth-0-layer-off",
             "channel-replay-option", "dataset-misspelled-key", "r-min-negative",
             "r-min-beyond-r-max", "r-max-inside-r-min", "r-min-0",
-            "non-idx-file", "string-config", "null-config", "number-config"])
+            "gamma-eta-below-ulp", "gamma-eta-below-ulp-fedqvr-e", "non-idx-file", "string-config", "null-config", "number-config"])
     def test_setup_defect_is_one_line_validation_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, str):  # the whole config file is this JSON text
             path = tmp_path / "cfg.json"
@@ -267,6 +273,22 @@ class TestRun:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra,name", [
+        ({"out": "a\x00b.csv"}, "out"),
+        ({"trace_rounds_out": "a\x00b.jsonl"}, "trace_rounds_out"),
+        ({"wireless_cfg": {"trace_out": "a\x00b.jsonl"}}, "wireless trace_out"),
+    ], ids=["out", "trace-rounds-out", "channel-trace-out"])
+    def test_nul_in_a_path_is_one_line_before_the_run(
+            self, tmp_path, capsys, monkeypatch, extra, name):
+        def no_run(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(harness, "_build_task", no_run)
+        assert cli.main(["run", "--config", write_config(tmp_path, **extra)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: invalid config: {name} must not contain a NUL character\n"
 
     @pytest.mark.parametrize("algorithm", ["scaffold", "fedavg", "fedqvr_e"])
     def test_overflowing_iterate_is_divergence(self, tmp_path, capsys, algorithm):
@@ -362,6 +384,29 @@ def test_run_on_a_broken_idx_file_is_one_line(tmp_path, capsys, broken):
     assert err.startswith("error: invalid config: dataset: ") and err.count("\n") == 1
 
 
+def _idx_images(n: int, rows: int, cols: int) -> bytes:
+    return (bytes.fromhex("00000803") + b"".join(v.to_bytes(4, "big") for v in (n, rows, cols))
+            + bytes(range(n * rows * cols)))
+
+
+@pytest.mark.parametrize("test_images,test_labels,message", [
+    (_idx_images(12, 3, 3), _LABELS, "test samples have 9 features, training samples 4"),
+    (_idx_images(0, 2, 2), bytes.fromhex("0000080100000000"), "the test set is empty"),
+], ids=["test-width-differs", "empty-test-set"])
+def test_test_set_that_cannot_score_the_model_is_one_line(
+        tmp_path, capsys, test_images, test_labels, message):
+    """Valid IDX files whose test set is empty, or whose test images are not
+    as wide as the training images: one line, exit 1."""
+    paths = {name: str(tmp_path / name) for name in _IDX_PATHS}
+    for name, content in zip(_IDX_PATHS, (_IMAGES, _LABELS, test_images, test_labels)):
+        Path(paths[name]).write_bytes(content)
+    config = write_config(tmp_path, dataset={"kind": "mnist", **paths}, rounds=2)
+    assert cli.main(["run", "--config", config]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: invalid config: dataset: {message}\n"
+
+
 class TestSweep:
     def test_grid_produces_one_csv_per_combo(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -390,6 +435,20 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert err == "[labels_per_client-0] invalid config: labels_per_client must be >= 1\n"
         assert out.startswith("[labels_per_client-1] accuracy=")
+
+    def test_nul_in_a_path_is_one_line_and_the_rest_still_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        good = str(tmp_path / "rounds.jsonl")
+        rc = cli.main(["sweep", "--config", cfg,
+                       "--grid", json.dumps({"trace_rounds_out": ["x\x00y", good]}),
+                       "--out-dir", str(tmp_path / "sweep")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        # the combination's CSV name holds the grid value, so ``out`` has the NUL too
+        assert err == ("[trace_rounds_out-x\x00y] invalid config: out must not contain a NUL "
+                       "character; trace_rounds_out must not contain a NUL character\n")
+        assert out.startswith(f"[trace_rounds_out-{good}] accuracy=")
+        assert Path(good).exists()
 
     def test_wrongly_typed_value_is_one_line_and_the_rest_still_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -151,33 +151,54 @@ class TestSynth:
         assert not np.array_equal(a_train.features, c_train.features)
 
 
+def assert_partition(ds, shards, num_clients, k):
+    """Disjoint sorted index arrays, one per client, each of k whole label
+    shards; the n - sum(n_i) samples no client holds are the last of the
+    label order."""
+    assert len(shards) == num_clients
+    held = np.concatenate(shards)
+    assert np.unique(held).size == held.size
+    shard_size = ds.n // (num_clients * k)
+    order = np.argsort(ds.labels, kind="stable")
+    rank = np.empty(ds.n, dtype=np.int64)
+    rank[order] = np.arange(ds.n)
+    for a in shards:
+        assert np.all(np.diff(a) > 0)
+        # k runs of shard_size consecutive samples in the label order
+        ids, counts = np.unique(rank[a] // shard_size, return_counts=True)
+        assert ids.size == k and np.all(counts == shard_size)
+    remainder = ds.n - sum(a.size for a in shards)
+    assert remainder == ds.n % (num_clients * k)
+    np.testing.assert_array_equal(np.setdiff1d(np.arange(ds.n), held),
+                                  np.sort(order[ds.n - remainder:]))
+
+
 class TestShardPartition:
     def test_basic_invariants(self):
         ds = data.make_synth_task(5, 3, 40, 1, 2.0, rng=np.random.default_rng(2))[0]
-        part = data.shard_partition(ds, 10, 2, np.random.default_rng(3))
-        all_idx = np.concatenate(part.assignments + [part.dropped_indices])
-        assert np.array_equal(np.sort(all_idx), np.arange(ds.n))
-        assert part.weights.sum() == pytest.approx(1.0)
-        for a in part.assignments:
+        shards = data.shard_partition(ds, 10, 2, np.random.default_rng(3))
+        assert_partition(ds, shards, 10, 2)
+        for a in shards:
             assert len(np.unique(ds.labels[a])) <= 2
 
     def test_equal_shards_no_drop_when_divisible(self):
         ds = data.make_synth_task(5, 3, 40, 1, 2.0, rng=np.random.default_rng(4))[0]
-        part = data.shard_partition(ds, 10, 2, np.random.default_rng(5))
-        assert part.dropped_indices.size == 0
-        assert all(a.size == 20 for a in part.assignments)
+        shards = data.shard_partition(ds, 10, 2, np.random.default_rng(5))
+        assert sum(a.size for a in shards) == ds.n
+        assert all(a.size == 20 for a in shards)
 
     def test_remainder_dropped(self):
         ds = Dataset(features=np.zeros((103, 2)),
                      labels=np.arange(103) % 4)
-        part = data.shard_partition(ds, 10, 1, np.random.default_rng(6))
-        assert part.dropped_indices.size == 3
-        assert all(a.size == 10 for a in part.assignments)
+        shards = data.shard_partition(ds, 10, 1, np.random.default_rng(6))
+        assert ds.n - sum(a.size for a in shards) == 3
+        assert all(a.size == 10 for a in shards)
+        assert_partition(ds, shards, 10, 1)
 
     def test_single_label_per_client(self):
         ds = data.make_synth_task(5, 3, 40, 1, 2.0, rng=np.random.default_rng(7))[0]
-        part = data.shard_partition(ds, 5, 1, np.random.default_rng(8))
-        for a in part.assignments:
+        shards = data.shard_partition(ds, 5, 1, np.random.default_rng(8))
+        for a in shards:
             assert len(np.unique(ds.labels[a])) == 1
 
     def test_too_many_shards_rejected(self):
@@ -189,15 +210,8 @@ class TestShardPartition:
         ds = data.make_synth_task(5, 3, 40, 1, 2.0, rng=np.random.default_rng(11))[0]
         a = data.shard_partition(ds, 10, 2, np.random.default_rng(12))
         b = data.shard_partition(ds, 10, 2, np.random.default_rng(12))
-        for x, y in zip(a.assignments, b.assignments):
+        for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-
-
-    def test_weights_helpers(self):
-        w = data.client_weights_from_sizes([10, 30])
-        np.testing.assert_allclose(w, [0.25, 0.75])
-        with pytest.raises(ValueError):
-            data.client_weights_from_sizes([10, 0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -206,10 +220,7 @@ class TestShardPartition:
     k=st.integers(1, 3),
     seed=st.integers(0, 1000),
 )
-def test_partition_is_disjoint_and_weights_normalized(num_clients, k, seed):
+def test_partition_is_disjoint_and_leaves_the_remainder(num_clients, k, seed):
     ds = data.make_synth_task(4, 2, 30, 1, 1.0, rng=np.random.default_rng(99))[0]
-    part = data.shard_partition(ds, num_clients, k, np.random.default_rng(seed))
-    combined = np.concatenate(part.assignments)
-    assert combined.size == np.unique(combined).size
-    assert part.weights.sum() == pytest.approx(1.0)
-    assert combined.size + part.dropped_indices.size == ds.n
+    assert_partition(ds, data.shard_partition(ds, num_clients, k, np.random.default_rng(seed)),
+                     num_clients, k)

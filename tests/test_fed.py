@@ -59,14 +59,15 @@ def uneven_plans(spec, rounds=4, **kw):
     return plans
 
 
-def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
-    """Single-client reference: ``local_update`` and the quantized upload per
-    client, run concurrently in reverse order, then ``server_aggregate``."""
+def reference_fedqvr_round(spec, server, clients, datasets, plan, seed, r):
+    """Single-client reference of round ``r``: ``local_update`` and the
+    quantized upload per client, run concurrently in reverse order, then
+    ``server_aggregate``."""
     theta0 = fed.broadcast_point(server, plan.gamma)
     groups = spec.layer_groups()
 
     def one_client(cid):
-        rng = client_rng(seed, server.round, cid)
+        rng = client_rng(seed, r, cid)
         E = plan.local_epochs[cid]
         theta, _ = local_update(
             spec, theta0, clients[cid].c_i, *datasets[cid], E,
@@ -74,8 +75,10 @@ def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
         q = quantizer.quantize(theta - theta0, plan.bits[cid], rng=rng, groups=groups)
         delta_hat = quantizer.dequantize(q)
         step_scale = plan.a / (plan.eta * fed.e_tilde(plan.gamma, plan.eta, E))
-        # the quantizer's own count of the payload it built
-        return cid, delta_hat, step_scale, q.payload_bits
+        # d(B+1) + mu counted off the delta the quantizer built
+        bits = quantizer.payload_bits(q.level_indices.size, q.bits_per_element,
+                                      quantizer.side_bits(len(q.group_boundaries)))
+        return cid, delta_hat, step_scale, bits
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(one_client, reversed(plan.active_set)))
@@ -89,12 +92,12 @@ def reference_fedqvr_round(spec, server, clients, datasets, plan, seed):
             [cid for cid, *_ in delivered])
 
 
-def reference_scaffold_round(spec, server, clients, datasets, plan, seed, eta_g):
-    """Straight per-client loop of the SCAFFOLD round."""
+def reference_scaffold_round(spec, server, clients, datasets, plan, seed, r, eta_g):
+    """Straight per-client loop of SCAFFOLD round ``r``."""
     eta = plan.eta
     results, logs = [], {}
     for cid in plan.active_set:
-        rng = client_rng(seed, server.round, cid)
+        rng = client_rng(seed, r, cid)
         E = plan.local_epochs[cid]
         theta = server.theta.copy()
         grads = []
@@ -115,14 +118,14 @@ def reference_scaffold_round(spec, server, clients, datasets, plan, seed, eta_g)
             c_new += (c_i_new - clients[cid].c_i) / len(clients)
         for cid, _, c_i_new in results:
             clients[cid].c_i = c_i_new
-    return ServerState(theta=theta_new, c=c_new, round=server.round + 1), logs
+    return ServerState(theta=theta_new, c=c_new), logs
 
 
-def reference_fedavg_round(spec, server, datasets, plan, seed):
-    """Straight per-client loop of the FedAvg round."""
+def reference_fedavg_round(spec, server, datasets, plan, seed, r):
+    """Straight per-client loop of FedAvg round ``r``."""
     models = []
     for cid in plan.active_set:
-        rng = client_rng(seed, server.round, cid)
+        rng = client_rng(seed, r, cid)
         theta = server.theta.copy()
         for _ in range(plan.local_epochs[cid]):
             theta -= plan.eta * stochastic_grad(
@@ -132,25 +135,23 @@ def reference_fedavg_round(spec, server, datasets, plan, seed):
     models.sort(key=lambda t: t[0])
     theta_new = (np.mean([t for _, t in models], axis=0) if models
                  else server.theta.copy())
-    return (ServerState(theta=theta_new, c=server.c.copy(), round=server.round + 1),
-            [cid for cid, _ in models])
+    return ServerState(theta=theta_new, c=server.c.copy()), [cid for cid, _ in models]
 
 
-def reference_round(algo, spec, server, clients, datasets, plan, seed):
-    """The new server state from ``algo``'s reference helper above, which
-    updates ``clients`` as the round engine would."""
+def reference_round(algo, spec, server, clients, datasets, plan, seed, r):
+    """The new server state after round ``r`` from ``algo``'s reference helper
+    above, which updates ``clients`` as the round engine would."""
     if algo is fed.FEDQVR:
-        return reference_fedqvr_round(spec, server, clients, datasets, plan, seed)[0]
+        return reference_fedqvr_round(spec, server, clients, datasets, plan, seed, r)[0]
     if algo is fed.SCAFFOLD:
-        return reference_scaffold_round(spec, server, clients, datasets, plan, seed,
+        return reference_scaffold_round(spec, server, clients, datasets, plan, seed, r,
                                         plan.eta_g)[0]
-    return reference_fedavg_round(spec, server, datasets, plan, seed)[0]
+    return reference_fedavg_round(spec, server, datasets, plan, seed, r)[0]
 
 
 def assert_same_state(server, clients, ref_server, ref_clients):
     np.testing.assert_array_equal(server.theta, ref_server.theta)
     np.testing.assert_array_equal(server.c, ref_server.c)
-    assert server.round == ref_server.round
     for cl, ref in zip(clients, ref_clients):
         np.testing.assert_array_equal(cl.c_i, ref.c_i)
 
@@ -293,7 +294,7 @@ class TestFedqvrRound:
             active = fed.sample_clients(8, 3, np.random.default_rng([10, r]))
             plan = uniform_plan(active)
             server, _ = fed.run_round_fedqvr(
-                SPEC, server, clients, datasets, plan, client_rngs(0, server.round, active))
+                SPEC, server, clients, datasets, plan, client_rngs(0, r, active))
             mix = sum(cl.p * cl.c_i for cl in clients)
             np.testing.assert_allclose(server.c, mix, atol=1e-12)
 
@@ -378,12 +379,12 @@ class TestFedqvrRound:
             clients, datasets = make_clients(8, seed=15, spec=spec)
             ref_clients = copy.deepcopy(clients)
             server = ref_server = fresh_server(15, spec)
-            for plan in uneven_plans(spec):
+            for r, plan in enumerate(uneven_plans(spec)):
                 server, report = fed.run_round_fedqvr(
                     spec, server, clients, datasets, plan,
-                    client_rngs(seed, server.round, plan.active_set))
+                    client_rngs(seed, r, plan.active_set))
                 ref_server, ref_bits, ref_delivered = reference_fedqvr_round(
-                    spec, ref_server, ref_clients, datasets, plan, seed)
+                    spec, ref_server, ref_clients, datasets, plan, seed, r)
                 assert_same_state(server, clients, ref_server, ref_clients)
                 assert report.uplink_bits == ref_bits
                 assert report.delivered_ids == ref_delivered
@@ -407,7 +408,6 @@ class TestFedqvrRound:
         np.testing.assert_array_equal(out.c, server.c)
         for cl, c_i in zip(clients, before):
             np.testing.assert_array_equal(cl.c_i, c_i)
-        assert out.round == server.round + 1
         assert report.uplink_bits == 0
         assert report.active_ids == report.delivered_ids == []
 
@@ -489,12 +489,12 @@ class TestFedavgRound:
         for spec in (SPEC, MLP_SPEC):
             clients, datasets = make_clients(8, seed=25, spec=spec)
             server = ref_server = fresh_server(25, spec)
-            for plan in uneven_plans(spec):
+            for r, plan in enumerate(uneven_plans(spec)):
                 server, report = fed.run_round_fedavg(
                     spec, server, clients, datasets, plan,
-                    client_rngs(4, server.round, plan.active_set))
+                    client_rngs(4, r, plan.active_set))
                 ref_server, delivered = reference_fedavg_round(
-                    spec, ref_server, datasets, plan, 4)
+                    spec, ref_server, datasets, plan, 4, r)
                 np.testing.assert_array_equal(server.theta, ref_server.theta)
                 assert report.delivered_ids == delivered
                 assert report.uplink_bits == 32 * spec.dim * len(delivered)
@@ -530,7 +530,7 @@ class TestScaffoldRound:
         server.c = np.full(SPEC.dim, 0.01)
         plan = uniform_plan(range(n), E=4)
         _, logs = reference_scaffold_round(
-            SPEC, server, copy.deepcopy(clients), datasets, plan, 9, plan.eta_g)
+            SPEC, server, copy.deepcopy(clients), datasets, plan, 9, 0, plan.eta_g)
         fed.run_round_scaffold(SPEC, server, clients, datasets, plan,
                                client_rngs(9, 0, plan.active_set))
         for cid in range(n):
@@ -554,12 +554,12 @@ class TestScaffoldRound:
             clients, datasets = make_clients(8, seed=26, spec=spec)
             ref_clients = copy.deepcopy(clients)
             server = ref_server = fresh_server(26, spec)
-            for plan in uneven_plans(spec, eta_g=0.9):
+            for r, plan in enumerate(uneven_plans(spec, eta_g=0.9)):
                 server, report = fed.run_round_scaffold(
                     spec, server, clients, datasets, plan,
-                    client_rngs(6, server.round, plan.active_set))
+                    client_rngs(6, r, plan.active_set))
                 ref_server, ref_logs = reference_scaffold_round(
-                    spec, ref_server, ref_clients, datasets, plan, 6, plan.eta_g)
+                    spec, ref_server, ref_clients, datasets, plan, 6, r, plan.eta_g)
                 assert_same_state(server, clients, ref_server, ref_clients)
                 assert report.delivered_ids == sorted(ref_logs)
                 assert report.uplink_bits == 2 * 32 * spec.dim * len(ref_logs)
@@ -602,10 +602,10 @@ class TestLostUploads:
         monkeypatch.setattr(learner, "grad", counting_grad)
         clients, datasets = make_clients(8, seed=28)
         server = fresh_server(28)
-        for plan in uneven_plans(SPEC):
+        for r, plan in enumerate(uneven_plans(SPEC)):
             stepped.clear()
             server, report = fed.run_round(algo, SPEC, server, clients, datasets, plan,
-                                           client_rngs(8, server.round, plan.active_set))
+                                           client_rngs(8, r, plan.active_set))
             delivered = sorted(set(plan.active_set) - plan.failed)
             assert report.delivered_ids == delivered
             assert sum(stepped) == sum(plan.local_epochs[cid] for cid in delivered)
@@ -636,12 +636,12 @@ class TestLostUploads:
         ref_clients = copy.deepcopy(clients)
         server = ref_server = fresh_server(29)
         # a first round makes c and the c_i non-zero
-        for plan, data in ((uniform_plan(range(6), E=2), datasets),
-                           (uniform_plan([1, 2, 4], E=3, failed=frozenset({2})),
-                            self.overflowing(datasets, 2))):
+        for r, (plan, data) in enumerate(((uniform_plan(range(6), E=2), datasets),
+                                          (uniform_plan([1, 2, 4], E=3, failed=frozenset({2})),
+                                           self.overflowing(datasets, 2)))):
             server, _ = fed.run_round(algo, SPEC, server, clients, data, plan,
-                                      client_rngs(5, server.round, plan.active_set))
-            ref_server = reference_round(algo, SPEC, ref_server, ref_clients, datasets, plan, 5)
+                                      client_rngs(5, r, plan.active_set))
+            ref_server = reference_round(algo, SPEC, ref_server, ref_clients, datasets, plan, 5, r)
             assert_same_state(server, clients, ref_server, ref_clients)
         assert np.isfinite(server.theta).all()
 
@@ -711,14 +711,15 @@ class TestCohortBlocks:
         clients, datasets = make_clients(8, seed=31, spec=MLP_SPEC)
         ref_clients = copy.deepcopy(clients)
         server = ref_server = fresh_server(31, spec=MLP_SPEC)
-        for epochs, failed in (([5, 2, 4, 4, 1, 3, 4, 2], {5}), ([1, 3, 3, 2, 5, 1, 2, 4], set())):
+        for r, (epochs, failed) in enumerate((([5, 2, 4, 4, 1, 3, 4, 2], {5}),
+                                              ([1, 3, 3, 2, 5, 1, 2, 4], set()))):
             plan = RoundPlan(active_set=list(range(8)), local_epochs=dict(enumerate(epochs)),
                              bits={c: 3 for c in range(8)}, batch_size=batch, eta=0.05,
                              failed=frozenset(failed))
             before = copy.deepcopy((server, clients))
             rows_seen.clear()
             server, _ = fed.run_round(algo, MLP_SPEC, server, clients, datasets, plan,
-                                      client_rngs(31, server.round, plan.active_set))
+                                      client_rngs(31, r, plan.active_set))
             delivered = [c for c in range(8) if c not in failed]
             assert max(rows_seen) <= learner.BLOCK_ROWS
             assert sum(rows_seen) == batch * sum(epochs[c] for c in delivered)
@@ -727,9 +728,10 @@ class TestCohortBlocks:
             for cid in delivered:
                 expected = reference_iterate(
                     algo, MLP_SPEC, before[0], before[1][cid].c_i, datasets[cid], epochs[cid],
-                    plan, client_rng(31, before[0].round, cid))
+                    plan, client_rng(31, r, cid))
                 np.testing.assert_array_equal(iterates[-1][cid], expected)
-            ref_server = reference_round(algo, MLP_SPEC, ref_server, ref_clients, datasets, plan, 31)
+            ref_server = reference_round(algo, MLP_SPEC, ref_server, ref_clients, datasets, plan,
+                                         31, r)
             assert_same_state(server, clients, ref_server, ref_clients)
 
 

@@ -106,11 +106,12 @@ class TestMetrics:
         path = str(tmp_path / "m.csv")
         harness.write_metrics_csv(
             [MetricsRow(0, 1.0986, 0.33, 0, 0, 0)], path)
+        header = "round,train_loss,test_accuracy,cumulative_uplink_bits,active_count,dropped_count"
         lines = Path(path).read_text().splitlines()
-        assert lines[0] == harness.CSV_HEADER
+        assert lines[0] == header
         assert lines[1].startswith("0,1.0986,0.33,0,0,0")
         harness.write_metrics_csv([], path)
-        assert Path(path).read_text().splitlines() == [harness.CSV_HEADER]
+        assert Path(path).read_text().splitlines() == [header]
 
     def test_write_json_lines_round_trips(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
