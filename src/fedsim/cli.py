@@ -108,8 +108,9 @@ def _cmd_sweep(args) -> int:
     for combo in itertools.product(*(grid[k] for k in keys)):
         tag = "_".join(f"{k}-{v}" for k, v in zip(keys, combo))
         rest = "_".join(f"{k}-{v}" for k, v in zip(keys, combo) if k != "seed")
-        # '%' and '/' percent-escaped: each CSV lands in --out-dir, under its own name
-        name = tag.replace("%", "%25").replace("/", "%2F")
+        # '%', '/' and NUL percent-escaped: each CSV lands in --out-dir, under its
+        # own name, and a NUL in a grid value is reported only for its own field
+        name = tag.replace("%", "%25").replace("/", "%2F").replace("\x00", "%00")
         raw = {**base, **dict(zip(keys, combo)),
                "out": os.path.join(args.out_dir, f"metrics_{name}.csv")}
         code, result = _run_config(json.dumps(raw))

@@ -1,11 +1,24 @@
-"""Self-contained invariant checks runnable from the command line.
+"""Invariant checks runnable from the command line.
 
-A fast subset of the oracle suite: quantizer unbiasedness and contraction,
-the control-variate aggregation identity, the closed-form local-update
-equivalence, and allocation KKT residuals on random instances whose
-bandwidth is drawn log-uniform over [1e3, 1e30] Hz. The closed form is
-checked on the round engine's own fedqvr step (``fedqvr_steps``), so it
-watches the step every run takes.
+This module is the one definition of the experiments of acceptance criteria
+1-4. Each check takes its seed and sizes as arguments and returns whether its
+statistic meets its threshold, with a line that names both.
+``tests/test_acceptance.py`` runs each check at its criterion's seed and
+sizes; ``fedsim verify`` runs the same statistics at these smaller defaults:
+
+- quantizer unbiasedness: 5 vectors of 32 elements, 40,000 draws
+  (criterion 1: 50 x 64, 100,000 draws);
+- quantizer contraction: 20 vectors of 64 elements, 2,000 draws
+  (criterion 2: 100 x 100, 10,000 draws);
+- control-variate identity: 15 rounds of 3 of 10 clients
+  (criterion 3: 50 rounds of 3 and of 10);
+- closed-form local update: 1 trial per point of the (gamma*eta) x E grid
+  (criterion 4: 20 trials).
+
+The closed form is checked on the round engine's own fedqvr step
+(``fedqvr_steps``), so it watches the step every run takes. The module also
+checks allocation KKT residuals on random instances whose bandwidth is drawn
+log-uniform over [1e3, 1e30] Hz.
 """
 
 from __future__ import annotations
@@ -16,54 +29,82 @@ from . import alloc, fed, learner, quantizer
 from .fed import ClientState, RoundPlan, ServerState
 
 
-def check_quantizer_unbiased(seed: int = 0) -> tuple[bool, str]:
+def check_quantizer_unbiased(seed: int = 0, vectors: int = 5, size: int = 32,
+                             draws: int = 40_000) -> tuple[bool, str]:
+    """Each element's Monte Carlo mean lies within 4 standard errors of the input."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(5):
-        z = rng.normal(size=32)
+    for _ in range(vectors):
+        z = rng.normal(size=size)
         for B in (1, 2, 4):
-            mean = quantizer.empirical_mean_dequantized(z, B, 40_000, rng)
-            worst = max(worst, float(np.max(np.abs(mean - z))))
-    ok = worst < 0.05
-    return ok, f"max |mean - z| = {worst:.4g}"
+            mean = quantizer.empirical_mean_dequantized(z, B, draws, rng)
+            # exact two-point sampling noise per element:
+            # sigma_j = step * sqrt(f_j (1 - f_j)) from the grid position
+            mags = np.abs(z)
+            lo, hi = mags.min(), mags.max()
+            k = (1 << B) - 1
+            step = (hi - lo) / k
+            pos = (mags - lo) * (k / (hi - lo))
+            frac = np.clip(pos - np.clip(np.floor(pos), 0, k - 1), 0.0, 1.0)
+            se = step * np.sqrt(frac * (1.0 - frac)) / np.sqrt(draws)
+            tol = 4.0 * se + 1e-12
+            worst = max(worst, float(np.max(np.abs(mean - z) / tol)))
+    return worst <= 1.0, (f"max |mean - z| = {worst:.3f} of the 4-SE tolerance over "
+                          f"{vectors}x{size} elements, B in {{1,2,4}}, {draws} draws each")
 
 
-def check_quantizer_contraction(seed: int = 1) -> tuple[bool, str]:
+def check_quantizer_contraction(seed: int = 1, vectors: int = 20, size: int = 64,
+                                draws: int = 2000) -> tuple[bool, str]:
+    """The mean relative error stays within ``omega_bound`` at every B in
+    {1, 2, 4} and is larger at B = 1 than at B = 4."""
     rng = np.random.default_rng(seed)
-    for _ in range(20):
-        z = rng.uniform(-0.4, 0.4, size=64)
-        B = int(rng.integers(1, 5))
-        emp = quantizer.empirical_omega(z, B, 2000, rng)
-        if emp > quantizer.omega_bound(z, B):
-            return False, f"empirical {emp:.4g} exceeds bound for B={B}"
-    return True, "empirical ratio within bound on 20 instances"
+    worst_margin = -np.inf
+    worst_gap = np.inf
+    for _ in range(vectors):
+        z = rng.uniform(-0.4, 0.4, size=size)
+        emps = {}
+        for B in (1, 2, 4):
+            emps[B] = quantizer.empirical_omega(z, B, draws, rng)
+            worst_margin = max(worst_margin, emps[B] - quantizer.omega_bound(z, B))
+        worst_gap = min(worst_gap, emps[1] - emps[4])
+    return worst_margin <= 0.0 and worst_gap > 0.0, (
+        f"max (empirical - bound) = {worst_margin:.3e}, min (omega_B1 - omega_B4) = "
+        f"{worst_gap:.3e} over {vectors} vectors of {size}, {draws} draws each")
 
 
-def check_control_variate_identity(seed: int = 2) -> tuple[bool, str]:
+def check_control_variate_identity(seed: int = 2, m: int = 3,
+                                   rounds: int = 15) -> tuple[bool, str]:
+    """c = sum_i p_i c_i after every fedqvr round of m of 10 clients.
+
+    Each client's weight p_i is its share of the samples, so the weights
+    differ. As in a run, round r's cohort and local epochs (1-5) come from
+    its sampling and HLU streams, and each client's steps from its own
+    stream; its channel stream sets its bit width (1-4) and whether its
+    upload is lost.
+    """
     rng = np.random.default_rng(seed)
-    spec = learner.ModelSpec(kind=learner.LOGISTIC, input_dim=5, num_classes=3)
-    n_clients, m = 6, 3
-    datasets = []
-    for _ in range(n_clients):
-        X = rng.normal(size=(30, 5))
-        y = rng.integers(0, 3, size=30)
-        datasets.append((X, y))
+    spec = learner.ModelSpec(kind=learner.LOGISTIC, input_dim=6, num_classes=3)
+    sizes = rng.integers(20, 40, size=10)
+    datasets = [(rng.normal(size=(n, 6)), rng.integers(0, 3, size=n)) for n in sizes]
     server = ServerState(theta=learner.init_params(spec, rng), c=np.zeros(spec.dim))
-    clients = [ClientState(p=1.0 / n_clients, c_i=np.zeros(spec.dim)) for _ in range(n_clients)]
+    clients = [ClientState(p=float(p), c_i=np.zeros(spec.dim)) for p in sizes / sizes.sum()]
     worst = 0.0
-    for r in range(15):
-        active = fed.sample_clients(
-            n_clients, m, fed.generators(fed.stream_keys(seed, fed.SAMPLING, r))[0])
-        plan = RoundPlan(active_set=active,
-                         local_epochs={c: 2 for c in active},
-                         bits={c: 2 for c in active},
-                         batch_size=10, eta=0.01)
+    for r in range(rounds):
+        sampling, hlu = fed.generators(fed.stream_keys(seed, [fed.SAMPLING, fed.HLU], r))
+        active = fed.sample_clients(len(clients), m, sampling)
+        channels = fed.generators(fed.stream_keys(seed, fed.CHANNEL, r, active))
+        plan = RoundPlan(
+            active_set=active,
+            local_epochs=dict(zip(active, hlu.integers(1, 6, size=m).tolist())),
+            bits={c: int(ch.integers(1, 5)) for c, ch in zip(active, channels)},
+            failed=frozenset(c for c, ch in zip(active, channels) if ch.random() < 0.25),
+            batch_size=10, eta=0.01)
         rngs = dict(zip(active, fed.generators(fed.stream_keys(seed, fed.CLIENT, r, active))))
         server, _ = fed.run_round_fedqvr(spec, server, clients, datasets, plan, rngs)
         mix = sum(cl.p * cl.c_i for cl in clients)
         worst = max(worst, float(np.max(np.abs(server.c - mix))))
-    ok = worst <= 1e-10
-    return ok, f"max ||c - sum p_i c_i||_inf = {worst:.3g}"
+    return worst <= 1e-10, (f"max ||c - sum p_i c_i||_inf = {worst:.3e} over {rounds} "
+                            f"rounds of {m} of 10 clients")
 
 
 def fedqvr_steps(spec: learner.ModelSpec, theta0: np.ndarray, c_i: np.ndarray,
@@ -91,27 +132,35 @@ def fedqvr_steps(spec: learner.ModelSpec, theta0: np.ndarray, c_i: np.ndarray,
     return theta[0], grads
 
 
-def check_closed_form_update(seed: int = 3) -> tuple[bool, str]:
+def check_closed_form_update(seed: int = 3, trials: int = 1,
+                             gamma_etas: tuple[float, ...] = (1e-3, 1e-2, 1e-1),
+                             epochs: tuple[int, ...] = (1, 2, 5, 17)) -> tuple[bool, str]:
     """E steps of the engine equal one step of length eta * E_tilde on the
-    b_t-weighted mean of (g_t - c_i)."""
+    b_t-weighted mean of (g_t - c_i), at each gamma*eta and E of the grid.
+    Each trial starts from its own perturbed theta0 and draws its
+    minibatches from its own stream."""
     rng = np.random.default_rng(seed)
     spec = learner.ModelSpec(kind=learner.LOGISTIC, input_dim=4, num_classes=3)
     X = rng.normal(size=(40, 4))
     y = rng.integers(0, 3, size=40)
+    eta = 0.05
     worst = 0.0
-    for ge in (1e-3, 1e-2, 1e-1):
-        for E in (1, 2, 5):
-            eta, gamma = 0.05, ge / 0.05
-            theta0 = learner.init_params(spec, rng)
-            c_i = rng.normal(size=spec.dim) * 0.01
-            theta_new, grads = fedqvr_steps(spec, theta0, c_i, X, y, E, 8, eta, gamma, rng)
-            b = fed.b_weights(gamma, eta, E)
-            et = fed.e_tilde(gamma, eta, E)
-            pred = -eta * et * sum(
-                (b[t] / b.sum()) * (grads[t] - c_i) for t in range(E))
-            worst = max(worst, float(np.max(np.abs((theta_new - theta0) - pred))))
-    ok = worst <= 1e-10
-    return ok, f"max closed-form deviation = {worst:.3g}"
+    for ge in gamma_etas:
+        gamma = ge / eta
+        for E in epochs:
+            for trial in range(trials):
+                theta0 = learner.init_params(spec, np.random.default_rng(trial)) \
+                    + 0.1 * rng.normal(size=spec.dim)
+                c_i = 0.01 * rng.normal(size=spec.dim)
+                theta_new, grads = fedqvr_steps(spec, theta0, c_i, X, y, E, 8, eta, gamma,
+                                                np.random.default_rng([E, trial]))
+                b = fed.b_weights(gamma, eta, E)
+                et = fed.e_tilde(gamma, eta, E)
+                pred = theta0 - eta * et * sum(
+                    (b[t] / b.sum()) * (grads[t] - c_i) for t in range(E))
+                worst = max(worst, float(np.max(np.abs(theta_new - pred))))
+    return worst <= 1e-10, (f"max deviation = {worst:.3e} over the {len(gamma_etas)}x"
+                            f"{len(epochs)} (gamma*eta) x E grid, {trials} per point")
 
 
 def check_alloc_kkt(seed: int = 4) -> tuple[bool, str]:
@@ -129,14 +178,14 @@ def check_alloc_kkt(seed: int = 4) -> tuple[bool, str]:
         if sol.feasible:
             worst = max(worst, sol.kkt_residual)
     ok = worst <= 1e-6
-    return ok, f"max KKT residual = {worst:.3g}"
+    return ok, f"max KKT residual = {worst:.3g} over 10 random instances"
 
 
 ALL_CHECKS = [
-    ("quantizer-unbiasedness", check_quantizer_unbiased),
-    ("quantizer-contraction", check_quantizer_contraction),
-    ("control-variate-identity", check_control_variate_identity),
-    ("closed-form-local-update", check_closed_form_update),
+    ("quantizer-unbiasedness (criterion 1)", check_quantizer_unbiased),
+    ("quantizer-contraction (criterion 2)", check_quantizer_contraction),
+    ("control-variate-identity (criterion 3)", check_control_variate_identity),
+    ("closed-form-local-update (criterion 4)", check_closed_form_update),
     ("allocation-kkt", check_alloc_kkt),
 ]
 

@@ -10,10 +10,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedsim import alloc, fed, harness, learner, quantizer, verify
-from fedsim.fed import ClientState, RoundPlan, ServerState
+from fedsim import alloc, fed, harness, learner, verify
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
-from oracles import brute_force_alloc, client_rngs, load_script
+from oracles import brute_force_alloc, load_script
 
 claims = load_script("claims")  # the claim experiments of criteria 9-12
 
@@ -27,109 +26,30 @@ def report(name, ok, detail):
 
 def test_criterion_01_quantizer_unbiasedness():
     """Element-wise Monte Carlo mean within 4 standard errors of the input."""
-    rng = np.random.default_rng(123)
-    n = 100_000
-    worst = 0.0
-    for _ in range(50):
-        z = rng.normal(size=64)
-        for B in (1, 2, 4):
-            mean = quantizer.empirical_mean_dequantized(z, B, n, rng)
-            # exact two-point sampling noise per element:
-            # sigma_j = step * sqrt(f_j (1 - f_j)) from the grid position
-            mags = np.abs(z)
-            lo, hi = mags.min(), mags.max()
-            k = (1 << B) - 1
-            step = (hi - lo) / k
-            pos = (mags - lo) * (k / (hi - lo))
-            frac = np.clip(pos - np.clip(np.floor(pos), 0, k - 1), 0.0, 1.0)
-            se = step * np.sqrt(frac * (1.0 - frac)) / np.sqrt(n)
-            tol = 4.0 * se + 1e-12
-            worst = max(worst, float(np.max(np.abs(mean - z) / tol)))
-    report("unbiasedness", worst <= 1.0,
-           f"max |mean - z| = {worst:.3f} of the 4-SE tolerance "
-           f"(50 vectors, B in {{1,2,4}}, {n} draws each)")
+    report("unbiasedness", *verify.check_quantizer_unbiased(
+        seed=123, vectors=50, size=64, draws=100_000))
 
 
 def test_criterion_02_quantizer_contraction():
     """Empirical relative error within the analytic bound; tighter at B=4."""
-    rng = np.random.default_rng(7)
-    trials = 10_000
-    worst_margin = -np.inf
-    worst_gap = np.inf
-    for _ in range(100):
-        z = rng.uniform(-0.4, 0.4, size=100)
-        emps = {}
-        for B in (1, 2, 4):
-            emps[B] = quantizer.empirical_omega(z, B, trials, rng)
-            worst_margin = max(worst_margin,
-                               emps[B] - quantizer.omega_bound(z, B))
-        worst_gap = min(worst_gap, emps[1] - emps[4])
-    ok = worst_margin <= 0.0 and worst_gap > 0.0
-    report("contraction", ok,
-           f"max (empirical - bound) = {worst_margin:.3e}, "
-           f"min (omega_B1 - omega_B4) = {worst_gap:.3e} over 100 vectors")
+    report("contraction", *verify.check_quantizer_contraction(
+        seed=7, vectors=100, size=100, draws=10_000))
 
 
 @pytest.mark.parametrize("m", [3, 10])
 def test_criterion_03_control_variate_identity(m):
-    """c^r equals sum_i p_i c_i^r after every round, partial participation
-    and heterogeneous local epochs included."""
-    rng = np.random.default_rng(50 + m)
-    spec = ModelSpec(kind=LOGISTIC, input_dim=6, num_classes=3)
-    n_clients = 10
-    datasets = [(rng.normal(size=(30, 6)), rng.integers(0, 3, size=30))
-                for _ in range(n_clients)]
-    sizes = rng.integers(20, 40, size=n_clients).astype(float)
-    weights = sizes / sizes.sum()
-    server = ServerState(theta=learner.init_params(spec, np.random.default_rng(m)),
-                         c=np.zeros(spec.dim))
-    clients = [ClientState(p=float(p), c_i=np.zeros(spec.dim)) for p in weights]
-    worst = 0.0
-    for r in range(50):
-        active = fed.sample_clients(n_clients, m, np.random.default_rng([m, r]))
-        plan = RoundPlan(
-            active_set=active,
-            local_epochs={c: int(e) for c, e in
-                          zip(active, np.random.default_rng([m, r, 1])
-                              .integers(1, 6, size=len(active)))},
-            bits={c: 2 for c in active},
-            batch_size=10, eta=0.01)
-        server, _ = fed.run_round_fedqvr(spec, server, clients, datasets,
-                                         plan, client_rngs(99, r, active))
-        mix = sum(cl.p * cl.c_i for cl in clients)
-        worst = max(worst, float(np.max(np.abs(server.c - mix))))
-    report(f"control-variate-identity (m={m})", worst <= 1e-10,
-           f"max ||c - sum p_i c_i||_inf = {worst:.3e} over 50 rounds")
+    """c^r equals sum_i p_i c_i^r after every round, with partial
+    participation, weights that differ between clients, heterogeneous local
+    epochs and bit widths, and lost uploads."""
+    report(f"control-variate-identity (m={m})", *verify.check_control_variate_identity(
+        seed=50 + m, m=m, rounds=50))
 
 
 def test_criterion_04_closed_form_local_update():
     """E local steps of the round engine (``fed._local_phase`` with
     ``fed.FEDQVR.stepper``) collapse to one effective step on the
     geometric-weighted average of the logged gradients."""
-    spec = ModelSpec(kind=LOGISTIC, input_dim=4, num_classes=3)
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(40, 4))
-    y = rng.integers(0, 3, size=40)
-    eta = 0.05
-    worst = 0.0
-    for ge in (1e-3, 1e-2, 1e-1):
-        gamma = ge / eta
-        for E in (1, 2, 5, 17):
-            for trial in range(20):
-                theta0 = learner.init_params(spec, np.random.default_rng(trial)) \
-                    + 0.1 * rng.normal(size=spec.dim)
-                c_i = 0.01 * rng.normal(size=spec.dim)
-                theta_new, logs = verify.fedqvr_steps(
-                    spec, theta0, c_i, X, y, E, 8, eta, gamma,
-                    np.random.default_rng([E, trial]))
-                b = fed.b_weights(gamma, eta, E)
-                et = fed.e_tilde(gamma, eta, E)
-                pred = theta0 - eta * et * sum(
-                    (b[t] / b.sum()) * (logs[t] - c_i) for t in range(E))
-                worst = max(worst, float(np.max(np.abs(theta_new - pred))))
-    report("closed-form-local-update", worst <= 1e-10,
-           f"max deviation = {worst:.3e} over the "
-           f"(gamma*eta) x E grid, 20 trials each")
+    report("closed-form-local-update", *verify.check_closed_form_update(seed=4, trials=20))
 
 
 def test_criterion_05_effective_step_count_identities():

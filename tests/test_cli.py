@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fedsim import alloc, cli, fed, harness, verify
+from fedsim import alloc, cli, fed, harness, quantizer, verify
 from fedsim.alloc import AllocProblem, AllocSolution
 from fedsim.harness import ExperimentConfig, WirelessConfig
 
@@ -444,9 +444,9 @@ class TestSweep:
                        "--out-dir", str(tmp_path / "sweep")])
         assert rc == 1
         out, err = capsys.readouterr()
-        # the combination's CSV name holds the grid value, so ``out`` has the NUL too
-        assert err == ("[trace_rounds_out-x\x00y] invalid config: out must not contain a NUL "
-                       "character; trace_rounds_out must not contain a NUL character\n")
+        # the combination's CSV name escapes the NUL, so only the field set is named
+        assert err == ("[trace_rounds_out-x\x00y] invalid config: trace_rounds_out must not "
+                       "contain a NUL character\n")
         assert out.startswith(f"[trace_rounds_out-{good}] accuracy=")
         assert Path(good).exists()
 
@@ -756,3 +756,27 @@ class TestVerify:
         assert ok
         assert states == [np.random.default_rng([2, 0, fed.SAMPLING, r, 0]).bit_generator.state
                           for r in range(15)]
+
+    def test_unbiasedness_check_fails_biased_rounding(self, monkeypatch):
+        """Rounding up with probability 0.99 of the grid remainder, not all of
+        it, pulls every mean down by about 1% of a step."""
+        draw_levels = quantizer._draw_levels
+        monkeypatch.setattr(quantizer, "_draw_levels", lambda mags, lo, scale, k, u:
+                            draw_levels(mags, lo, scale, k, u / 0.99))
+        ok, detail = verify.check_quantizer_unbiased()
+        assert not ok, detail
+
+    def test_identity_check_fails_a_fold_weighted_by_one_over_n(self, monkeypatch):
+        """With the server's c moved by each upload's c_i step weighted 1/N
+        instead of p_i, c = sum p_i c_i breaks, since the weights differ."""
+        aggregate = fed.FedQVR.aggregate
+
+        def one_over_n(self, spec, server, clients, plan, cohort):
+            before = [cl.c_i.copy() for cl in clients]
+            out = aggregate(self, spec, server, clients, plan, cohort)
+            out.c = server.c + sum(cl.c_i - c_i for cl, c_i in zip(clients, before)) / len(clients)
+            return out
+
+        monkeypatch.setattr(fed.FedQVR, "aggregate", one_over_n)
+        ok, detail = verify.check_control_variate_identity()
+        assert not ok, detail

@@ -217,19 +217,9 @@ class TestLocalUpdate:
         np.testing.assert_allclose(theta_new, theta, atol=1e-14)
 
     def test_closed_form_weighted_average(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(40, SPEC.input_dim))
-        y = rng.integers(0, SPEC.num_classes, size=40)
-        theta0 = learner.init_params(SPEC, np.random.default_rng(2))
-        c_i = 0.01 * rng.normal(size=SPEC.dim)
-        eta, gamma, E = 0.05, 0.2, 4
-        theta_new, logs = verify.fedqvr_steps(
-            SPEC, theta0, c_i, X, y, E, 8, eta, gamma, np.random.default_rng(7))
-        b = fed.b_weights(gamma, eta, E)
-        et = fed.e_tilde(gamma, eta, E)
-        pred = theta0 - eta * et * sum(
-            (b[t] / b.sum()) * (logs[t] - c_i) for t in range(E))
-        np.testing.assert_allclose(theta_new, pred, atol=1e-12)
+        """``verify``'s closed-form check at one more point: gamma*eta = 0.01, E = 4."""
+        ok, detail = verify.check_closed_form_update(seed=2, gamma_etas=(0.01,), epochs=(4,))
+        assert ok, detail
 
     def test_rejects_zero_epochs(self):
         X = np.zeros((4, SPEC.input_dim))
@@ -287,17 +277,6 @@ class TestServerAggregate:
 
 
 class TestFedqvrRound:
-    def test_control_variate_identity_holds_across_rounds(self):
-        clients, datasets = make_clients(8)
-        server = fresh_server()
-        for r in range(10):
-            active = fed.sample_clients(8, 3, np.random.default_rng([10, r]))
-            plan = uniform_plan(active)
-            server, _ = fed.run_round_fedqvr(
-                SPEC, server, clients, datasets, plan, client_rngs(0, r, active))
-            mix = sum(cl.p * cl.c_i for cl in clients)
-            np.testing.assert_allclose(server.c, mix, atol=1e-12)
-
     def test_full_participation_unquantized_matches_reference(self):
         """Straight-line single-loop re-implementation of the protocol; each
         client quantizes its difference from its own stream after its steps."""
@@ -350,23 +329,6 @@ class TestFedqvrRound:
         assert not np.array_equal(clients[0].c_i, before[0])
         mix = sum(cl.p * cl.c_i for cl in clients)
         np.testing.assert_allclose(server.c, mix, atol=1e-14)
-
-    def test_identity_preserved_under_failures_and_hlu(self):
-        clients, datasets = make_clients(8, seed=13)
-        server = fresh_server(13)
-        rng = np.random.default_rng(14)
-        for r in range(8):
-            active = fed.sample_clients(8, 4, rng)
-            plan = RoundPlan(
-                active_set=active,
-                local_epochs={c: int(rng.integers(1, 6)) for c in active},
-                bits={c: int(rng.integers(1, 5)) for c in active},
-                batch_size=10, eta=0.01,
-                failed=frozenset(int(c) for c in active if rng.random() < 0.3))
-            server, _ = fed.run_round_fedqvr(
-                SPEC, server, clients, datasets, plan, client_rngs(0, r, active))
-            mix = sum(cl.p * cl.c_i for cl in clients)
-            np.testing.assert_allclose(server.c, mix, atol=1e-12)
 
     def test_result_independent_of_client_processing_order(self):
         """The stacked round engine equals the single-client reference bit for
