@@ -33,7 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fedsim import data, fed, harness, learner
+from fedsim import fed, harness, learner
 from fedsim.learner import ModelSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -44,12 +44,10 @@ WIRELESS = CONFIGS / "wireless_fedqvr_e.json"  # criteria 11 and 12
 def criterion_9(seed: int, rounds: int) -> dict:
     cfg = dataclasses.replace(harness.parse_config(SYNTHETIC), seed=seed, rounds=rounds,
                               eval_every=1)
-    # the run's dataset and initial model, from their streams
-    data_rng, init_rng = fed.generators(fed.stream_keys(seed, [fed.DATA, fed.INIT]))
-    ds = {k: v for k, v in cfg.dataset.items() if k != "kind"}
-    train, test = data.make_synth_task(**ds, rng=data_rng)
-    spec = ModelSpec(cfg.model_kind, ds["dim"], ds["num_classes"], cfg.hidden_dim)
-    theta = learner.init_params(spec, init_rng)
+    # the run's dataset and initial model
+    train, test, _ = harness._build_task(cfg)
+    spec = ModelSpec(cfg.model_kind, train.features.shape[1], train.num_classes, cfg.hidden_dim)
+    theta = learner.init_params(spec, fed.generators(fed.stream_keys(seed, fed.INIT))[0])
     for _ in range(400):
         theta -= 0.5 * learner.grad(spec, theta, train.features, train.labels)
     target = 0.9 * harness.evaluate(spec, theta, test.features, test.labels)

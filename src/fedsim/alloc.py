@@ -60,11 +60,7 @@ def _check_number(name: str, value, integer: bool = False) -> None:
     kind, phrase = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise TypeError(f"{name} must be {phrase}, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
-    if not finite:
+    if not abs(value) <= sys.float_info.max:  # integers too
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 

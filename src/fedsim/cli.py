@@ -37,7 +37,7 @@ def _run_config(text: str, **overrides) -> tuple[int, str | harness.MetricsRow]:
     """
     try:
         cfg = harness.ExperimentConfig.from_json(text)
-    except (harness.ConfigError, json.JSONDecodeError, TypeError) as e:
+    except (ValueError, TypeError) as e:  # ConfigError and JSONDecodeError among them
         return EXIT_VALIDATION, f"invalid config: {e}"
     for name, value in overrides.items():
         if value is not None:
@@ -77,7 +77,7 @@ def _cmd_sweep(args) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to parse
         print(f"error: invalid config: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     if not isinstance(base, dict):
@@ -85,7 +85,7 @@ def _cmd_sweep(args) -> int:
         return EXIT_VALIDATION
     try:
         grid = json.loads(args.grid)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         print(f"error: bad grid JSON: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     if (not isinstance(grid, dict) or not grid

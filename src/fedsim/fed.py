@@ -11,7 +11,7 @@ randomness flows through streams keyed by the five 32-bit words (seed low,
 seed high, label, round, client), so results are independent of client
 scheduling order; ``stream_keys`` lays the keys out and ``stream_seeds``
 hashes them, many keys at a time. The caller counts the rounds and hands
-each round its streams; the server state is only theta and c.
+each round its streams; the state is the server's theta and c and the clients' p and C.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ RAW_BITS_PER_ELEMENT = 32  # uncompressed float32 wire cost per parameter
 class ServerState:
     theta: np.ndarray
     c: np.ndarray
-
-
-@dataclass
-class ClientState:
-    """A client's weight and control variate; its id is its index in the list."""
-    p: float
-    c_i: np.ndarray
 
 
 @dataclass
@@ -229,10 +222,9 @@ def client_finish(
     return delta_hat, step_scale, c_i - step_scale * delta_hat
 
 
-def _cohort(plan: RoundPlan, clients: list[ClientState],
-            dim: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _cohort(plan: RoundPlan, C: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The active clients whose uploads arrive, longest local run first (ties
-    in plan order): their ids, epochs and control variates as rows (m, dim).
+    in plan order): their ids, epochs and rows of ``C``, copied, (m, dim).
 
     With rows in this order, the clients still stepping at step t are a
     prefix of the stacks.
@@ -246,7 +238,7 @@ def _cohort(plan: RoundPlan, clients: list[ClientState],
     epochs = np.array([plan.local_epochs[cid] for cid in ids], dtype=np.int64)
     if np.any(epochs < 1):
         raise ValueError("epochs must be >= 1")
-    return ids, epochs, np.array([clients[cid].c_i for cid in ids]).reshape(len(ids), dim)
+    return ids, epochs, C[ids]
 
 
 def _local_phase(
@@ -283,12 +275,12 @@ def _local_phase(
     per_block = max(1, learner.BLOCK_ROWS // bs)
     # one step's features of one block at a time, so memory stays at
     # block * batch * input
-    xb = np.empty((min(m, per_block), bs, spec.input_dim))
+    xb = np.empty(learner.sized(min(m, per_block), bs, spec.input_dim))
     for lo in range(0, m, per_block):
         hi = min(lo + per_block, m)
         feats: list[np.ndarray] = []  # per client of the block, its features
         idx: list[np.ndarray] = []    # per client of the block, its draws (epochs, batch)
-        ys = np.empty((epochs[lo], hi - lo, bs), dtype=np.intp)
+        ys = np.empty(learner.sized(epochs[lo], hi - lo, bs), dtype=np.intp)
         for j in range(lo, hi):
             X, y = datasets[ids[j]]
             if X.shape[0] == 0:
@@ -349,7 +341,7 @@ class FedAvg:
             theta -= g
         return step
 
-    def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
+    def aggregate(self, spec, server, p, C, plan, cohort: Cohort) -> ServerState:
         theta = cohort.mean() if cohort.by_id else server.theta.copy()
         return ServerState(theta=theta, c=server.c.copy())
 
@@ -373,15 +365,15 @@ class Scaffold(FedAvg):
             theta -= g
         return step
 
-    def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
+    def aggregate(self, spec, server, p, C, plan, cohort: Cohort) -> ServerState:
         c_rows = (cohort.c_rows - server.c
                   + (server.theta - cohort.theta) / (cohort.epochs * plan.eta)[:, None])
         theta_new, c_new = server.theta.copy(), server.c.copy()
         if cohort.by_id:
             theta_new = server.theta + plan.eta_g * (cohort.mean() - server.theta)
             for cid, j in cohort.by_id:
-                c_new += (c_rows[j] - clients[cid].c_i) / len(clients)
-                clients[cid].c_i = c_rows[j].copy()
+                c_new += (c_rows[j] - C[cid]) / len(C)
+                C[cid] = c_rows[j]
         return ServerState(theta=theta_new, c=c_new)
 
 
@@ -417,7 +409,7 @@ class FedQVR:
             theta += anchor
         return step
 
-    def aggregate(self, spec, server, clients, plan, cohort: Cohort) -> ServerState:
+    def aggregate(self, spec, server, p, C, plan, cohort: Cohort) -> ServerState:
         """Fold each upload into theta and c as it is made, in client-id order:
 
         theta <- theta0 + (N/m) * sum_i p_i * delta_hat_i
@@ -431,31 +423,31 @@ class FedQVR:
         m = plan.m_sampled if plan.m_sampled is not None else len(plan.active_set)
         theta, c = cohort.start.copy(), server.c.copy()
         for cid, j in cohort.by_id:
-            p = clients[cid].p
-            delta_hat, step_scale, clients[cid].c_i = client_finish(
+            delta_hat, step_scale, C[cid] = client_finish(
                 cohort.theta[j], cohort.start, cohort.c_rows[j], plan.bits[cid], plan.eta,
                 e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a, cohort.rngs[j],
                 groups=groups)
-            theta += (len(clients) / m) * p * delta_hat
-            c -= p * step_scale * delta_hat
+            theta += (len(p) / m) * p[cid] * delta_hat
+            c -= p[cid] * step_scale * delta_hat
         return ServerState(theta=theta, c=c)
 
 
 FEDAVG, SCAFFOLD, FEDQVR = FedAvg(), Scaffold(), FedQVR()
 
 
-def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
-              clients: list[ClientState], datasets: list[tuple[np.ndarray, np.ndarray]],
+def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState, p: np.ndarray,
+              C: np.ndarray, datasets: list[tuple[np.ndarray, np.ndarray]],
               plan: RoundPlan, rngs: dict[int, np.random.Generator],
               ) -> tuple[ServerState, RoundReport]:
     """One round of ``algo``: the cohort's local steps, its uploads, aggregation.
 
-    Uploads from clients in ``plan.failed`` are lost, so the round does not
-    compute them: they keep their control variates, as inactive clients do,
-    and divergence is checked on the iterates the server receives. ``rngs``
-    maps every other active client to its stream in this round, keyed
-    [seed_lo, seed_hi, CLIENT, round, client]; fedqvr's quantizer draws from
-    it after the minibatches.
+    Client i has weight ``p[i]`` and control variate ``C[i]``, a row that
+    scaffold and fedqvr overwrite when its upload arrives. A lost upload (its
+    client in ``plan.failed``) is not computed and keeps its row, as an
+    inactive client does; divergence is checked on the iterates the server
+    receives. ``rngs`` maps every other active client to its stream in this
+    round, keyed [seed_lo, seed_hi, CLIENT, round, client]; fedqvr's
+    quantizer draws from it after the minibatches.
 
     ``algo`` gives the start point, the in-place local step, the aggregate
     and the upload cost; the round is otherwise the same for every algorithm.
@@ -465,13 +457,13 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState,
     steps taken alone, one minibatch gradient at a time, bit for bit, so
     leaving a client out moves no other result.
     """
-    ids, epochs, c_rows = _cohort(plan, clients, spec.dim)
+    ids, epochs, c_rows = _cohort(plan, C)
     start = algo.start(server, plan)
     row_rngs = [rngs[cid] for cid in ids]
     theta = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size, row_rngs,
                          algo.stepper(server, plan, start, c_rows))
     by_id = sorted((cid, j) for j, cid in enumerate(ids))
-    new_server = algo.aggregate(spec, server, clients, plan,
+    new_server = algo.aggregate(spec, server, p, C, plan,
                                 Cohort(epochs, start, theta, c_rows, row_rngs, by_id))
     widths = Counter(plan.bits.get(cid) for cid in ids)  # one cost per width, not per upload
     report = RoundReport(

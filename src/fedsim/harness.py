@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, asdict
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import alloc, data, fed, learner, quantizer, wireless
-from .fed import ClientState, RoundPlan, ServerState
+from .fed import RoundPlan, ServerState
 from .learner import ModelSpec
 
 # fedqvr_e runs fedqvr rounds on plans from the bandwidth/bit allocator
@@ -37,7 +37,7 @@ def _is_int(v) -> bool:
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-              and math.isfinite(v), "a finite number"),
+              and abs(v) <= sys.float_info.max, "a finite number"),  # ints too
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "dict": (lambda v: isinstance(v, dict), "a JSON object"),
@@ -165,10 +165,10 @@ class ExperimentConfig:
             errors.append(f"bits must lie in [1, {quantizer.MAX_BITS}] for fedqvr")
         if self.algorithm == "fedqvr_e" and not self.wireless_cfg.enabled:
             errors.append("fedqvr_e requires wireless.enabled = true")
-        if self.hlu and not 1 <= self.hlu_range[0] <= self.hlu_range[1]:
-            errors.append("hlu_range must be an increasing pair of positive ints")
-        if not self.hlu and self.local_epochs < 1:
-            errors.append("local_epochs must be >= 1")
+        if self.hlu and not 1 <= self.hlu_range[0] <= self.hlu_range[1] < 2**63:
+            errors.append("hlu_range must be an increasing pair of positive ints below 2**63")
+        if not self.hlu and not 1 <= self.local_epochs < 2**63:
+            errors.append("local_epochs must lie in [1, 2**63)")
         w = self.wireless_cfg
         if w.total_bandwidth_hz <= 0:
             errors.append("wireless total_bandwidth_hz must be positive")
@@ -233,8 +233,6 @@ CSV_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 def evaluate(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Accuracy on a held-out set; argmax ties break to the lowest class."""
-    if X.shape[0] == 0:
-        raise ValueError("empty evaluation set")
     return float((learner.predict(spec, theta, X) == y).mean())
 
 
@@ -355,17 +353,21 @@ def _equal_split_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPla
 
 def _allocated_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPlan, int]:
     """fedqvr_e: the allocator gives each device its bandwidth and bits, and
-    the devices it drops sit the round out. Returns the plan and the number
-    of dropped devices."""
+    the devices it drops sit the round out, as do those whose received power
+    underflows to zero. Returns the plan and the number of dropped devices."""
     w = cfg.wireless_cfg
-    sol = alloc.solve_alloc(alloc.AllocProblem(
-        gains=np.array([w.tx_power_w * gains[c] for c in sampled]),
-        taus=np.full(len(sampled), w.tau), w_total=w.total_bandwidth_hz,
-        alpha=w.alpha, d=spec.dim, mu=algo.mu(spec),
-        noise_psd=w.noise_psd_w_hz, b_lower=w.b_lower))
-    bits = {sampled[j]: min(int(sol.bits_floored[j]), w.b_upper)
-            for j in range(len(sampled)) if j not in sol.dropped}
-    return _plan(cfg, list(bits), epochs, bits, m_sampled=cfg.sample_size), len(sol.dropped)
+    heard = [c for c in sampled if w.tx_power_w * gains[c] > 0]
+    bits = {}
+    if heard:
+        sol = alloc.solve_alloc(alloc.AllocProblem(
+            gains=np.array([w.tx_power_w * gains[c] for c in heard]),
+            taus=np.full(len(heard), w.tau), w_total=w.total_bandwidth_hz,
+            alpha=w.alpha, d=spec.dim, mu=algo.mu(spec),
+            noise_psd=w.noise_psd_w_hz, b_lower=w.b_lower))
+        bits = {heard[j]: min(int(sol.bits_floored[j]), w.b_upper)
+                for j in range(len(heard)) if j not in sol.dropped}
+    return (_plan(cfg, list(bits), epochs, bits, m_sampled=cfg.sample_size),
+            len(sampled) - len(bits))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
@@ -382,10 +384,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     client_data = list(zip(np.split(train_X, offsets), np.split(train_y, offsets)))
 
     init_rng, place_rng = fed.generators(fed.stream_keys(cfg.seed, [fed.INIT, fed.PLACEMENT]))
-    theta0 = learner.init_params(spec, init_rng)
-    server = ServerState(theta=theta0.copy(), c=np.zeros(spec.dim))
-    # p_i = n_i / n over the partitioned samples
-    clients = [ClientState(p=n_i / used.size, c_i=np.zeros(spec.dim)) for n_i in sizes]
+    server = ServerState(theta=learner.init_params(spec, init_rng), c=np.zeros(spec.dim))
+    # p_i = n_i / n over the partitioned samples; row i of C is client i's c_i
+    p, C = np.array(sizes) / used.size, np.zeros((len(sizes), spec.dim))
 
     algo = ALGORITHMS[cfg.algorithm]
     run_round = getattr(fed, f"run_round_{algo.name}")
@@ -423,7 +424,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         plan, dropped_count = plan_round(cfg, algo, spec, sampled, epochs, gains)
         rngs = {cid: fed.generator(seeds) for cid, seeds in zip(sampled, client_seeds)
                 if cid in plan.active_set and cid not in plan.failed}
-        server, report = run_round(spec, server, clients, client_data, plan, rngs)
+        server, report = run_round(spec, server, p, C, client_data, plan, rngs)
 
         cumulative_bits += report.uplink_bits
         if cfg.trace_rounds_out:

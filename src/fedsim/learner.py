@@ -15,6 +15,7 @@ cohort in blocks of clients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
@@ -82,12 +83,20 @@ class ModelSpec:
         return blocks
 
 
+def sized(*shape: int) -> tuple[int, ...]:
+    """``shape`` as ints; MemoryError where numpy cannot index its 8-byte items."""
+    shape = tuple(map(int, shape))
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"an array of shape {shape} is too large to index")
+    return shape
+
+
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Gaussian init, scale 1/sqrt(fan_in) for weights, zero biases.
 
     ``rng`` draws the weight blocks in layer order.
     """
-    theta = np.zeros(spec.dim)
+    theta = np.zeros(sized(spec.dim))
     for w, b, _, (_, fan_in) in spec._layers:
         theta[w:b] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), b - w)
     return theta

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import alloc, fed, learner, quantizer
-from .fed import ClientState, RoundPlan, ServerState
+from .fed import RoundPlan, ServerState
 
 
 def check_quantizer_unbiased(seed: int = 0, vectors: int = 5, size: int = 32,
@@ -87,11 +87,11 @@ def check_control_variate_identity(seed: int = 2, m: int = 3,
     sizes = rng.integers(20, 40, size=10)
     datasets = [(rng.normal(size=(n, 6)), rng.integers(0, 3, size=n)) for n in sizes]
     server = ServerState(theta=learner.init_params(spec, rng), c=np.zeros(spec.dim))
-    clients = [ClientState(p=float(p), c_i=np.zeros(spec.dim)) for p in sizes / sizes.sum()]
+    p, C = sizes / sizes.sum(), np.zeros((len(sizes), spec.dim))
     worst = 0.0
     for r in range(rounds):
         sampling, hlu = fed.generators(fed.stream_keys(seed, [fed.SAMPLING, fed.HLU], r))
-        active = fed.sample_clients(len(clients), m, sampling)
+        active = fed.sample_clients(len(p), m, sampling)
         channels = fed.generators(fed.stream_keys(seed, fed.CHANNEL, r, active))
         plan = RoundPlan(
             active_set=active,
@@ -100,8 +100,8 @@ def check_control_variate_identity(seed: int = 2, m: int = 3,
             failed=frozenset(c for c, ch in zip(active, channels) if ch.random() < 0.25),
             batch_size=10, eta=0.01)
         rngs = dict(zip(active, fed.generators(fed.stream_keys(seed, fed.CLIENT, r, active))))
-        server, _ = fed.run_round_fedqvr(spec, server, clients, datasets, plan, rngs)
-        mix = sum(cl.p * cl.c_i for cl in clients)
+        server, _ = fed.run_round_fedqvr(spec, server, p, C, datasets, plan, rngs)
+        mix = sum(p_i * c_i for p_i, c_i in zip(p, C))  # in client order
         worst = max(worst, float(np.max(np.abs(server.c - mix))))
     return worst <= 1e-10, (f"max ||c - sum p_i c_i||_inf = {worst:.3e} over {rounds} "
                             f"rounds of {m} of 10 clients")

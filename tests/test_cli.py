@@ -52,6 +52,15 @@ class TestRun:
         cfg = write_config(tmp_path, momentum=0.9)
         assert cli.main(["run", "--config", cfg]) == 1
 
+    def test_integer_too_long_to_parse_is_one_line(self, tmp_path, capsys):
+        """json refuses an integer literal of more than 4,300 digits with a
+        ValueError that is not a JSONDecodeError."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(BASE_CONFIG)[:-1] + ', "seed": ' + "1" * 5000 + "}")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("extra,flags", [({"seed": -3}, []), ({}, ["--seed", "-1"])],
                              ids=["config", "flag"])
     def test_negative_seed_is_one_line_naming_seed(self, tmp_path, capsys, extra, flags):
@@ -336,6 +345,35 @@ def test_run_with_one_mutated_field_is_one_line_and_a_documented_code(
     assert out.count("\n") == (code == 0)
 
 
+# Every numeric key of a run but ``rounds`` (a huge count is a legal, endless
+# run): (block, key, what else the key needs to be read).
+_NUMERIC_KEYS = (
+    [(None, f.name, {"model_kind": "one-hidden-layer-mlp"} if f.name == "hidden_dim" else {})
+     for f in fields(ExperimentConfig) if f.type in ("int", "float") and f.name != "rounds"]
+    + [("dataset", k, {}) for k in harness._DATASET_KEYS["synthetic"]]
+    + [("wireless_cfg", f.name, {}) for f in fields(WirelessConfig) if f.type in ("int", "float")]
+    + [(None, "hlu_range", {"hlu": True})])
+
+
+@pytest.mark.parametrize("config", ["synthetic_fedqvr", "wireless_fedqvr_e"])
+@pytest.mark.parametrize("block,key,needs", _NUMERIC_KEYS,
+                         ids=[f"{b or 'top'}.{k}" for b, k, _ in _NUMERIC_KEYS])
+def test_huge_number_in_a_numeric_key_is_one_line(tmp_path, capsys, config, block, key, needs):
+    """Integers beyond int64 and beyond the float range, in each numeric key
+    of each shipped config (for hlu_range, its upper end), end in at most one
+    stderr line and a documented exit code, never an exception."""
+    for value in (2**63 - 1, 2**63, 10**400, -10**400):
+        raw = {**json.loads((CONFIGS / f"{config}.json").read_text()), "rounds": 1, **needs}
+        if key == "hlu_range":
+            raw[key] = [1, value]
+        else:
+            (raw if block is None else raw.setdefault(block, {}))[key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        code = cli.main(["run", "--config", str(tmp_path / "cfg.json")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3) and err.count("\n") <= 1, (value, err)
+
+
 # A valid IDX pair: 12 images of 2 x 2 pixels, three labels.
 _IMAGES = bytes.fromhex("00000803") + (12).to_bytes(4, "big") + bytes.fromhex(
     "0000000200000002") + bytes(range(0, 240, 5))
@@ -474,7 +512,8 @@ class TestSweep:
         assert cli.main(["run", "--config", cfg]) == 3
         assert capsys.readouterr().err.startswith("error: I/O: ")
 
-    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", pytest.param(
+        '{"seed": ' + "1" * 5000 + "}", id="integer-too-long")])
     def test_config_that_is_not_an_object_is_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -550,6 +589,8 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--grid", "not json",
                          "--out-dir", str(tmp_path)]) == 1
         assert cli.main(["sweep", "--config", cfg, "--grid", "[]",
+                         "--out-dir", str(tmp_path)]) == 1
+        assert cli.main(["sweep", "--config", cfg, "--grid", '{"seed": [' + "1" * 5000 + "]}",
                          "--out-dir", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("grid", ['{"eta": 0.1}', '{"eta": []}', '{"eta": [0.1], "bits": 2}'])
@@ -771,10 +812,10 @@ class TestVerify:
         instead of p_i, c = sum p_i c_i breaks, since the weights differ."""
         aggregate = fed.FedQVR.aggregate
 
-        def one_over_n(self, spec, server, clients, plan, cohort):
-            before = [cl.c_i.copy() for cl in clients]
-            out = aggregate(self, spec, server, clients, plan, cohort)
-            out.c = server.c + sum(cl.c_i - c_i for cl, c_i in zip(clients, before)) / len(clients)
+        def one_over_n(self, spec, server, p, C, plan, cohort):
+            before = C.copy()
+            out = aggregate(self, spec, server, p, C, plan, cohort)
+            out.c = server.c + (C - before).sum(axis=0) / len(p)
             return out
 
         monkeypatch.setattr(fed.FedQVR, "aggregate", one_over_n)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsim import fed, harness, learner, quantizer, verify
-from fedsim.fed import ClientState, RoundPlan, ServerState
+from fedsim.fed import RoundPlan, ServerState
 from fedsim.learner import LOGISTIC, MLP, ModelSpec
 from oracles import client_rng, client_rngs, local_update, server_aggregate, stochastic_grad
 
@@ -24,9 +24,7 @@ def make_clients(n_clients, seed=0, n_samples=30, spec=SPEC):
     datasets = [(rng.normal(size=(n_samples, spec.input_dim)),
                  rng.integers(0, spec.num_classes, size=n_samples))
                 for _ in range(n_clients)]
-    clients = [ClientState(p=1.0 / n_clients, c_i=np.zeros(spec.dim))
-               for _ in range(n_clients)]
-    return clients, datasets
+    return np.full(n_clients, 1.0 / n_clients), np.zeros((n_clients, spec.dim)), datasets
 
 
 def fresh_server(seed=0, spec=SPEC):
@@ -59,7 +57,7 @@ def uneven_plans(spec, rounds=4, **kw):
     return plans
 
 
-def reference_fedqvr_round(spec, server, clients, datasets, plan, seed, r):
+def reference_fedqvr_round(spec, server, p, C, datasets, plan, seed, r):
     """Single-client reference of round ``r``: ``local_update`` and the
     quantized upload per client, run concurrently in reverse order, then
     ``server_aggregate``."""
@@ -70,7 +68,7 @@ def reference_fedqvr_round(spec, server, clients, datasets, plan, seed, r):
         rng = client_rng(seed, r, cid)
         E = plan.local_epochs[cid]
         theta, _ = local_update(
-            spec, theta0, clients[cid].c_i, *datasets[cid], E,
+            spec, theta0, C[cid], *datasets[cid], E,
             plan.batch_size, plan.eta, plan.gamma, rng)
         q = quantizer.quantize(theta - theta0, plan.bits[cid], rng=rng, groups=groups)
         delta_hat = quantizer.dequantize(q)
@@ -84,15 +82,15 @@ def reference_fedqvr_round(spec, server, clients, datasets, plan, seed, r):
         results = list(pool.map(one_client, reversed(plan.active_set)))
     delivered = sorted(r for r in results if r[0] not in plan.failed)
     new_server = server_aggregate(
-        server, theta0, [(cid, dh, scale, clients[cid].p) for cid, dh, scale, _ in delivered],
-        len(plan.active_set), len(clients))
+        server, theta0, [(cid, dh, scale, p[cid]) for cid, dh, scale, _ in delivered],
+        len(plan.active_set), len(p))
     for cid, delta_hat, step_scale, _ in delivered:
-        clients[cid].c_i = clients[cid].c_i - step_scale * delta_hat
+        C[cid] = C[cid] - step_scale * delta_hat
     return (new_server, sum(bits for *_, bits in delivered),
             [cid for cid, *_ in delivered])
 
 
-def reference_scaffold_round(spec, server, clients, datasets, plan, seed, r, eta_g):
+def reference_scaffold_round(spec, server, C, datasets, plan, seed, r, eta_g):
     """Straight per-client loop of SCAFFOLD round ``r``."""
     eta = plan.eta
     results, logs = [], {}
@@ -104,8 +102,8 @@ def reference_scaffold_round(spec, server, clients, datasets, plan, seed, r, eta
         for _ in range(E):
             g = stochastic_grad(spec, theta, *datasets[cid], plan.batch_size, rng)
             grads.append(g)
-            theta -= eta * (g + server.c - clients[cid].c_i)
-        c_i_new = clients[cid].c_i - server.c + (server.theta - theta) / (E * eta)
+            theta -= eta * (g + server.c - C[cid])
+        c_i_new = C[cid] - server.c + (server.theta - theta) / (E * eta)
         if cid not in plan.failed:
             results.append((cid, theta, c_i_new))
             logs[cid] = grads
@@ -115,9 +113,9 @@ def reference_scaffold_round(spec, server, clients, datasets, plan, seed, r, eta
         mean_theta = np.mean([t for _, t, _ in results], axis=0)
         theta_new = server.theta + eta_g * (mean_theta - server.theta)
         for cid, _, c_i_new in results:
-            c_new += (c_i_new - clients[cid].c_i) / len(clients)
+            c_new += (c_i_new - C[cid]) / len(C)
         for cid, _, c_i_new in results:
-            clients[cid].c_i = c_i_new
+            C[cid] = c_i_new
     return ServerState(theta=theta_new, c=c_new), logs
 
 
@@ -138,22 +136,21 @@ def reference_fedavg_round(spec, server, datasets, plan, seed, r):
     return ServerState(theta=theta_new, c=server.c.copy()), [cid for cid, _ in models]
 
 
-def reference_round(algo, spec, server, clients, datasets, plan, seed, r):
+def reference_round(algo, spec, server, p, C, datasets, plan, seed, r):
     """The new server state after round ``r`` from ``algo``'s reference helper
-    above, which updates ``clients`` as the round engine would."""
+    above, which updates the rows of ``C`` as the round engine would."""
     if algo is fed.FEDQVR:
-        return reference_fedqvr_round(spec, server, clients, datasets, plan, seed, r)[0]
+        return reference_fedqvr_round(spec, server, p, C, datasets, plan, seed, r)[0]
     if algo is fed.SCAFFOLD:
-        return reference_scaffold_round(spec, server, clients, datasets, plan, seed, r,
+        return reference_scaffold_round(spec, server, C, datasets, plan, seed, r,
                                         plan.eta_g)[0]
     return reference_fedavg_round(spec, server, datasets, plan, seed, r)[0]
 
 
-def assert_same_state(server, clients, ref_server, ref_clients):
+def assert_same_state(server, C, ref_server, ref_C):
     np.testing.assert_array_equal(server.theta, ref_server.theta)
     np.testing.assert_array_equal(server.c, ref_server.c)
-    for cl, ref in zip(clients, ref_clients):
-        np.testing.assert_array_equal(cl.c_i, ref.c_i)
+    np.testing.assert_array_equal(C, ref_C)
 
 
 class TestPrimitives:
@@ -281,7 +278,7 @@ class TestFedqvrRound:
         """Straight-line single-loop re-implementation of the protocol; each
         client quantizes its difference from its own stream after its steps."""
         n = 4
-        clients, datasets = make_clients(n, seed=11)
+        p, C, datasets = make_clients(n, seed=11)
         server = fresh_server(11)
         eta, gamma, a, E, bs, B, seed = 0.01, 0.3, 0.3, 2, 10, 2, 123
 
@@ -310,24 +307,23 @@ class TestFedqvrRound:
         for r in range(5):
             plan = uniform_plan(range(n), E=E, bits=B)
             server, _ = fed.run_round_fedqvr(
-                SPEC, server, clients, datasets, plan, client_rngs(seed, r, plan.active_set))
+                SPEC, server, p, C, datasets, plan, client_rngs(seed, r, plan.active_set))
 
         np.testing.assert_allclose(server.theta, ref_theta, atol=1e-10)
         np.testing.assert_allclose(server.c, ref_c, atol=1e-10)
-        for i in range(n):
-            np.testing.assert_allclose(clients[i].c_i, ref_ci[i], atol=1e-10)
+        np.testing.assert_allclose(C, ref_ci, atol=1e-10)
 
     def test_failed_uploads_roll_back_client_state(self):
-        clients, datasets = make_clients(6, seed=12)
+        p, C, datasets = make_clients(6, seed=12)
         server = fresh_server(12)
-        before = [cl.c_i.copy() for cl in clients]
+        before = C.copy()
         plan = uniform_plan([0, 1, 2], failed=frozenset({1}))
         server, report = fed.run_round_fedqvr(
-            SPEC, server, clients, datasets, plan, client_rngs(0, 0, plan.active_set))
+            SPEC, server, p, C, datasets, plan, client_rngs(0, 0, plan.active_set))
         assert report.delivered_ids == [0, 2]
-        np.testing.assert_array_equal(clients[1].c_i, before[1])
-        assert not np.array_equal(clients[0].c_i, before[0])
-        mix = sum(cl.p * cl.c_i for cl in clients)
+        np.testing.assert_array_equal(C[1], before[1])
+        assert not np.array_equal(C[0], before[0])
+        mix = sum(p_i * c_i for p_i, c_i in zip(p, C))
         np.testing.assert_allclose(server.c, mix, atol=1e-14)
 
     def test_result_independent_of_client_processing_order(self):
@@ -338,16 +334,16 @@ class TestFedqvrRound:
         kinds."""
         seed = 77
         for spec in (SPEC, MLP_SPEC):
-            clients, datasets = make_clients(8, seed=15, spec=spec)
-            ref_clients = copy.deepcopy(clients)
+            p, C, datasets = make_clients(8, seed=15, spec=spec)
+            ref_C = C.copy()
             server = ref_server = fresh_server(15, spec)
             for r, plan in enumerate(uneven_plans(spec)):
                 server, report = fed.run_round_fedqvr(
-                    spec, server, clients, datasets, plan,
+                    spec, server, p, C, datasets, plan,
                     client_rngs(seed, r, plan.active_set))
                 ref_server, ref_bits, ref_delivered = reference_fedqvr_round(
-                    spec, ref_server, ref_clients, datasets, plan, seed, r)
-                assert_same_state(server, clients, ref_server, ref_clients)
+                    spec, ref_server, p, ref_C, datasets, plan, seed, r)
+                assert_same_state(server, C, ref_server, ref_C)
                 assert report.uplink_bits == ref_bits
                 assert report.delivered_ids == ref_delivered
 
@@ -355,21 +351,20 @@ class TestFedqvrRound:
         """A round whose cohort the allocator dropped entirely: no upload, no
         control variate moves, and theta becomes the broadcast point, which is
         the server update with an empty sum."""
-        clients, datasets = make_clients(6, seed=24)
+        p, C, datasets = make_clients(6, seed=24)
         server = fresh_server(24)
         for r in range(3):  # make c and the c_i non-zero first
             server, _ = fed.run_round_fedqvr(
-                SPEC, server, clients, datasets, uniform_plan([r, r + 3]),
+                SPEC, server, p, C, datasets, uniform_plan([r, r + 3]),
                 client_rngs(0, r, [r, r + 3]))
         assert np.any(server.c != 0)
-        before = [cl.c_i.copy() for cl in clients]
+        before = C.copy()
         plan = RoundPlan(active_set=[], local_epochs={}, bits={}, batch_size=10,
                          eta=0.01, m_sampled=4)
-        out, report = fed.run_round_fedqvr(SPEC, server, clients, datasets, plan, {})
+        out, report = fed.run_round_fedqvr(SPEC, server, p, C, datasets, plan, {})
         np.testing.assert_array_equal(out.theta, fed.broadcast_point(server, plan.gamma))
         np.testing.assert_array_equal(out.c, server.c)
-        for cl, c_i in zip(clients, before):
-            np.testing.assert_array_equal(cl.c_i, c_i)
+        np.testing.assert_array_equal(C, before)
         assert report.uplink_bits == 0
         assert report.active_ids == report.delivered_ids == []
 
@@ -384,10 +379,10 @@ class TestFedqvrRound:
         assert rows[99].cumulative_uplink_bits == rows[98].cumulative_uplink_bits
 
     def test_duplicate_id_in_the_active_set_is_rejected(self):
-        clients, datasets = make_clients(4, seed=16)
+        p, C, datasets = make_clients(4, seed=16)
         plan = uniform_plan([0, 2, 2])
         with pytest.raises(ValueError, match="duplicate client id"):
-            fed.run_round_fedqvr(SPEC, fresh_server(16), clients, datasets, plan,
+            fed.run_round_fedqvr(SPEC, fresh_server(16), p, C, datasets, plan,
                                  client_rngs(0, 0, plan.active_set))
 
     @staticmethod
@@ -397,18 +392,16 @@ class TestFedqvrRound:
         rng = np.random.default_rng(m)
         tracemalloc.start()
         try:
-            # made while tracing, so the c_i the call replaces count as freed
-            clients = [ClientState(p=1.0 / m, c_i=rng.normal(size=spec.dim)) for _ in range(m)]
+            p, C = np.full(m, 1.0 / m), rng.normal(size=(m, spec.dim))
             server = ServerState(theta=rng.normal(size=spec.dim), c=rng.normal(size=spec.dim))
             plan = uniform_plan(range(m), bits=4)
             start = fed.broadcast_point(server, plan.gamma)
             cohort = fed.Cohort(
                 np.full(m, 2), start, start + 0.01 * rng.normal(size=(m, spec.dim)),
-                np.array([cl.c_i for cl in clients]), [np.random.default_rng(c) for c in range(m)],
-                [(c, c) for c in range(m)])
+                C.copy(), [np.random.default_rng(c) for c in range(m)], [(c, c) for c in range(m)])
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            fed.FEDQVR.aggregate(spec, server, clients, plan, cohort)
+            fed.FEDQVR.aggregate(spec, server, p, C, plan, cohort)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -421,10 +414,10 @@ class TestFedqvrRound:
         assert abs(self.aggregate_peak(32, spec) - self.aggregate_peak(8, spec)) < 2 * spec.dim * 8
 
     def test_uplink_bits_accounting(self):
-        clients, datasets = make_clients(4, seed=16)
+        p, C, datasets = make_clients(4, seed=16)
         server = fresh_server(16)
         plan = uniform_plan([0, 1, 2], bits=2)
-        _, report = fed.run_round_fedqvr(SPEC, server, clients, datasets, plan,
+        _, report = fed.run_round_fedqvr(SPEC, server, p, C, datasets, plan,
                                          client_rngs(0, 0, plan.active_set))
         mu = 2 * 32 * len(SPEC.layer_groups())
         assert report.uplink_bits == 3 * (SPEC.dim * 3 + mu)
@@ -433,7 +426,7 @@ class TestFedqvrRound:
 class TestFedavgRound:
     def test_single_epoch_equals_mean_of_one_step_models(self):
         n = 5
-        clients, datasets = make_clients(n, seed=17)
+        p, C, datasets = make_clients(n, seed=17)
         server = fresh_server(17)
         seed = 5
         plan = uniform_plan(range(n), E=1)
@@ -442,18 +435,18 @@ class TestFedavgRound:
                 SPEC, server.theta, *datasets[cid], plan.batch_size,
                 client_rng(seed, 0, cid))
             for cid in range(n)], axis=0)
-        out, report = fed.run_round_fedavg(SPEC, server, clients, datasets, plan,
+        out, report = fed.run_round_fedavg(SPEC, server, p, C, datasets, plan,
                                            client_rngs(seed, 0, plan.active_set))
         np.testing.assert_allclose(out.theta, expected, atol=1e-14)
         assert report.uplink_bits == n * 32 * SPEC.dim
 
     def test_matches_straight_loop_reference(self):
         for spec in (SPEC, MLP_SPEC):
-            clients, datasets = make_clients(8, seed=25, spec=spec)
+            p, C, datasets = make_clients(8, seed=25, spec=spec)
             server = ref_server = fresh_server(25, spec)
             for r, plan in enumerate(uneven_plans(spec)):
                 server, report = fed.run_round_fedavg(
-                    spec, server, clients, datasets, plan,
+                    spec, server, p, C, datasets, plan,
                     client_rngs(4, r, plan.active_set))
                 ref_server, delivered = reference_fedavg_round(
                     spec, ref_server, datasets, plan, 4, r)
@@ -462,10 +455,10 @@ class TestFedavgRound:
                 assert report.uplink_bits == 32 * spec.dim * len(delivered)
 
     def test_all_failed_keeps_model(self):
-        clients, datasets = make_clients(3, seed=18)
+        p, C, datasets = make_clients(3, seed=18)
         server = fresh_server(18)
         plan = uniform_plan([0, 1], failed=frozenset({0, 1}))
-        out, report = fed.run_round_fedavg(SPEC, server, clients, datasets, plan,
+        out, report = fed.run_round_fedavg(SPEC, server, p, C, datasets, plan,
                                            client_rngs(0, 0, plan.active_set))
         np.testing.assert_array_equal(out.theta, server.theta)
         assert report.delivered_ids == []
@@ -475,71 +468,71 @@ class TestFedavgRound:
 class TestScaffoldRound:
     def test_reduces_to_fedavg_when_controls_are_zero_single_epoch(self):
         n = 4
-        clients, datasets = make_clients(n, seed=19)
+        p, C, datasets = make_clients(n, seed=19)
         server = fresh_server(19)
         plan = uniform_plan(range(n), E=1)
-        avg_out, _ = fed.run_round_fedavg(SPEC, server, clients, datasets, plan,
+        avg_out, _ = fed.run_round_fedavg(SPEC, server, p, C, datasets, plan,
                                           client_rngs(3, 0, plan.active_set))
-        sca_out, _ = fed.run_round_scaffold(SPEC, server, clients, datasets, plan,
+        sca_out, _ = fed.run_round_scaffold(SPEC, server, p, C, datasets, plan,
                                             client_rngs(3, 0, plan.active_set))
         np.testing.assert_allclose(sca_out.theta, avg_out.theta, atol=1e-14)
 
     def test_client_control_becomes_mean_logged_gradient(self):
         n = 3
-        clients, datasets = make_clients(n, seed=20)
-        clients[1].c_i = np.full(SPEC.dim, 0.05)
+        p, C, datasets = make_clients(n, seed=20)
+        C[1] = 0.05
         server = fresh_server(20)
         server.c = np.full(SPEC.dim, 0.01)
         plan = uniform_plan(range(n), E=4)
         _, logs = reference_scaffold_round(
-            SPEC, server, copy.deepcopy(clients), datasets, plan, 9, 0, plan.eta_g)
-        fed.run_round_scaffold(SPEC, server, clients, datasets, plan,
+            SPEC, server, C.copy(), datasets, plan, 9, 0, plan.eta_g)
+        fed.run_round_scaffold(SPEC, server, p, C, datasets, plan,
                                client_rngs(9, 0, plan.active_set))
         for cid in range(n):
             mean_g = np.mean(logs[cid], axis=0)
-            np.testing.assert_allclose(clients[cid].c_i, mean_g, atol=1e-12)
+            np.testing.assert_allclose(C[cid], mean_g, atol=1e-12)
 
     def test_server_control_update_rule(self):
         n = 5
-        clients, datasets = make_clients(n, seed=21)
+        p, C, datasets = make_clients(n, seed=21)
         server = fresh_server(21)
-        old_ci = [cl.c_i.copy() for cl in clients]
+        old_C = C.copy()
         plan = uniform_plan([0, 2], E=2)
         out, _ = fed.run_round_scaffold(
-            SPEC, server, clients, datasets, plan, client_rngs(1, 0, plan.active_set))
+            SPEC, server, p, C, datasets, plan, client_rngs(1, 0, plan.active_set))
         expected = server.c + sum(
-            (clients[cid].c_i - old_ci[cid]) / n for cid in (0, 2))
+            (C[cid] - old_C[cid]) / n for cid in (0, 2))
         np.testing.assert_allclose(out.c, expected, atol=1e-14)
 
     def test_matches_straight_loop_reference(self):
         for spec in (SPEC, MLP_SPEC):
-            clients, datasets = make_clients(8, seed=26, spec=spec)
-            ref_clients = copy.deepcopy(clients)
+            p, C, datasets = make_clients(8, seed=26, spec=spec)
+            ref_C = C.copy()
             server = ref_server = fresh_server(26, spec)
             for r, plan in enumerate(uneven_plans(spec, eta_g=0.9)):
                 server, report = fed.run_round_scaffold(
-                    spec, server, clients, datasets, plan,
+                    spec, server, p, C, datasets, plan,
                     client_rngs(6, r, plan.active_set))
                 ref_server, ref_logs = reference_scaffold_round(
-                    spec, ref_server, ref_clients, datasets, plan, 6, r, plan.eta_g)
-                assert_same_state(server, clients, ref_server, ref_clients)
+                    spec, ref_server, ref_C, datasets, plan, 6, r, plan.eta_g)
+                assert_same_state(server, C, ref_server, ref_C)
                 assert report.delivered_ids == sorted(ref_logs)
                 assert report.uplink_bits == 2 * 32 * spec.dim * len(ref_logs)
 
     def test_divergence_raises(self):
-        clients, datasets = make_clients(3, seed=27)
+        p, C, datasets = make_clients(3, seed=27)
         plan = RoundPlan(active_set=[0, 1], local_epochs={0: 3, 1: 3},
                          bits={}, batch_size=10, eta=1e308)
         with pytest.raises(FloatingPointError, match="diverged"):
-            fed.run_round_scaffold(SPEC, fresh_server(27), clients, datasets, plan,
+            fed.run_round_scaffold(SPEC, fresh_server(27), p, C, datasets, plan,
                                    client_rngs(0, 0, plan.active_set))
 
     def test_uplink_cost_is_double_raw(self):
-        clients, datasets = make_clients(3, seed=22)
+        p, C, datasets = make_clients(3, seed=22)
         server = fresh_server(22)
         plan = uniform_plan([0, 1])
         _, report = fed.run_round_scaffold(
-            SPEC, server, clients, datasets, plan, client_rngs(0, 0, plan.active_set))
+            SPEC, server, p, C, datasets, plan, client_rngs(0, 0, plan.active_set))
         assert report.uplink_bits == 2 * 2 * 32 * SPEC.dim
 
 
@@ -562,11 +555,11 @@ class TestLostUploads:
             return grad(spec, theta, X, y)
 
         monkeypatch.setattr(learner, "grad", counting_grad)
-        clients, datasets = make_clients(8, seed=28)
+        p, C, datasets = make_clients(8, seed=28)
         server = fresh_server(28)
         for r, plan in enumerate(uneven_plans(SPEC)):
             stepped.clear()
-            server, report = fed.run_round(algo, SPEC, server, clients, datasets, plan,
+            server, report = fed.run_round(algo, SPEC, server, p, C, datasets, plan,
                                            client_rngs(8, r, plan.active_set))
             delivered = sorted(set(plan.active_set) - plan.failed)
             assert report.delivered_ids == delivered
@@ -583,10 +576,10 @@ class TestLostUploads:
 
     @ALGOS
     def test_overflowing_delivered_upload_is_divergence(self, algo):
-        clients, datasets = make_clients(6, seed=29)
+        p, C, datasets = make_clients(6, seed=29)
         plan = uniform_plan([1, 2, 4], E=3)
         with pytest.raises(FloatingPointError, match="diverged"):
-            fed.run_round(algo, SPEC, fresh_server(29), clients, self.overflowing(datasets, 2),
+            fed.run_round(algo, SPEC, fresh_server(29), p, C, self.overflowing(datasets, 2),
                           plan, client_rngs(0, 0, plan.active_set))
 
     @ALGOS
@@ -594,17 +587,17 @@ class TestLostUploads:
         """The same overflowing client in ``plan.failed``: the round completes,
         and the server and every control variate equal the reference helper's
         on the plain data, which computes the lost client and drops it."""
-        clients, datasets = make_clients(6, seed=29)
-        ref_clients = copy.deepcopy(clients)
+        p, C, datasets = make_clients(6, seed=29)
+        ref_C = C.copy()
         server = ref_server = fresh_server(29)
         # a first round makes c and the c_i non-zero
         for r, (plan, data) in enumerate(((uniform_plan(range(6), E=2), datasets),
                                           (uniform_plan([1, 2, 4], E=3, failed=frozenset({2})),
                                            self.overflowing(datasets, 2)))):
-            server, _ = fed.run_round(algo, SPEC, server, clients, data, plan,
+            server, _ = fed.run_round(algo, SPEC, server, p, C, data, plan,
                                       client_rngs(5, r, plan.active_set))
-            ref_server = reference_round(algo, SPEC, ref_server, ref_clients, datasets, plan, 5, r)
-            assert_same_state(server, clients, ref_server, ref_clients)
+            ref_server = reference_round(algo, SPEC, ref_server, p, ref_C, datasets, plan, 5, r)
+            assert_same_state(server, C, ref_server, ref_C)
         assert np.isfinite(server.theta).all()
 
 
@@ -620,15 +613,14 @@ def test_plan_without_local_steps_is_rejected(algo, epochs, batch_size, match, m
         raise AssertionError("a gradient was taken")
 
     monkeypatch.setattr(learner, "grad", no_grad)
-    clients, datasets = make_clients(4, seed=32)
-    before = copy.deepcopy(clients)
+    p, C, datasets = make_clients(4, seed=32)
+    before = C.copy()
     plan = RoundPlan(active_set=[0, 1, 2], local_epochs=epochs, bits={c: 2 for c in epochs},
                      batch_size=batch_size, eta=0.01)
     with pytest.raises(ValueError, match=match):
-        fed.run_round(algo, SPEC, fresh_server(32), clients, datasets, plan,
+        fed.run_round(algo, SPEC, fresh_server(32), p, C, datasets, plan,
                       client_rngs(0, 0, plan.active_set))
-    for cl, ref in zip(clients, before):
-        np.testing.assert_array_equal(cl.c_i, ref.c_i)
+    np.testing.assert_array_equal(C, before)
 
 
 def reference_iterate(algo, spec, server, c_i, data, E, plan, rng):
@@ -670,17 +662,17 @@ class TestCohortBlocks:
 
         monkeypatch.setattr(learner, "grad", counting_grad)
         monkeypatch.setattr(fed, "_local_phase", recording_phase)
-        clients, datasets = make_clients(8, seed=31, spec=MLP_SPEC)
-        ref_clients = copy.deepcopy(clients)
+        p, C, datasets = make_clients(8, seed=31, spec=MLP_SPEC)
+        ref_C = C.copy()
         server = ref_server = fresh_server(31, spec=MLP_SPEC)
         for r, (epochs, failed) in enumerate((([5, 2, 4, 4, 1, 3, 4, 2], {5}),
                                               ([1, 3, 3, 2, 5, 1, 2, 4], set()))):
             plan = RoundPlan(active_set=list(range(8)), local_epochs=dict(enumerate(epochs)),
                              bits={c: 3 for c in range(8)}, batch_size=batch, eta=0.05,
                              failed=frozenset(failed))
-            before = copy.deepcopy((server, clients))
+            before = copy.deepcopy((server, C))
             rows_seen.clear()
-            server, _ = fed.run_round(algo, MLP_SPEC, server, clients, datasets, plan,
+            server, _ = fed.run_round(algo, MLP_SPEC, server, p, C, datasets, plan,
                                       client_rngs(31, r, plan.active_set))
             delivered = [c for c in range(8) if c not in failed]
             assert max(rows_seen) <= learner.BLOCK_ROWS
@@ -689,12 +681,12 @@ class TestCohortBlocks:
             assert sorted(iterates[-1]) == delivered
             for cid in delivered:
                 expected = reference_iterate(
-                    algo, MLP_SPEC, before[0], before[1][cid].c_i, datasets[cid], epochs[cid],
+                    algo, MLP_SPEC, before[0], before[1][cid], datasets[cid], epochs[cid],
                     plan, client_rng(31, r, cid))
                 np.testing.assert_array_equal(iterates[-1][cid], expected)
-            ref_server = reference_round(algo, MLP_SPEC, ref_server, ref_clients, datasets, plan,
+            ref_server = reference_round(algo, MLP_SPEC, ref_server, p, ref_C, datasets, plan,
                                          31, r)
-            assert_same_state(server, clients, ref_server, ref_clients)
+            assert_same_state(server, C, ref_server, ref_C)
 
 
 @settings(max_examples=40, deadline=None)

@@ -199,6 +199,33 @@ class TestRunExperiment:
             for b in json.loads(line)["bits"].values():
                 assert 1 <= b <= 6
 
+    @pytest.mark.parametrize("reach", [300.0, 0.0])
+    def test_zero_gain_devices_are_dropped_before_allocation(self, tmp_path, monkeypatch, reach):
+        """A device whose gain underflows to 0 (here: every one beyond
+        ``reach`` metres) sits the round out and counts in dropped_count; the
+        allocator plans for the others. With every gain 0 the rounds run empty."""
+        sample_channel = wireless.sample_channel
+        monkeypatch.setattr(wireless, "sample_channel", lambda distance, exponent, rng: (
+            0.0 if distance > reach else sample_channel(distance, exponent, rng)))
+        channels, rounds = tmp_path / "channels.jsonl", tmp_path / "rounds.jsonl"
+        cfg = small_config(algorithm="fedqvr_e", rounds=8, eval_every=1,
+                           trace_rounds_out=str(rounds))
+        cfg.wireless_cfg = wireless_on(trace_out=str(channels))
+        rows = harness.run_experiment(cfg)
+        draws = [json.loads(line) for line in channels.read_text().splitlines()]
+        records = [json.loads(line) for line in rounds.read_text().splitlines()]
+        mixed = 0
+        for r, rec in enumerate(records):
+            zero = {d["device"] for d in draws if d["round"] == r and d["gain"] == 0.0}
+            assert not zero & set(rec["active"])
+            assert rows[r + 1].dropped_count == cfg.sample_size - len(rec["active"])
+            mixed += bool(zero) and bool(rec["active"])
+        if reach:
+            assert mixed
+        else:
+            assert all(not rec["active"] for rec in records)
+            assert rows[-1].cumulative_uplink_bits == 0
+
     @pytest.mark.parametrize("algorithm,tau", [
         ("fedavg", 8e-6), ("scaffold", 1.6e-5), ("fedqvr", 2e-6), ("fedqvr_e", 2e-6)])
     def test_uplink_cost_is_defined_once(self, tmp_path, monkeypatch, algorithm, tau):
