@@ -388,8 +388,16 @@ def solve_alloc(p: AllocProblem) -> AllocSolution:
     budget are pre-dropped; one whose bit count there is not finite, or too
     large to floor to an int64, fails the solve (AllocationError). If the
     survivors' minimum bandwidths exceed the budget jointly, the neediest are
-    pre-dropped until the rest fit.
+    pre-dropped until the rest fit. An overflow in the solver's float64 steps
+    fails it too, as AllocationError.
     """
+    try:
+        return _solve(p)
+    except ArithmeticError as e:
+        raise AllocationError(f"numerical breakdown ({e})") from e
+
+
+def _solve(p: AllocProblem) -> AllocSolution:
     n = p.num_devices
     bands = np.zeros(n)
     bits = np.zeros(n)

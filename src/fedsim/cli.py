@@ -21,13 +21,6 @@ EXIT_DIVERGENCE = 2
 EXIT_IO = 3
 
 
-def _allocation_failure(e: Exception) -> str:
-    """The one line for a failed solve: an AllocationError, or an
-    ArithmeticError from the solver's float64 steps."""
-    detail = e if isinstance(e, alloc.AllocationError) else f"numerical breakdown ({e})"
-    return f"allocation failed: {detail}"
-
-
 def _run_config(text: str, **overrides) -> tuple[int, str | harness.MetricsRow]:
     """Parse the config in ``text``, set the ``overrides`` that are not None
     on it and run it.
@@ -48,8 +41,10 @@ def _run_config(text: str, **overrides) -> tuple[int, str | harness.MetricsRow]:
         return EXIT_VALIDATION, f"invalid config: {e}"
     except FloatingPointError as e:  # before ArithmeticError, its base class
         return EXIT_DIVERGENCE, f"divergence: {e}"
-    except (alloc.AllocationError, ArithmeticError) as e:
-        return EXIT_VALIDATION, _allocation_failure(e)
+    except alloc.AllocationError as e:  # raised by the allocator only
+        return EXIT_VALIDATION, f"allocation failed: {e}"
+    except ArithmeticError as e:  # an overflow outside the allocator
+        return EXIT_VALIDATION, f"arithmetic error: {e!r}"
     except MemoryError as e:
         return EXIT_VALIDATION, f"out of memory: {e}" if str(e) else "out of memory"
     except OSError as e:
@@ -147,8 +142,8 @@ def _cmd_alloc(args) -> int:
         return EXIT_VALIDATION
     try:
         sol = alloc.solve_alloc(problem)
-    except (alloc.AllocationError, ArithmeticError) as e:
-        print(f"error: {_allocation_failure(e)}", file=sys.stderr)
+    except alloc.AllocationError as e:
+        print(f"error: allocation failed: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     print(sol.to_json())
     return EXIT_OK

@@ -5,11 +5,13 @@ server and clients, geometric-weighted local updates, quantized uplink of
 model differences) alongside plain federated averaging and the SCAFFOLD
 baseline. The three share one round engine, ``run_round``; each algorithm is
 an object with its start point, local step, aggregate and upload cost.
-Fedqvr's aggregate folds each quantized upload into the server's theta and c
-as it is made, so its memory does not grow with the cohort. All
-randomness flows through streams keyed by the five 32-bit words (seed low,
-seed high, label, round, client), so results are independent of client
-scheduling order; ``stream_keys`` lays the keys out and ``stream_seeds``
+The engine steps the delivered clients a block at a time, in two buffers of
+one block that every block reuses, and the aggregate folds each finished
+block into the server's theta and c (fedqvr one quantized upload at a time)
+before the next block steps, so a round's memory does not grow with the
+cohort. All randomness flows through streams keyed by the five 32-bit words
+(seed low, seed high, label, round, client), so results are independent of
+client scheduling order; ``stream_keys`` lays the keys out and ``stream_seeds``
 hashes them, many keys at a time. The caller counts the rounds and hands
 each round its streams; the state is the server's theta and c and the clients' p and C.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -222,23 +224,31 @@ def client_finish(
     return delta_hat, step_scale, c_i - step_scale * delta_hat
 
 
-def _cohort(plan: RoundPlan, C: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The active clients whose uploads arrive, longest local run first (ties
-    in plan order): their ids, epochs and rows of ``C``, copied, (m, dim).
-
-    With rows in this order, the clients still stepping at step t are a
-    prefix of the stacks.
-    """
+def _cohort(plan: RoundPlan) -> tuple[list[int], np.ndarray]:
+    """The active clients whose uploads arrive, in id order, and their local
+    steps."""
     if len(set(plan.active_set)) != len(plan.active_set):
         raise ValueError("duplicate client id in active set")
     if plan.batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    ids = sorted((cid for cid in plan.active_set if cid not in plan.failed),
-                 key=lambda cid: -plan.local_epochs[cid])
+    ids = sorted(cid for cid in plan.active_set if cid not in plan.failed)
     epochs = np.array([plan.local_epochs[cid] for cid in ids], dtype=np.int64)
     if np.any(epochs < 1):
         raise ValueError("epochs must be >= 1")
-    return ids, epochs, C[ids]
+    return ids, epochs
+
+
+class Block(NamedTuple):
+    """A block of the cohort after its local steps, one row per client,
+    longest local run first. ``theta`` and ``c_rows`` are views of buffers
+    that the next block overwrites."""
+
+    ids: list[int]                    # client id of each row
+    epochs: np.ndarray                # local steps of each row
+    theta: np.ndarray                 # final iterates, (k, dim)
+    c_rows: np.ndarray                # control variates at the start, (k, dim)
+    rngs: list[np.random.Generator]   # each row's stream after its draws
+    by_id: list[tuple[int, int]]      # (client id, row) by id, the order of every reduction
 
 
 def _local_phase(
@@ -249,74 +259,81 @@ def _local_phase(
     datasets: list[tuple[np.ndarray, np.ndarray]],
     batch_size: int,
     rngs: list[np.random.Generator],
+    C: np.ndarray,
     step,
-) -> np.ndarray:
+) -> Iterator[Block]:
     """Local iterations of the cohort as stacked arrays, a block of clients
-    at a time.
+    at a time; yields each block when its clients have taken all their steps.
 
-    Row j is client ``ids[j]``; it starts at ``start`` and takes
-    ``epochs[j]`` steps. The rows run in blocks of ``max(1,
-    learner.BLOCK_ROWS // batch_size)`` clients, so one stacked gradient
-    holds at most ``BLOCK_ROWS`` sample rows (or one minibatch, if that is
-    larger); each block takes all its steps before the next starts. Each
-    client of a block first draws all its minibatches from its own stream
-    ``rngs[j]`` in one ``integers`` call of shape (epochs, batch). That call
+    Client ``ids[j]`` starts at ``start``, takes ``epochs[j]`` steps from its
+    stream ``rngs[j]`` and has control variate ``C[ids[j]]``. The clients run
+    in consecutive blocks of ``max(1, learner.BLOCK_ROWS // batch_size)``,
+    so one stacked gradient holds at most ``BLOCK_ROWS`` sample rows (or one
+    minibatch, if that is larger). Within a block, rows run longest first,
+    ties in the order of ``ids``, so the clients still stepping at step t are
+    a prefix of its rows. One buffer of iterates and one of control variates,
+    a block in size, serve every block, so memory does not grow with the
+    cohort; a block must be consumed before the next is asked for.
+
+    Each client of a block first draws all its minibatches from its own
+    stream in one ``integers`` call of shape (epochs, batch). That call
     yields the same indices as one call per step and leaves the stream in
     the same state, since the bit generator keeps any spare 32-bit half
     between calls; ``test_fed.py::test_merged_minibatch_draw_keeps_the_stream``
     pins this. Step t gathers the features of the block's k clients still
     running, computes one stacked gradient ``g`` for them and calls
-    ``step(theta, g, rows)``, which updates ``theta``, the iterates of the
-    rows ``rows`` (a slice), in place (it may overwrite ``g``). Returns the
-    final iterates.
+    ``step(theta, g, c)``, which updates ``theta``, their iterates, in place
+    from ``g`` and ``c``, their control variates (it may overwrite ``g``).
     """
     m, bs = len(ids), batch_size
-    theta = np.tile(start, (m, 1))
     per_block = max(1, learner.BLOCK_ROWS // bs)
+    rows = min(m, per_block)
+    theta_buf, c_buf = np.empty((rows, start.size)), np.empty((rows, start.size))
     # one step's features of one block at a time, so memory stays at
     # block * batch * input
-    xb = np.empty(learner.sized(min(m, per_block), bs, spec.input_dim))
+    xb = np.empty(learner.sized(rows, bs, spec.input_dim))
     for lo in range(0, m, per_block):
-        hi = min(lo + per_block, m)
-        feats: list[np.ndarray] = []  # per client of the block, its features
-        idx: list[np.ndarray] = []    # per client of the block, its draws (epochs, batch)
-        ys = np.empty(learner.sized(epochs[lo], hi - lo, bs), dtype=np.intp)
-        for j in range(lo, hi):
+        order = sorted(range(lo, min(lo + per_block, m)), key=lambda j: -epochs[j])
+        k, block_ids, block_epochs = len(order), [ids[j] for j in order], epochs[order]
+        theta, c_rows = theta_buf[:k], c_buf[:k]
+        theta[...] = start
+        # the ids are in range; "clip" only spares take's buffered copy
+        np.take(C, block_ids, axis=0, out=c_rows, mode="clip")
+        feats: list[np.ndarray] = []  # per row, its client's features
+        idx: list[np.ndarray] = []    # per row, its draws (epochs, batch)
+        ys = np.empty(learner.sized(block_epochs[0], k, bs), dtype=np.intp)
+        for row, j in enumerate(order):
             X, y = datasets[ids[j]]
             if X.shape[0] == 0:
                 raise ValueError("empty client dataset")
             idx.append(rngs[j].integers(0, X.shape[0], size=(epochs[j], bs)))
-            ys[:epochs[j], j - lo] = y[idx[-1]]
+            ys[:epochs[j], row] = y[idx[-1]]
             feats.append(X)
-        # k at each step t: the block's clients still stepping, a prefix of
-        # its rows, since rows run longest first
-        ks = np.count_nonzero(epochs[lo:hi] > np.arange(epochs[lo])[:, None], axis=1).tolist()
+        # k at each step t: the rows still stepping, a prefix
+        ks = np.count_nonzero(block_epochs > np.arange(block_epochs[0])[:, None], axis=1).tolist()
         # overflow surfaces as the non-finite iterate check below
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, k in enumerate(ks):
-                for j in range(k):
-                    # the draws are in range; "clip" only spares take's buffered copy
-                    feats[j].take(idx[j][t], axis=0, out=xb[j], mode="clip")
-                rows = slice(lo, lo + k)
-                g = learner.grad(spec, theta[rows], xb[:k], ys[t, :k])
-                step(theta[rows], g, rows)
-                if not np.isfinite(theta[rows]).all():
+            for t, n in enumerate(ks):
+                for row in range(n):
+                    feats[row].take(idx[row][t], axis=0, out=xb[row], mode="clip")
+                g = learner.grad(spec, theta[:n], xb[:n], ys[t, :n])
+                step(theta[:n], g, c_rows[:n])
+                if not np.isfinite(theta[:n]).all():
                     raise FloatingPointError("local update diverged to non-finite iterate")
-    return theta
+        yield Block(block_ids, block_epochs, theta, c_rows, [rngs[j] for j in order],
+                    sorted((cid, row) for row, cid in enumerate(block_ids)))
 
 
-class Cohort(NamedTuple):
-    """A round's cohort after its local steps, one row per arriving upload."""
-
-    epochs: np.ndarray                # local steps per row
-    start: np.ndarray                 # the point every row started from
-    theta: np.ndarray                 # final iterates, (m, dim)
-    c_rows: np.ndarray                # control variates at the start, (m, dim)
-    rngs: list[np.random.Generator]   # each client's stream after its draws
-    by_id: list[tuple[int, int]]      # (client id, row) by id, the order of every reduction
-
-    def mean(self) -> np.ndarray:
-        return np.mean(self.theta[[j for _, j in self.by_id]], axis=0)
+def _add_rows(total: np.ndarray | None, block: Block) -> np.ndarray:
+    """``total`` plus the block's iterates, added one at a time in client-id
+    order, as ``np.sum(axis=0)`` adds the rows of a stack; a ``total`` of
+    None starts at the first of them."""
+    for _, j in block.by_id:
+        if total is None:
+            total = block.theta[j].copy()
+        else:
+            total += block.theta[j]
+    return total
 
 
 class FedAvg:
@@ -332,17 +349,23 @@ class FedAvg:
     def start(self, server: ServerState, plan: RoundPlan) -> np.ndarray:
         return server.theta
 
-    def stepper(self, server, plan, start, c_rows):
-        """The round's local step: ``step(theta, g, rows)`` updates
-        ``theta``, the iterates of the cohort's rows ``rows`` (a slice), in
-        place from their gradients ``g``."""
-        def step(theta, g, rows):
+    def stepper(self, server, plan, start):
+        """The round's local step: ``step(theta, g, c)`` updates ``theta``,
+        the iterates of some rows, in place from their gradients ``g`` and
+        control variates ``c``."""
+        def step(theta, g, c):
             g *= plan.eta
             theta -= g
         return step
 
-    def aggregate(self, spec, server, p, C, plan, cohort: Cohort) -> ServerState:
-        theta = cohort.mean() if cohort.by_id else server.theta.copy()
+    def aggregate(self, spec, server, p, C, plan, start, blocks) -> ServerState:
+        """The mean of the delivered models: a running sum over ``blocks`` in
+        client-id order, over the count. No upload keeps the model."""
+        total, count = None, 0
+        for block in blocks:
+            total = _add_rows(total, block)
+            count += len(block.ids)
+        theta = total / count if count else server.theta.copy()
         return ServerState(theta=theta, c=server.c.copy())
 
 
@@ -356,24 +379,33 @@ class Scaffold(FedAvg):
         """Uplink bits of one upload: the model and the control variate."""
         return 2 * RAW_BITS_PER_ELEMENT * spec.dim
 
-    def stepper(self, server, plan, start, c_rows):
-        def step(theta, g, rows):
+    def stepper(self, server, plan, start):
+        def step(theta, g, c):
             # theta <- theta - eta * ((g + c) - c_i)
             g += server.c
-            g -= c_rows[rows]
+            g -= c
             g *= plan.eta
             theta -= g
         return step
 
-    def aggregate(self, spec, server, p, C, plan, cohort: Cohort) -> ServerState:
-        c_rows = (cohort.c_rows - server.c
-                  + (server.theta - cohort.theta) / (cohort.epochs * plan.eta)[:, None])
-        theta_new, c_new = server.theta.copy(), server.c.copy()
-        if cohort.by_id:
-            theta_new = server.theta + plan.eta_g * (cohort.mean() - server.theta)
-            for cid, j in cohort.by_id:
+    def aggregate(self, spec, server, p, C, plan, start, blocks) -> ServerState:
+        """Each block's models join the running sum of the mean; then its
+        c_i <- c_i - c + (theta - theta_i) / (E_i * eta), stacked over the
+        block in its buffers, and each c_i is committed in client-id order."""
+        total, count, c_new = None, 0, server.c.copy()
+        for block in blocks:
+            total = _add_rows(total, block)
+            count += len(block.ids)
+            c_rows, diff = block.c_rows, block.theta
+            c_rows -= server.c
+            np.subtract(server.theta, diff, out=diff)
+            diff /= (block.epochs * plan.eta)[:, None]
+            c_rows += diff
+            for cid, j in block.by_id:
                 c_new += (c_rows[j] - C[cid]) / len(C)
                 C[cid] = c_rows[j]
+        theta_new = (server.theta + plan.eta_g * (total / count - server.theta) if count
+                     else server.theta.copy())
         return ServerState(theta=theta_new, c=c_new)
 
 
@@ -396,20 +428,20 @@ class FedQVR:
     def start(self, server: ServerState, plan: RoundPlan) -> np.ndarray:
         return broadcast_point(server, plan.gamma)
 
-    def stepper(self, server, plan, start, c_rows):
+    def stepper(self, server, plan, start):
         ge = plan.gamma * plan.eta
         anchor = (ge / (1.0 + ge)) * start
 
-        def step(theta, g, rows):
+        def step(theta, g, c):
             # theta <- (theta - eta * (g - c_i)) / (1 + ge) + (ge / (1 + ge)) * theta0
-            g -= c_rows[rows]
+            g -= c
             g *= plan.eta
             theta -= g
             theta /= 1.0 + ge
             theta += anchor
         return step
 
-    def aggregate(self, spec, server, p, C, plan, cohort: Cohort) -> ServerState:
+    def aggregate(self, spec, server, p, C, plan, start, blocks) -> ServerState:
         """Fold each upload into theta and c as it is made, in client-id order:
 
         theta <- theta0 + (N/m) * sum_i p_i * delta_hat_i
@@ -421,14 +453,15 @@ class FedQVR:
         """
         groups = spec.layer_groups()
         m = plan.m_sampled if plan.m_sampled is not None else len(plan.active_set)
-        theta, c = cohort.start.copy(), server.c.copy()
-        for cid, j in cohort.by_id:
-            delta_hat, step_scale, C[cid] = client_finish(
-                cohort.theta[j], cohort.start, cohort.c_rows[j], plan.bits[cid], plan.eta,
-                e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a, cohort.rngs[j],
-                groups=groups)
-            theta += (len(p) / m) * p[cid] * delta_hat
-            c -= p[cid] * step_scale * delta_hat
+        theta, c = start.copy(), server.c.copy()
+        for block in blocks:
+            for cid, j in block.by_id:
+                delta_hat, step_scale, C[cid] = client_finish(
+                    block.theta[j], start, block.c_rows[j], plan.bits[cid], plan.eta,
+                    e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a,
+                    block.rngs[j], groups=groups)
+                theta += (len(p) / m) * p[cid] * delta_hat
+                c -= p[cid] * step_scale * delta_hat
         return ServerState(theta=theta, c=c)
 
 
@@ -445,30 +478,35 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState, p: np
     scaffold and fedqvr overwrite when its upload arrives. A lost upload (its
     client in ``plan.failed``) is not computed and keeps its row, as an
     inactive client does; divergence is checked on the iterates the server
-    receives. ``rngs`` maps every other active client to its stream in this
-    round, keyed [seed_lo, seed_hi, CLIENT, round, client]; fedqvr's
-    quantizer draws from it after the minibatches.
+    receives and on the server state it makes of them. ``rngs`` maps every
+    other active client to its stream in this round, keyed [seed_lo, seed_hi,
+    CLIENT, round, client]; fedqvr's quantizer draws from it after the
+    minibatches.
 
     ``algo`` gives the start point, the in-place local step, the aggregate
     and the upload cost; the round is otherwise the same for every algorithm.
-    Fedqvr's aggregate makes each upload in client-id order and adds it to
-    the server's theta and c at once, so no round holds all its uploads.
+    The delivered clients step a block at a time (``_local_phase``), and the
+    aggregate folds each block into the server's state, in client-id order,
+    before the next block steps; so a round holds one block of iterates and
+    control variates, whatever the cohort's size. A round that raises after
+    its first block may have committed that block's control variates.
     This is the package's only local update. Every row equals the client's
     steps taken alone, one minibatch gradient at a time, bit for bit, so
     leaving a client out moves no other result.
     """
-    ids, epochs, c_rows = _cohort(plan, C)
+    ids, epochs = _cohort(plan)
     start = algo.start(server, plan)
-    row_rngs = [rngs[cid] for cid in ids]
-    theta = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size, row_rngs,
-                         algo.stepper(server, plan, start, c_rows))
-    by_id = sorted((cid, j) for j, cid in enumerate(ids))
-    new_server = algo.aggregate(spec, server, p, C, plan,
-                                Cohort(epochs, start, theta, c_rows, row_rngs, by_id))
+    blocks = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size,
+                          [rngs[cid] for cid in ids], C, algo.stepper(server, plan, start))
+    # a sum of finite iterates can overflow: that is divergence too
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_server = algo.aggregate(spec, server, p, C, plan, start, blocks)
+    if not (np.isfinite(new_server.theta).all() and np.isfinite(new_server.c).all()):
+        raise FloatingPointError("aggregate diverged to non-finite server state")
     widths = Counter(plan.bits.get(cid) for cid in ids)  # one cost per width, not per upload
     report = RoundReport(
         active_ids=list(plan.active_set),
-        delivered_ids=[cid for cid, _ in by_id],
+        delivered_ids=ids,
         uplink_bits=sum(n * algo.payload_bits(spec, b) for b, n in widths.items()),
     )
     return new_server, report

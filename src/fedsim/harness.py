@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
+import re
 import sys
 from dataclasses import dataclass, field, fields, asdict
 from typing import Iterator, NamedTuple
@@ -60,8 +62,20 @@ def _field_type_errors(obj, prefix: str = "") -> list[str]:
     return _type_errors(vars(obj), {f.name: f.type for f in fields(obj)}, prefix)
 
 
+# a run of more digits than any float repr has: an echoed huge integer
+_LONG_DIGITS = re.compile(r"\d{21,}")
+
+
 class ConfigError(ValueError):
-    pass
+    """A config that cannot run. Each echoed integer of more than 20 digits
+    is cut to its first 8 and its digit count."""
+
+    def __init__(self, message: str):
+        super().__init__(_LONG_DIGITS.sub(
+            lambda d: f"{d[0][:8]}...({len(d[0])} digits)", message))
+
+
+_DBM_LIMIT = 3000  # 10**(dBm/10) mW stays a positive, finite float within +-3000 dBm
 
 
 @dataclass
@@ -179,6 +193,9 @@ class ExperimentConfig:
             if path is not None and "\x00" in path:
                 errors.append(f"{name} must not contain a NUL character")
         if w.enabled:
+            for name in ("tx_power_dbm", "noise_psd_dbm_hz"):
+                if not abs(getattr(w, name)) <= _DBM_LIMIT:
+                    errors.append(f"wireless {name} must lie in [-{_DBM_LIMIT}, {_DBM_LIMIT}]")
             if w.alpha < 0:
                 errors.append("wireless alpha must be >= 0")
             if w.tau <= 0:
@@ -214,7 +231,7 @@ class ExperimentConfig:
         return cfg
 
 
-@dataclass
+@dataclass(slots=True)  # a run returns one per evaluation: no __dict__ each
 class MetricsRow:
     round: int
     train_loss: float
@@ -234,20 +251,6 @@ CSV_HEADER = ",".join(f.name for f in fields(MetricsRow))
 def evaluate(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Accuracy on a held-out set; argmax ties break to the lowest class."""
     return float((learner.predict(spec, theta, X) == y).mean())
-
-
-def write_metrics_csv(rows: list[MetricsRow], path: str) -> None:
-    with open(path, "w") as f:
-        f.write(CSV_HEADER + "\n")
-        for row in rows:
-            f.write(row.csv_line() + "\n")
-
-
-def write_json_lines(records: list[dict], path: str) -> None:
-    """One JSON object per line: the channel trace and the round trace."""
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -371,6 +374,9 @@ def _allocated_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPlan,
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
+    """Run ``cfg`` and return its metrics rows. The metrics CSV and both
+    traces are opened before round 0 and written a line at a time, so a bad
+    path fails before any round and a failed run keeps the lines it wrote."""
     cfg.validate()
     train, test, shards = _build_task(cfg)
     spec = ModelSpec(cfg.model_kind, train.features.shape[1], train.num_classes, cfg.hidden_dim)
@@ -395,53 +401,59 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     wcfg = cfg.wireless_cfg
     distances = wireless.place_devices(cfg.num_clients, place_rng,
                                        r_min=wcfg.r_min, r_max=wcfg.r_max)
-    channel_trace: list[dict] = []
-    round_trace: list[dict] = []
 
-    rows: list[MetricsRow] = []
-    cumulative_bits = 0
+    with contextlib.ExitStack() as files:
+        def writer(path: str | None):
+            if not path:
+                return None
+            f = files.enter_context(open(path, "w"))
+            return lambda line: f.write(line + "\n")
 
-    def snapshot(round_index: int, active: int, dropped: int) -> None:
-        rows.append(MetricsRow(
-            round=round_index,
-            train_loss=learner.loss(spec, server.theta, train_X, train_y),
-            test_accuracy=evaluate(spec, server.theta, test.features, test.labels),
-            cumulative_uplink_bits=cumulative_bits,
-            active_count=active, dropped_count=dropped))
+        write_row, write_channel, write_round = map(
+            writer, (cfg.out, wcfg.trace_out, cfg.trace_rounds_out))
+        rows: list[MetricsRow] = []
+        cumulative_bits = 0
 
-    snapshot(0, 0, 0)
+        def snapshot(round_index: int, active: int, dropped: int) -> None:
+            rows.append(MetricsRow(
+                round=round_index,
+                train_loss=learner.loss(spec, server.theta, train_X, train_y),
+                test_accuracy=evaluate(spec, server.theta, test.features, test.labels),
+                cumulative_uplink_bits=cumulative_bits,
+                active_count=active, dropped_count=dropped))
+            if write_row:
+                write_row(rows[-1].csv_line())
 
-    for r, sampled, epochs, channel_seeds, client_seeds in _schedule(cfg):
-        gains: dict[int, float] = {}
-        if wcfg.enabled:
-            for cid, seeds in zip(sampled, channel_seeds):
-                gains[cid] = wireless.sample_channel(
-                    float(distances[cid]), wcfg.pathloss_exponent, fed.generator(seeds))
-            if wcfg.trace_out:
-                channel_trace += ({"round": r, "device": cid, "distance_m": float(distances[cid]),
-                                   "gain": g} for cid, g in gains.items())
+        if write_row:
+            write_row(CSV_HEADER)
+        snapshot(0, 0, 0)
 
-        plan, dropped_count = plan_round(cfg, algo, spec, sampled, epochs, gains)
-        rngs = {cid: fed.generator(seeds) for cid, seeds in zip(sampled, client_seeds)
-                if cid in plan.active_set and cid not in plan.failed}
-        server, report = run_round(spec, server, p, C, client_data, plan, rngs)
+        for r, sampled, epochs, channel_seeds, client_seeds in _schedule(cfg):
+            gains: dict[int, float] = {}
+            if wcfg.enabled:
+                for cid, seeds in zip(sampled, channel_seeds):
+                    gains[cid] = wireless.sample_channel(
+                        float(distances[cid]), wcfg.pathloss_exponent, fed.generator(seeds))
+                if write_channel:
+                    for cid, g in gains.items():
+                        write_channel(json.dumps({"round": r, "device": cid,
+                                                  "distance_m": float(distances[cid]),
+                                                  "gain": g}))
 
-        cumulative_bits += report.uplink_bits
-        if cfg.trace_rounds_out:
-            round_trace.append({
-                "round": r, "active": plan.active_set,
-                "delivered": report.delivered_ids,
-                "epochs": {str(k): v for k, v in plan.local_epochs.items()},
-                "bits": {str(k): v for k, v in plan.bits.items()} if algo.quantized else {},
-                "uplink_bits": report.uplink_bits,
-            })
-        if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
-            snapshot(r + 1, len(report.delivered_ids), dropped_count)
+            plan, dropped_count = plan_round(cfg, algo, spec, sampled, epochs, gains)
+            rngs = {cid: fed.generator(seeds) for cid, seeds in zip(sampled, client_seeds)
+                    if cid in plan.active_set and cid not in plan.failed}
+            server, report = run_round(spec, server, p, C, client_data, plan, rngs)
 
-    if cfg.out:
-        write_metrics_csv(rows, cfg.out)
-    if wcfg.trace_out:
-        write_json_lines(channel_trace, wcfg.trace_out)
-    if cfg.trace_rounds_out:
-        write_json_lines(round_trace, cfg.trace_rounds_out)
+            cumulative_bits += report.uplink_bits
+            if write_round:
+                write_round(json.dumps({
+                    "round": r, "active": plan.active_set,
+                    "delivered": report.delivered_ids,
+                    "epochs": {str(k): v for k, v in plan.local_epochs.items()},
+                    "bits": {str(k): v for k, v in plan.bits.items()} if algo.quantized else {},
+                    "uplink_bits": report.uplink_bits,
+                }))
+            if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
+                snapshot(r + 1, len(report.delivered_ids), dropped_count)
     return rows

@@ -120,16 +120,16 @@ def fedqvr_steps(spec: learner.ModelSpec, theta0: np.ndarray, c_i: np.ndarray,
     plan = RoundPlan(active_set=[0], local_epochs={0: epochs}, bits={},
                      batch_size=batch_size, eta=eta, gamma=gamma)
     server = ServerState(theta=theta0, c=np.zeros_like(theta0))  # broadcasts theta0
-    step = fed.FEDQVR.stepper(server, plan, theta0, c_i[None])
+    step = fed.FEDQVR.stepper(server, plan, theta0)
     grads: list[np.ndarray] = []
 
-    def recording_step(theta, g, rows):
+    def recording_step(theta, g, c):
         grads.append(g[0].copy())
-        step(theta, g, rows)
+        step(theta, g, c)
 
-    theta = fed._local_phase(spec, theta0, [0], np.array([epochs]), [(X, y)], batch_size,
-                             [rng], recording_step)
-    return theta[0], grads
+    block, = fed._local_phase(spec, theta0, [0], np.array([epochs]), [(X, y)], batch_size,
+                              [rng], c_i[None], recording_step)
+    return block.theta[0], grads
 
 
 def check_closed_form_update(seed: int = 3, trials: int = 1,

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -82,6 +85,9 @@ class TestRun:
         ("alpha", -1), ("tau", 0), ("tau", -1), ("b_lower", 0), ("b_upper", 0), ("b_upper", 53),
         ("b_lower", 1.5), ("b_upper", 24.5), ("tau", "x"), ("enabled", 1),
         ("total_bandwidth_hz", 0), ("total_bandwidth_hz", -1),
+        # beyond +-3000 dBm, 10**(dBm/10) mW is no longer a positive, finite float
+        ("noise_psd_dbm_hz", -1e308), ("noise_psd_dbm_hz", 3000.5), ("tx_power_dbm", 1e300),
+        ("tx_power_dbm", -3001),
     ])
     def test_out_of_range_wireless_field_is_validation_error(
             self, tmp_path, capsys, field, value):
@@ -311,6 +317,46 @@ class TestRun:
         assert err == "error: divergence: local update diverged to non-finite iterate\n"
 
 
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("algorithm", ["fedavg", "scaffold"])
+    def test_overflowing_aggregate_is_one_line_divergence(self, tmp_path, algorithm, rounds):
+        """At eta = 1e308 the MLP's iterates stay finite, but their sum
+        overflows: exit 2 and one stderr line, no RuntimeWarning. Run in a
+        subprocess, since pytest takes warnings before stderr sees them."""
+        raw = json.loads((CONFIGS / "synthetic_fedqvr.json").read_text())
+        raw.update(algorithm=algorithm, eta=1e308, rounds=rounds,
+                   model_kind="one-hidden-layer-mlp")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "fedsim.cli", "run", "--config", str(cfg)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: divergence: aggregate diverged to non-finite server state\n"
+
+    def test_overflow_outside_the_allocator_is_not_an_allocation_failure(self, tmp_path, capsys):
+        """r_max = 1e300 overflows the device placement, on a config that
+        runs no allocator."""
+        raw = json.loads((CONFIGS / "synthetic_fedqvr.json").read_text())
+        raw.update(rounds=1, wireless_cfg={"r_max": 1e300})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: arithmetic error: OverflowError(34, 'Numerical result out of range')\n")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("eta", 10**400, "eta must be a finite number, got 10000000...(401 digits)"),
+        ("eta", -10**400, "eta must be a finite number, got -10000000...(401 digits)"),
+        ("seed", 2**100, "seed must lie in [0, 2**64), got 12676506...(31 digits)")])
+    def test_huge_integer_is_echoed_cut(self, tmp_path, capsys, key, value, message):
+        """An integer of more than 20 digits is echoed as its first 8 and its
+        digit count."""
+        assert cli.main(["run", "--config", write_config(tmp_path, **{key: value})]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+
+
 # Fields a run opens as files; a drawn value there would name a file or a
 # descriptor, which is not what this fuzzing is about.
 _PATH_FIELDS = {"out", "trace_rounds_out", "trace_out"}
@@ -463,7 +509,11 @@ class TestSweep:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "[eta-1e+308] divergence: local update diverged to non-finite iterate\n"
-        assert [p.name for p in out_dir.glob("metrics_*.csv")] == ["metrics_eta-0.01.csv"]
+        assert sorted(p.name for p in out_dir.glob("metrics_*.csv")) == [
+            "metrics_eta-0.01.csv", "metrics_eta-1e+308.csv"]
+        # the diverged run keeps the lines it wrote: the header and round 0
+        lines = (out_dir / "metrics_eta-1e+308.csv").read_text().splitlines()
+        assert lines[0] == harness.CSV_HEADER and [line.split(",")[0] for line in lines[1:]] == ["0"]
 
     def test_invalid_combo_is_one_line_and_the_rest_still_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -766,12 +816,12 @@ class TestVerify:
     def test_closed_form_check_runs_the_engine_step(self, monkeypatch):
         """With fedqvr's step adding half its anchor, the closed-form check
         fails: it checks the step a run takes, not a copy of it."""
-        def halved_anchor(server, plan, start, c_rows):
+        def halved_anchor(server, plan, start):
             ge = plan.gamma * plan.eta
             anchor = (ge / (1.0 + ge)) * start
 
-            def step(theta, g, rows):
-                g -= c_rows[rows]
+            def step(theta, g, c):
+                g -= c
                 g *= plan.eta
                 theta -= g
                 theta /= 1.0 + ge
@@ -812,9 +862,9 @@ class TestVerify:
         instead of p_i, c = sum p_i c_i breaks, since the weights differ."""
         aggregate = fed.FedQVR.aggregate
 
-        def one_over_n(self, spec, server, p, C, plan, cohort):
+        def one_over_n(self, spec, server, p, C, plan, start, blocks):
             before = C.copy()
-            out = aggregate(self, spec, server, p, C, plan, cohort)
+            out = aggregate(self, spec, server, p, C, plan, start, blocks)
             out.c = server.c + (C - before).sum(axis=0) / len(p)
             return out
 

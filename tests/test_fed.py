@@ -385,34 +385,6 @@ class TestFedqvrRound:
             fed.run_round_fedqvr(SPEC, fresh_server(16), p, C, datasets, plan,
                                  client_rngs(0, 0, plan.active_set))
 
-    @staticmethod
-    def aggregate_peak(m, spec):
-        """tracemalloc peak, in bytes above the memory held before it, of
-        one ``FEDQVR.aggregate`` call on m random uploads at 4 bits."""
-        rng = np.random.default_rng(m)
-        tracemalloc.start()
-        try:
-            p, C = np.full(m, 1.0 / m), rng.normal(size=(m, spec.dim))
-            server = ServerState(theta=rng.normal(size=spec.dim), c=rng.normal(size=spec.dim))
-            plan = uniform_plan(range(m), bits=4)
-            start = fed.broadcast_point(server, plan.gamma)
-            cohort = fed.Cohort(
-                np.full(m, 2), start, start + 0.01 * rng.normal(size=(m, spec.dim)),
-                C.copy(), [np.random.default_rng(c) for c in range(m)], [(c, c) for c in range(m)])
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            fed.FEDQVR.aggregate(spec, server, p, C, plan, cohort)
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
-    def test_aggregation_memory_does_not_grow_with_the_cohort(self):
-        """Each upload is folded into theta and c as it is made, so 32 uploads
-        peak within two float64 vectors of 8; holding every upload until the
-        end costs about 17 bytes per parameter per upload."""
-        spec = ModelSpec(kind=LOGISTIC, input_dim=300, num_classes=10)
-        assert abs(self.aggregate_peak(32, spec) - self.aggregate_peak(8, spec)) < 2 * spec.dim * 8
-
     def test_uplink_bits_accounting(self):
         p, C, datasets = make_clients(4, seed=16)
         server = fresh_server(16)
@@ -639,26 +611,31 @@ def reference_iterate(algo, spec, server, c_i, data, E, plan, rng):
 
 class TestCohortBlocks:
     """A cohort wider than one block of ``learner.BLOCK_ROWS`` sample rows
-    steps a block of clients at a time."""
+    steps a block of clients at a time, and the aggregate folds each block
+    before the next steps."""
 
     @ALGOS
     def test_rows_across_blocks_equal_single_client_runs(self, algo, monkeypatch):
         """Eight clients of batch BLOCK_ROWS // 3 run in blocks of 3, 3 and 2
-        (one lost), with uneven epochs inside and across the blocks. Every
-        row equals its single-client run bit for bit, and no gradient call
-        holds more than BLOCK_ROWS sample rows."""
+        (3, 3 and 1 when one upload is lost), consecutive in id order, with
+        uneven epochs inside and across the blocks. Within a block, rows run
+        longest first, ties in id order. Every row equals its single-client
+        run bit for bit, and no gradient call holds more than BLOCK_ROWS
+        sample rows."""
         batch = learner.BLOCK_ROWS // 3
-        rows_seen, iterates = [], []
+        rows_seen, blocks, iterates = [], [], {}
         grad, phase = learner.grad, fed._local_phase
 
         def counting_grad(spec, theta, X, y):
             rows_seen.append(y.size)
             return grad(spec, theta, X, y)
 
-        def recording_phase(spec, start, ids, *rest):
-            theta = phase(spec, start, ids, *rest)
-            iterates.append(dict(zip(ids, theta)))
-            return theta
+        def recording_phase(*args):
+            for block in phase(*args):
+                blocks.append(list(block.ids))
+                # copied: the next block overwrites the buffer
+                iterates.update((cid, block.theta[j].copy()) for cid, j in block.by_id)
+                yield block
 
         monkeypatch.setattr(learner, "grad", counting_grad)
         monkeypatch.setattr(fed, "_local_phase", recording_phase)
@@ -672,21 +649,56 @@ class TestCohortBlocks:
                              failed=frozenset(failed))
             before = copy.deepcopy((server, C))
             rows_seen.clear()
+            blocks.clear()
+            iterates.clear()
             server, _ = fed.run_round(algo, MLP_SPEC, server, p, C, datasets, plan,
                                       client_rngs(31, r, plan.active_set))
             delivered = [c for c in range(8) if c not in failed]
             assert max(rows_seen) <= learner.BLOCK_ROWS
             assert sum(rows_seen) == batch * sum(epochs[c] for c in delivered)
             assert len(rows_seen) > max(epochs)  # more than one block ran
-            assert sorted(iterates[-1]) == delivered
+            assert [sorted(b) for b in blocks] == [delivered[i:i + 3] for i in range(0, 7, 3)]
+            assert all(b == sorted(sorted(b), key=lambda c: -epochs[c]) for b in blocks)
+            assert sorted(iterates) == delivered
             for cid in delivered:
                 expected = reference_iterate(
                     algo, MLP_SPEC, before[0], before[1][cid], datasets[cid], epochs[cid],
                     plan, client_rng(31, r, cid))
-                np.testing.assert_array_equal(iterates[-1][cid], expected)
+                np.testing.assert_array_equal(iterates[cid], expected)
             ref_server = reference_round(algo, MLP_SPEC, ref_server, p, ref_C, datasets, plan,
                                          31, r)
             assert_same_state(server, C, ref_server, ref_C)
+
+    @staticmethod
+    def round_peak(algo, m, spec, batch):
+        """tracemalloc peak, in bytes above the memory held before it, of one
+        ``run_round`` of ``algo`` over m clients of 2 local steps of ``batch``
+        samples, at 4 bits."""
+        p, C, datasets = make_clients(m, seed=m, spec=spec)
+        C += 0.01 * np.random.default_rng(m).normal(size=C.shape)
+        plan = uniform_plan(range(m), bits=4)
+        plan.batch_size = batch
+        server, rngs = fresh_server(m, spec), client_rngs(0, 0, plan.active_set)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fed.run_round(algo, spec, server, p, C, datasets, plan, rngs)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_round_memory_does_not_grow_with_the_cohort(self):
+        """Under every algorithm, 32 clients in blocks of 4 peak within one
+        block of iterates of 8 clients: each block is folded into the server
+        before the next steps, in buffers the blocks share. Holding the
+        cohort's iterates and control variates costs 16 bytes per parameter
+        per client."""
+        spec = ModelSpec(kind=LOGISTIC, input_dim=300, num_classes=10)
+        batch = learner.BLOCK_ROWS // 4
+        block = 4 * spec.dim * 8
+        for algo in (fed.FEDAVG, fed.SCAFFOLD, fed.FEDQVR):
+            peaks = [self.round_peak(algo, m, spec, batch) for m in (8, 32)]
+            assert abs(peaks[1] - peaks[0]) < block, (algo.name, peaks)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedsim import alloc, harness, learner, wireless
+from fedsim import alloc, fed, harness, learner, wireless
 from fedsim.harness import (ConfigError, ExperimentConfig, MetricsRow,
                             WirelessConfig)
 
@@ -103,26 +104,27 @@ class TestMetrics:
         assert row.csv_line() == "3,0.5,0.75,1024,5,1"
 
     def test_write_metrics_csv(self, tmp_path):
-        path = str(tmp_path / "m.csv")
-        harness.write_metrics_csv(
-            [MetricsRow(0, 1.0986, 0.33, 0, 0, 0)], path)
+        """A run's CSV is the header, then one line per row it returns."""
+        path = tmp_path / "m.csv"
         header = "round,train_loss,test_accuracy,cumulative_uplink_bits,active_count,dropped_count"
-        lines = Path(path).read_text().splitlines()
-        assert lines[0] == header
-        assert lines[1].startswith("0,1.0986,0.33,0,0,0")
-        harness.write_metrics_csv([], path)
-        assert Path(path).read_text().splitlines() == [header]
+        for rounds in (0, 5):
+            rows = harness.run_experiment(small_config(rounds=rounds, out=str(path)))
+            assert path.read_text().splitlines() == [header] + [r.csv_line() for r in rows]
 
     def test_write_json_lines_round_trips(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        records = [
-            {"round": 0, "device": 3, "distance_m": 120.0, "gain": 2.5e-8},
-            {"round": 1, "active": [3, 7], "bits": {"3": 4}, "uplink_bits": 4096},
-        ]
-        harness.write_json_lines(records, path)
-        assert [json.loads(line) for line in Path(path).read_text().splitlines()] == records
-        harness.write_json_lines([], path)
-        assert Path(path).read_text() == ""
+        """Both traces are JSON lines: one per channel draw, one per round;
+        a run of 0 rounds leaves them empty."""
+        channel, rounds_out = tmp_path / "channel.jsonl", tmp_path / "rounds.jsonl"
+        for rounds in (0, 3):
+            cfg = small_config(rounds=rounds, trace_rounds_out=str(rounds_out))
+            cfg.wireless_cfg = wireless_on(trace_out=str(channel))
+            harness.run_experiment(cfg)
+            draws = [json.loads(line) for line in channel.read_text().splitlines()]
+            per_round = [json.loads(line) for line in rounds_out.read_text().splitlines()]
+            assert [d["round"] for d in draws] == [r for r in range(rounds)
+                                                   for _ in range(cfg.sample_size)]
+            assert all(set(d) == {"round", "device", "distance_m", "gain"} for d in draws)
+            assert [rec["round"] for rec in per_round] == list(range(rounds))
 
     def test_evaluate_accuracy_and_loss(self):
         spec = learner.ModelSpec(kind=learner.LOGISTIC, input_dim=2,
@@ -169,6 +171,60 @@ class TestRunExperiment:
         qvr = harness.run_experiment(small_config(algorithm="fedqvr"))
         avg = harness.run_experiment(small_config(algorithm="fedavg"))
         assert qvr[-1].cumulative_uplink_bits < avg[-1].cumulative_uplink_bits / 4
+
+    @pytest.mark.parametrize("output", ["out", "trace_rounds_out", "trace_out"])
+    def test_unwritable_output_fails_before_round_0(self, tmp_path, monkeypatch, output):
+        """Every output opens before the first round, so a path in a missing
+        directory ends the run before any local step or evaluation."""
+        def no_work(*args):
+            raise AssertionError("the run got to work before opening its outputs")
+
+        monkeypatch.setattr(learner, "grad", no_work)
+        monkeypatch.setattr(learner, "loss", no_work)
+        cfg = small_config()
+        cfg.wireless_cfg = wireless_on()
+        target = cfg.wireless_cfg if output == "trace_out" else cfg
+        setattr(target, output, str(tmp_path / "missing" / "file"))
+        with pytest.raises(FileNotFoundError):
+            harness.run_experiment(cfg)
+
+    def test_failed_run_keeps_the_lines_it_wrote(self, tmp_path, monkeypatch):
+        """A run that diverges in round 3 (of 0..5) keeps its CSV rows up to
+        the last evaluation before it, at round 2, and its round trace up to
+        round 2."""
+        run_round, calls = fed.run_round_fedqvr, []
+
+        def diverging(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise FloatingPointError("local update diverged to non-finite iterate")
+            return run_round(*args)
+
+        monkeypatch.setattr(fed, "run_round_fedqvr", diverging)
+        out, rounds_out = tmp_path / "m.csv", tmp_path / "rounds.jsonl"
+        with pytest.raises(FloatingPointError):
+            harness.run_experiment(small_config(rounds=6, out=str(out),
+                                                trace_rounds_out=str(rounds_out)))
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "2"]
+        assert [json.loads(line)["round"] for line in rounds_out.read_text().splitlines()] == [
+            0, 1, 2]
+
+    def test_memory_does_not_grow_with_rounds(self, tmp_path):
+        """With the metrics CSV and both traces on, 1,000 rounds peak within
+        1 MiB of 50: each line is written as it is made. Holding them until
+        the end costs about 3 KiB per round."""
+        def peak(rounds):
+            cfg = small_config(rounds=rounds, out=str(tmp_path / "m.csv"),
+                               trace_rounds_out=str(tmp_path / "rounds.jsonl"))
+            cfg.wireless_cfg = wireless_on(trace_out=str(tmp_path / "channel.jsonl"))
+            tracemalloc.start()
+            try:
+                harness.run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) - peak(50) < 2**20
 
     def test_hlu_draws_epochs_within_range(self, tmp_path):
         trace = str(tmp_path / "rounds.jsonl")
