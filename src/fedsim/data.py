@@ -94,17 +94,51 @@ def make_synth_task(
         raise ValueError("num_classes, dim, samples_per_class and "
                          "test_samples_per_class must be positive")
     means = rng.normal(size=(num_classes, dim))
-    means = separation * means / np.linalg.norm(means, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a huge separation is rejected below, not warned of
+        means = separation * means / np.linalg.norm(means, axis=1, keepdims=True)
+    if not np.all(np.isfinite(means)):
+        raise ValueError(f"separation {separation!r} makes non-finite class means")
 
     def draw(per_class: int) -> Dataset:
-        X = np.concatenate([
-            means[c] + rng.normal(size=(per_class, dim)) for c in range(num_classes)
-        ])
+        # each class's rows drawn in place: the same draws and sums as
+        # means[c] + rng.normal(size=(per_class, dim)), with no second copy
+        X = np.empty((num_classes * per_class, dim))
+        for c, rows in enumerate(X.reshape(num_classes, per_class, dim)):
+            rng.standard_normal(out=rows)
+            rows += means[c]
         y = np.repeat(np.arange(num_classes), per_class)
         perm = rng.permutation(X.shape[0])
-        return Dataset(features=X[perm], labels=y[perm])
+        return Dataset(features=take_rows_in_place(X, perm), labels=y[perm])
 
     return draw(samples_per_class), draw(test_samples_per_class)
+
+
+def take_rows_in_place(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Make ``X[:len(idx)]`` equal the old ``X[idx]`` without a second copy of
+    ``X``, and return that view. ``idx`` holds distinct row numbers; the rows
+    it leaves out follow in ascending order. The rows move along the cycles
+    of that permutation, one row of scratch per cycle (Fich, Munro and
+    Poblete, "Permuting in place", SIAM J. Comput. 1995)."""
+    n = X.shape[0]
+    left_out = np.ones(n, dtype=bool)
+    left_out[idx] = False
+    rest = np.flatnonzero(left_out)
+    if len(idx) + rest.size != n:
+        raise ValueError("row numbers must be distinct")
+    src = np.concatenate([idx, rest]).tolist()  # row i takes the old row src[i]
+    moved = bytearray(n)
+    for start in range(n):
+        if moved[start] or src[start] == start:
+            continue
+        held = X[start].copy()
+        i = start
+        while src[i] != start:
+            X[i] = X[src[i]]
+            moved[i] = 1
+            i = src[i]
+        X[i] = held
+        moved[i] = 1
+    return X[:len(idx)]
 
 
 def shard_partition(

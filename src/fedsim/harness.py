@@ -285,6 +285,15 @@ def _build_task(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset, list
     return train, test, shards
 
 
+def _client_order(train: data.Dataset, shards: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The partitioned samples' features and labels, client after client.
+    The features are a view of ``train.features``, whose rows are moved
+    into that order in place: the one copy of the training features a run
+    keeps. The global training loss is evaluated over these rows only."""
+    used = np.concatenate(shards)
+    return data.take_rows_in_place(train.features, used), train.labels[used]
+
+
 def _epochs_for(cfg: ExperimentConfig, active: list[int],
                 rng: np.random.Generator | None) -> dict[int, int]:
     """Local steps per client: ``cfg.local_epochs``, or with HLU a draw from
@@ -357,13 +366,19 @@ def _equal_split_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPla
 def _allocated_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPlan, int]:
     """fedqvr_e: the allocator gives each device its bandwidth and bits, and
     the devices it drops sit the round out, as do those whose received power
-    underflows to zero. Returns the plan and the number of dropped devices."""
+    underflows to zero. A received power that overflows is a ConfigError.
+    Returns the plan and the number of dropped devices."""
     w = cfg.wireless_cfg
-    heard = [c for c in sampled if w.tx_power_w * gains[c] > 0]
+    power = {c: w.tx_power_w * gains[c] for c in sampled}
+    if loud := [c for c, pw in power.items() if not np.isfinite(pw)]:
+        raise ConfigError(f"wireless tx_power_dbm {w.tx_power_dbm!r} and pathloss_exponent "
+                          f"{w.pathloss_exponent!r} give device {loud[0]} an infinite "
+                          "received power")
+    heard = [c for c in sampled if power[c] > 0]
     bits = {}
     if heard:
         sol = alloc.solve_alloc(alloc.AllocProblem(
-            gains=np.array([w.tx_power_w * gains[c] for c in heard]),
+            gains=np.array([power[c] for c in heard]),
             taus=np.full(len(heard), w.tau), w_total=w.total_bandwidth_hz,
             alpha=w.alpha, d=spec.dim, mu=algo.mu(spec),
             noise_psd=w.noise_psd_w_hz, b_lower=w.b_lower))
@@ -380,11 +395,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     cfg.validate()
     train, test, shards = _build_task(cfg)
     spec = ModelSpec(cfg.model_kind, train.features.shape[1], train.num_classes, cfg.hidden_dim)
-    # global training loss is evaluated over the partitioned samples only
-    used = np.concatenate(shards)
-    train_X, train_y = train.features[used], train.labels[used]
-    del train  # the client-ordered rows are the one copy of the training set a run keeps
-    # each client's shard is a view of its rows, which ``used`` holds in client order
+    train_X, train_y = _client_order(train, shards)
+    del train  # its features now hold the rows in client order
+    # each client's shard is a view of its rows
     sizes = [a.size for a in shards]
     offsets = np.cumsum(sizes)[:-1]
     client_data = list(zip(np.split(train_X, offsets), np.split(train_y, offsets)))
@@ -392,7 +405,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     init_rng, place_rng = fed.generators(fed.stream_keys(cfg.seed, [fed.INIT, fed.PLACEMENT]))
     server = ServerState(theta=learner.init_params(spec, init_rng), c=np.zeros(spec.dim))
     # p_i = n_i / n over the partitioned samples; row i of C is client i's c_i
-    p, C = np.array(sizes) / used.size, np.zeros((len(sizes), spec.dim))
+    p, C = np.array(sizes) / train_y.size, np.zeros((len(sizes), spec.dim))
 
     algo = ALGORITHMS[cfg.algorithm]
     run_round = getattr(fed, f"run_round_{algo.name}")

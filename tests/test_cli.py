@@ -257,6 +257,11 @@ class TestRun:
         ({"algorithm": "fedqvr_e", "gamma": 1e-14, "eta": 1e-3,
           "wireless_cfg": {"enabled": True, "tau": 4e-6}},
          "invalid config: gamma*eta must leave 1 + gamma*eta above 1 in float64, got 1e-17"),
+        # 3000 dBm through a path gain of d**100 is more power than a float holds
+        ({"algorithm": "fedqvr_e", "wireless_cfg": {
+            "enabled": True, "tau": 4e-6, "tx_power_dbm": 3000, "pathloss_exponent": -100}},
+         "error: invalid config: wireless tx_power_dbm 3000 and pathloss_exponent -100 give "
+         "device 1 an infinite received power"),
         ({"dataset": "idx"}, "bad image magic"),
         ('"abc"', "config must be a JSON object, got str"),
         ("null", "config must be a JSON object, got NoneType"),
@@ -269,7 +274,8 @@ class TestRun:
             "hlu-range-of-one", "hlu-range-decreasing", "labels-0", "too-many-clients", "bandwidth-0-layer-off",
             "channel-replay-option", "dataset-misspelled-key", "r-min-negative",
             "r-min-beyond-r-max", "r-max-inside-r-min", "r-min-0",
-            "gamma-eta-below-ulp", "gamma-eta-below-ulp-fedqvr-e", "non-idx-file", "string-config", "null-config", "number-config"])
+            "gamma-eta-below-ulp", "gamma-eta-below-ulp-fedqvr-e", "infinite-received-power",
+            "non-idx-file", "string-config", "null-config", "number-config"])
     def test_setup_defect_is_one_line_validation_error(self, tmp_path, capsys, extra, message):
         if isinstance(extra, str):  # the whole config file is this JSON text
             path = tmp_path / "cfg.json"
@@ -334,6 +340,23 @@ class TestRun:
                               env={**os.environ, "PYTHONPATH": src})
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: divergence: aggregate diverged to non-finite server state\n"
+
+    @pytest.mark.parametrize("separation", [1e308, -1e308])
+    def test_overflowing_class_means_are_one_line(self, tmp_path, separation):
+        """No RuntimeWarning before the error line. Run in a subprocess, since
+        pytest takes warnings before stderr sees them."""
+        raw = json.loads((CONFIGS / "synthetic_fedqvr.json").read_text())
+        raw["rounds"] = 1
+        raw["dataset"]["separation"] = separation
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "fedsim.cli", "run", "--config", str(cfg)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (f"error: invalid config: dataset: separation {separation!r} "
+                               "makes non-finite class means\n")
 
     def test_overflow_outside_the_allocator_is_not_an_allocation_failure(self, tmp_path, capsys):
         """r_max = 1e300 overflows the device placement, on a config that

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim import data
+from fedsim import data, harness
 from fedsim.data import Dataset, IdxFormatError
 
 
@@ -53,6 +53,38 @@ class TestIdxLoading:
         expected = pixels.reshape(2000, 784).astype(np.float64) / 255.0
         np.testing.assert_array_equal(ds.features.view(np.uint64), expected.view(np.uint64))
         assert peak < 1.5 * expected.nbytes
+
+    @pytest.mark.parametrize("kind", ["mnist", "synthetic"])
+    def test_client_ordered_rows_are_built_in_one_copy(self, tmp_path, kind):
+        """Building the task and putting the training rows in client order
+        peaks below 1.5 float64 copies of the training features: the
+        synthetic rows are drawn and shuffled in place, and the client
+        order moves the rows of the one array there is."""
+        rng = np.random.default_rng(2)
+        if kind == "mnist":
+            train = write_idx_pair(tmp_path, rng.integers(0, 256, size=(2000, 28, 28)),
+                                   rng.integers(0, 10, size=2000))
+            test_dir = tmp_path / "test"
+            test_dir.mkdir()
+            test = write_idx_pair(test_dir, rng.integers(0, 256, size=(10, 28, 28)),
+                                  rng.integers(0, 10, size=10))
+            dataset = dict(zip(("images_path", "labels_path", "test_images_path",
+                                "test_labels_path"), train + test))
+        else:
+            dataset = {"num_classes": 10, "dim": 784, "samples_per_class": 200,
+                       "test_samples_per_class": 1, "separation": 3.0}
+        cfg = harness.ExperimentConfig(dataset={"kind": kind, **dataset},
+                                       num_clients=30, labels_per_client=2)
+        one_copy = 2000 * 784 * 8
+        tracemalloc.start()
+        try:
+            train_set, _, shards = harness._build_task(cfg)
+            train_X, _ = harness._client_order(train_set, shards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train_X.shape == (sum(a.size for a in shards), 784)
+        assert peak < 1.5 * one_copy
 
     def test_bad_image_magic(self, tmp_path):
         p = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8),
@@ -149,6 +181,65 @@ class TestSynth:
         np.testing.assert_array_equal(a_train.features, b_train.features)
         c_train, _ = data.make_synth_task(3, 4, 10, 5, 2.0, rng=np.random.default_rng(8))
         assert not np.array_equal(a_train.features, c_train.features)
+
+    def test_rows_are_the_draws_of_a_copying_build(self):
+        """Drawn and shuffled in place, the rows equal bit for bit those of
+        concatenating each class's ``means[c] + rng.normal(...)`` and
+        indexing by the permutation."""
+        num_classes, dim, per_class, sep = 4, 6, 9, 2.5
+        train, test = data.make_synth_task(num_classes, dim, per_class, 3, sep,
+                                           rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        means = rng.normal(size=(num_classes, dim))
+        means = sep * means / np.linalg.norm(means, axis=1, keepdims=True)
+        for ds, n in ((train, per_class), (test, 3)):
+            X = np.concatenate([means[c] + rng.normal(size=(n, dim))
+                                for c in range(num_classes)])
+            perm = rng.permutation(X.shape[0])
+            np.testing.assert_array_equal(ds.features.view(np.uint64),
+                                          X[perm].view(np.uint64))
+            np.testing.assert_array_equal(ds.labels, np.repeat(np.arange(num_classes), n)[perm])
+
+
+@st.composite
+def rows_and_indices(draw):
+    """An (n, width) array and distinct row numbers of one of five kinds."""
+    n = draw(st.integers(0, 24))
+    width = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["permutation", "subset", "identity", "n-cycle", "empty"]))
+    if kind == "permutation":
+        idx = draw(st.permutations(range(n)))
+    elif kind == "subset" and n > 0:
+        chosen = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
+        idx = draw(st.permutations(chosen))
+    elif kind == "identity":
+        idx = list(range(n))
+    elif kind == "n-cycle":
+        shift = draw(st.integers(0, max(n - 1, 0)))
+        idx = [(i + shift) % n for i in range(n)]
+    else:
+        idx = []
+    X = np.random.default_rng(draw(st.integers(0, 2**32))).normal(size=(n, width))
+    return X, np.array(idx, dtype=np.intp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rows_and_indices())
+def test_take_rows_in_place_equals_fancy_indexing(case):
+    X, idx = case
+    before = X.copy()
+    head = data.take_rows_in_place(X, idx)
+    assert np.shares_memory(head, X) or head.size == 0
+    k = idx.size
+    np.testing.assert_array_equal(head.view(np.uint64), before[idx].view(np.uint64))
+    np.testing.assert_array_equal(X[:k].view(np.uint64), before[idx].view(np.uint64))
+    rest = np.setdiff1d(np.arange(X.shape[0]), idx)
+    np.testing.assert_array_equal(X[k:].view(np.uint64), before[rest].view(np.uint64))
+
+
+def test_take_rows_in_place_rejects_a_repeated_row():
+    with pytest.raises(ValueError, match="distinct"):
+        data.take_rows_in_place(np.zeros((3, 2)), np.array([0, 0]))
 
 
 def assert_partition(ds, shards, num_clients, k):
