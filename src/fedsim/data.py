@@ -24,7 +24,8 @@ class Dataset:
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels row counts differ")
-        if not np.all(np.isfinite(self.features)):
+        X = self.features  # min and max carry NaN and inf, with no n-by-d mask
+        if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
             raise ValueError("non-finite feature values")
 
     @property

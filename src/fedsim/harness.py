@@ -75,7 +75,56 @@ class ConfigError(ValueError):
             lambda d: f"{d[0][:8]}...({len(d[0])} digits)", message))
 
 
-_DBM_LIMIT = 3000  # 10**(dBm/10) mW stays a positive, finite float within +-3000 dBm
+# Each range-checked field's interval, grouped by the condition under which it
+# applies (its words in a message, its test). An end is a number, 2**k or a
+# field, named as messages name it: "wireless x" is wireless_cfg.x, "dataset x"
+# a synthetic dataset key, hlu_range[i] an end of hlu_range.
+_DOMAINS = (
+    ("", lambda cfg: True, {
+        "sample_size": "[1, num_clients]", "rounds": "[0, inf)", "batch_size": "[1, inf)",
+        "eta": "(0, inf)", "eta_g": "(0, inf)",
+        "seed": "[0, 2**64)",  # every stream key holds the seed as two 32-bit words
+        "eval_every": "[1, inf)", "labels_per_client": "[1, inf)",
+        **dict.fromkeys(("dataset num_classes", "dataset dim", "dataset samples_per_class",
+                         "dataset test_samples_per_class"), "[1, inf)"),
+        "wireless total_bandwidth_hz": "(0, inf)",
+        # placement stays finite: no device is nearer than the 1 m reference
+        # distance of wireless.PATHLOSS_REF, and no radius squares past 1e200
+        "wireless r_min": "[1, inf)", "wireless r_max": "[wireless r_min, 1e100]"}),
+    ("for fedqvr and fedqvr_e", lambda cfg: cfg.algorithm in ("fedqvr", "fedqvr_e"),
+     {"gamma": "(0, inf)", "a": "(0, 1)"}),
+    ("for fedqvr", lambda cfg: cfg.algorithm == "fedqvr", {"bits": f"[1, {quantizer.MAX_BITS}]"}),
+    ("for the MLP", lambda cfg: cfg.model_kind == learner.MLP, {"hidden_dim": "[1, inf)"}),
+    ("with hlu off", lambda cfg: not cfg.hlu, {"local_epochs": "[1, 2**63)"}),
+    ("with hlu on", lambda cfg: cfg.hlu,
+     {"hlu_range[0]": "[1, inf)", "hlu_range[1]": "[hlu_range[0], 2**63)"}),
+    ("with wireless enabled", lambda cfg: cfg.wireless_cfg.enabled, {
+        # no path gain exceeds PATHLOSS_REF, and 10**(dBm/10) mW stays a
+        # positive, finite float within +-3000 dBm
+        "wireless pathloss_exponent": "[0, inf)",
+        "wireless tx_power_dbm": "[-3000, 3000]", "wireless noise_psd_dbm_hz": "[-3000, 3000]",
+        "wireless alpha": "[0, inf)", "wireless tau": "(0, inf)", "wireless b_lower": "[1, inf)",
+        "wireless b_upper": f"[wireless b_lower, {quantizer.MAX_BITS}]"}),
+)
+
+
+def _domain_errors(cfg: ExperimentConfig) -> list[str]:
+    """One message per field of ``_DOMAINS`` outside its interval where its
+    condition holds; an absent dataset key is not checked."""
+    values = {**vars(cfg), **{f"wireless {k}": v for k, v in vars(cfg.wireless_cfg).items()},
+              **{f"dataset {k}": v for k, v in cfg.dataset.items()},
+              "hlu_range[0]": cfg.hlu_range[0], "hlu_range[1]": cfg.hlu_range[1]}
+    errors = []
+    for when, holds, intervals in _DOMAINS:
+        for name, interval in intervals.items() if holds(cfg) else ():
+            if (v := values.get(name)) is None:
+                continue
+            low, high = (values[e] if e in values else 2 ** int(e[3:]) if e.startswith("2**")
+                         else float(e) for e in interval[1:-1].split(", "))
+            if not ((low <= v if interval[0] == "[" else low < v)
+                    and (v <= high if interval[-1] == "]" else v < high)):
+                errors.append(f"{name} must lie in {interval}{when and ' ' + when}, got {v!r}")
+    return errors
 
 
 @dataclass
@@ -133,24 +182,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         errors = _field_type_errors(self) + _field_type_errors(self.wireless_cfg, "wireless ")
-        if errors:  # the range checks below assume the declared types
+        if errors:  # the checks below assume the declared types
             raise ConfigError("; ".join(errors))
-        if self.algorithm not in ALGORITHMS:
-            errors.append(f"algorithm must be one of {tuple(ALGORITHMS)}, got {self.algorithm!r}")
-        if not 1 <= self.sample_size <= self.num_clients:
-            errors.append("sample_size must satisfy 1 <= m <= num_clients")
-        if self.rounds < 0:
-            errors.append("rounds must be >= 0")
-        if self.batch_size < 1:
-            errors.append("batch_size must be >= 1")
-        if self.eta <= 0:
-            errors.append("eta must be positive")
-        if self.eta_g <= 0:
-            errors.append("eta_g must be positive")
-        if not 0 <= self.seed < 2**64:  # every stream key holds the seed as two 32-bit words
-            errors.append(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.eval_every < 1:
-            errors.append("eval_every must be >= 1")
         ds = self.dataset
         if ds.get("kind") not in _DATASET_KEYS:
             errors.append(f"unknown dataset kind {ds.get('kind')!r}")
@@ -161,49 +194,23 @@ class ExperimentConfig:
             if missing := [k for k in keys if k not in ds and k not in _OPTIONAL_DATASET_KEYS]:
                 errors.append(f"{ds['kind']} dataset needs {missing}")
             errors += _type_errors(ds, keys, "dataset ")
+        if not errors:  # the domains read the dataset's keys as declared
+            errors = _domain_errors(self)
+        if self.algorithm not in ALGORITHMS:
+            errors.append(f"algorithm must be one of {tuple(ALGORITHMS)}, got {self.algorithm!r}")
         if self.model_kind not in (learner.LOGISTIC, learner.MLP):
             errors.append(f"model_kind must be {learner.LOGISTIC!r} or {learner.MLP!r}")
-        elif self.model_kind == learner.MLP and self.hidden_dim < 1:
-            errors.append("hidden_dim must be >= 1")
-        if self.labels_per_client < 1:
-            errors.append("labels_per_client must be >= 1")
-        if self.algorithm in ("fedqvr", "fedqvr_e"):
-            if self.gamma <= 0:
-                errors.append("gamma must be positive for variance-reduced algorithms")
-            elif 1.0 + self.gamma * self.eta == 1.0:  # E_tilde would be 0
-                errors.append(f"gamma*eta must leave 1 + gamma*eta above 1 in float64, "
-                              f"got {self.gamma * self.eta!r}")
-            if not 0 < self.a < 1:
-                errors.append("a must lie in (0, 1)")
-        if self.algorithm == "fedqvr" and not 1 <= self.bits <= quantizer.MAX_BITS:
-            errors.append(f"bits must lie in [1, {quantizer.MAX_BITS}] for fedqvr")
+        # E_tilde would be 0; checked for a gamma and eta in their domains only
+        vr = self.algorithm in ("fedqvr", "fedqvr_e")
+        if vr and not errors and 1.0 + self.gamma * self.eta == 1.0:
+            errors.append(f"gamma*eta must leave 1 + gamma*eta above 1 in float64, "
+                          f"got {self.gamma * self.eta!r}")
         if self.algorithm == "fedqvr_e" and not self.wireless_cfg.enabled:
             errors.append("fedqvr_e requires wireless.enabled = true")
-        if self.hlu and not 1 <= self.hlu_range[0] <= self.hlu_range[1] < 2**63:
-            errors.append("hlu_range must be an increasing pair of positive ints below 2**63")
-        if not self.hlu and not 1 <= self.local_epochs < 2**63:
-            errors.append("local_epochs must lie in [1, 2**63)")
-        w = self.wireless_cfg
-        if w.total_bandwidth_hz <= 0:
-            errors.append("wireless total_bandwidth_hz must be positive")
-        if not 0 < w.r_min <= w.r_max:
-            errors.append("wireless placement needs 0 < r_min <= r_max")
         for name, path in (("out", self.out), ("trace_rounds_out", self.trace_rounds_out),
-                           ("wireless trace_out", w.trace_out)):
+                           ("wireless trace_out", self.wireless_cfg.trace_out)):
             if path is not None and "\x00" in path:
                 errors.append(f"{name} must not contain a NUL character")
-        if w.enabled:
-            for name in ("tx_power_dbm", "noise_psd_dbm_hz"):
-                if not abs(getattr(w, name)) <= _DBM_LIMIT:
-                    errors.append(f"wireless {name} must lie in [-{_DBM_LIMIT}, {_DBM_LIMIT}]")
-            if w.alpha < 0:
-                errors.append("wireless alpha must be >= 0")
-            if w.tau <= 0:
-                errors.append("wireless tau must be positive")
-            if w.b_lower < 1:
-                errors.append("wireless b_lower must be >= 1")
-            if not w.b_lower <= w.b_upper <= quantizer.MAX_BITS:
-                errors.append(f"wireless b_upper must lie in [b_lower, {quantizer.MAX_BITS}]")
         if errors:
             raise ConfigError("; ".join(errors))
 
@@ -366,14 +373,9 @@ def _equal_split_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPla
 def _allocated_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPlan, int]:
     """fedqvr_e: the allocator gives each device its bandwidth and bits, and
     the devices it drops sit the round out, as do those whose received power
-    underflows to zero. A received power that overflows is a ConfigError.
-    Returns the plan and the number of dropped devices."""
+    underflows to zero. Returns the plan and the number of dropped devices."""
     w = cfg.wireless_cfg
     power = {c: w.tx_power_w * gains[c] for c in sampled}
-    if loud := [c for c, pw in power.items() if not np.isfinite(pw)]:
-        raise ConfigError(f"wireless tx_power_dbm {w.tx_power_dbm!r} and pathloss_exponent "
-                          f"{w.pathloss_exponent!r} give device {loud[0]} an infinite "
-                          "received power")
     heard = [c for c in sampled if power[c] > 0]
     bits = {}
     if heard:

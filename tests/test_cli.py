@@ -185,7 +185,7 @@ class TestRun:
             assert cli.main(["run", "--config", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and not caught
-        assert err == "error: invalid config: bits must lie in [1, 52] for fedqvr\n"
+        assert err == f"error: invalid config: bits must lie in [1, 52] for fedqvr, got {bits}\n"
 
     def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):
@@ -217,10 +217,12 @@ class TestRun:
         ({"dataset": {"kind": "synthetic", "num_classes": 3, "samples_per_class": 40,
                       "separation": 3.0}}, "synthetic dataset needs ['dim']"),
         ({"dataset": [3, 8]}, "dataset must be a JSON object"),
-        ({"dataset": {**BASE_CONFIG["dataset"], "dim": 0}}, "must be positive"),
-        ({"dataset": {**BASE_CONFIG["dataset"], "num_classes": 0}}, "must be positive"),
+        ({"dataset": {**BASE_CONFIG["dataset"], "dim": 0}},
+         "invalid config: dataset dim must lie in [1, inf), got 0\n"),
+        ({"dataset": {**BASE_CONFIG["dataset"], "num_classes": 0}},
+         "invalid config: dataset num_classes must lie in [1, inf), got 0\n"),
         ({"dataset": {**BASE_CONFIG["dataset"], "test_samples_per_class": 0}},
-         "must be positive"),
+         "invalid config: dataset test_samples_per_class must lie in [1, inf), got 0\n"),
         *[({"dataset": {**BASE_CONFIG["dataset"], key: value}},
            f"invalid config: dataset {key} must be {kind}")
           for key, value, kind in [
@@ -237,31 +239,34 @@ class TestRun:
         ({"model_kind": "cnn"}, "model_kind"),
         ({"hlu": True, "hlu_range": [3]}, "hlu_range"),
         ({"hlu": True, "hlu_range": [3, 1]},
-         "invalid config: hlu_range must be an increasing pair of positive ints"),
+         "invalid config: hlu_range[1] must lie in [hlu_range[0], 2**63) with hlu on, got 1\n"),
         ({"labels_per_client": 0}, "labels_per_client"),
         ({"num_clients": 2000}, "cannot build 2000 shards from 120 samples"),
         ({"wireless_cfg": {"total_bandwidth_hz": 0}},
-         "wireless total_bandwidth_hz must be positive"),
+         "invalid config: wireless total_bandwidth_hz must lie in (0, inf), got 0\n"),
         ({"wireless_cfg": {"trace_in": "chan.jsonl"}},
          "invalid config: unknown wireless_cfg fields: ['trace_in']"),
         ({"dataset": {**BASE_CONFIG["dataset"], "test_samples_per_clas": 7}},
          "invalid config: unknown dataset fields: ['test_samples_per_clas']"),
-        *[({"wireless_cfg": annulus},
-           "invalid config: wireless placement needs 0 < r_min <= r_max")
-          for annulus in ({"r_min": -5}, {"r_min": 600}, {"r_max": 5})],
+        ({"wireless_cfg": {"r_min": -5}},
+         "invalid config: wireless r_min must lie in [1, inf), got -5\n"),
+        ({"wireless_cfg": {"r_min": 600}},
+         "invalid config: wireless r_max must lie in [wireless r_min, 1e100], got 500.0\n"),
+        ({"wireless_cfg": {"r_max": 5}},
+         "invalid config: wireless r_max must lie in [wireless r_min, 1e100], got 5\n"),
         ({"algorithm": "fedqvr_e", "wireless_cfg": {"enabled": True, "tau": 4e-6, "r_min": 0}},
-         "invalid config: wireless placement needs 0 < r_min <= r_max"),
+         "invalid config: wireless r_min must lie in [1, inf), got 0\n"),
         # 1 + gamma*eta rounds to 1, so E_tilde, the divisor of each step scale, is 0
         ({"gamma": 1e-14, "eta": 1e-3},
          "invalid config: gamma*eta must leave 1 + gamma*eta above 1 in float64, got 1e-17"),
         ({"algorithm": "fedqvr_e", "gamma": 1e-14, "eta": 1e-3,
           "wireless_cfg": {"enabled": True, "tau": 4e-6}},
          "invalid config: gamma*eta must leave 1 + gamma*eta above 1 in float64, got 1e-17"),
-        # 3000 dBm through a path gain of d**100 is more power than a float holds
+        # 3000 dBm through a path gain of d**100 would be more power than a float holds
         ({"algorithm": "fedqvr_e", "wireless_cfg": {
             "enabled": True, "tau": 4e-6, "tx_power_dbm": 3000, "pathloss_exponent": -100}},
-         "error: invalid config: wireless tx_power_dbm 3000 and pathloss_exponent -100 give "
-         "device 1 an infinite received power"),
+         "error: invalid config: wireless pathloss_exponent must lie in [0, inf) with wireless "
+         "enabled, got -100\n"),
         ({"dataset": "idx"}, "bad image magic"),
         ('"abc"', "config must be a JSON object, got str"),
         ("null", "config must be a JSON object, got NoneType"),
@@ -358,11 +363,17 @@ class TestRun:
         assert done.stderr == (f"error: invalid config: dataset: separation {separation!r} "
                                "makes non-finite class means\n")
 
-    def test_overflow_outside_the_allocator_is_not_an_allocation_failure(self, tmp_path, capsys):
-        """r_max = 1e300 overflows the device placement, on a config that
-        runs no allocator."""
+    def test_overflow_outside_the_allocator_is_not_an_allocation_failure(
+            self, tmp_path, capsys, monkeypatch):
+        """An overflow in the device placement, on a config that runs no
+        allocator. No config reaches one since r_max is bounded, so it is put
+        there by hand."""
+        def overflowing(*args, **kw):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr(harness.wireless, "place_devices", overflowing)
         raw = json.loads((CONFIGS / "synthetic_fedqvr.json").read_text())
-        raw.update(rounds=1, wireless_cfg={"r_max": 1e300})
+        raw.update(rounds=1)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         assert cli.main(["run", "--config", str(cfg)]) == 1
@@ -544,7 +555,8 @@ class TestSweep:
                        "--out-dir", str(tmp_path / "sweep")])
         assert rc == 1
         out, err = capsys.readouterr()
-        assert err == "[labels_per_client-0] invalid config: labels_per_client must be >= 1\n"
+        assert err == ("[labels_per_client-0] invalid config: labels_per_client must lie in "
+                       "[1, inf), got 0\n")
         assert out.startswith("[labels_per_client-1] accuracy=")
 
     def test_nul_in_a_path_is_one_line_and_the_rest_still_run(self, tmp_path, capsys):

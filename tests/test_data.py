@@ -86,6 +86,26 @@ class TestIdxLoading:
         assert train_X.shape == (sum(a.size for a in shards), 784)
         assert peak < 1.5 * one_copy
 
+    def test_finiteness_check_makes_no_n_by_d_temporary(self):
+        """A dataset checks its features are finite in less memory than a
+        bool mask over them, one byte per feature; a NaN or an infinity
+        anywhere is still rejected, and an empty set passes."""
+        X = np.random.default_rng(5).random((2000, 784))
+        labels = np.zeros(2000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            Dataset(features=X, labels=labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.size // 10
+        for bad in (np.nan, np.inf, -np.inf):
+            Y = X.copy()
+            Y[1234, 567] = bad
+            with pytest.raises(ValueError, match="non-finite feature values"):
+                Dataset(features=Y, labels=labels)
+        Dataset(features=np.empty((0, 784)), labels=np.empty(0, dtype=np.int64))
+
     def test_bad_image_magic(self, tmp_path):
         p = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8),
                            np.zeros(1, np.uint8), image_magic=0x9999)

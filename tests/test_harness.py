@@ -1,4 +1,7 @@
+import contextlib
+import itertools
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -50,8 +53,8 @@ class TestConfig:
         ("rounds", -1, "rounds"),
         ("batch_size", 0, "batch_size"),
         ("eta", 0.0, "eta"),
-        ("eta_g", 0.0, "eta_g must be positive"),
-        ("eta_g", -3.0, "eta_g must be positive"),
+        ("eta_g", 0.0, "eta_g must lie in"),
+        ("eta_g", -3.0, "eta_g must lie in"),
         ("seed", -3, "seed must lie in"),
         ("seed", 2**64, "seed must lie in"),
         ("eval_every", 0, "eval_every"),
@@ -69,7 +72,8 @@ class TestConfig:
             cfg.validate()
 
     def test_hidden_dim_is_checked_for_the_mlp_only(self):
-        with pytest.raises(ConfigError, match="hidden_dim must be >= 1"):
+        with pytest.raises(ConfigError,
+                           match=r"^hidden_dim must lie in \[1, inf\) for the MLP, got 0$"):
             small_config(model_kind=learner.MLP, hidden_dim=0).validate()
         cfg = small_config(model_kind=learner.LOGISTIC, hidden_dim=0, rounds=1)
         cfg.validate()
@@ -94,6 +98,113 @@ class TestConfig:
         raw["wireless_cfg"]["tau"] = 2e-6
         cfg = ExperimentConfig.from_json(json.dumps(raw))
         assert cfg.wireless_cfg.enabled and cfg.wireless_cfg.tau == 2e-6
+
+
+def named(cfg, name):
+    """The value of the field that ``harness._DOMAINS`` calls ``name``."""
+    if name.startswith("hlu_range["):
+        return cfg.hlu_range[int(name[10])]
+    block, _, key = name.rpartition(" ")
+    return {"": vars(cfg), "wireless": vars(cfg.wireless_cfg), "dataset": cfg.dataset}[block][key]
+
+
+def set_named(cfg, name, value):
+    if name.startswith("hlu_range["):
+        ends = list(cfg.hlu_range)
+        ends[int(name[10])] = value
+        cfg.hlu_range = tuple(ends)
+    elif name.startswith("dataset "):
+        cfg.dataset = {**cfg.dataset, name[8:]: value}
+    else:
+        block, _, key = name.rpartition(" ")
+        setattr(cfg.wireless_cfg if block else cfg, key, value)
+
+
+# Settings that turn each condition of harness._DOMAINS on, and off.
+_CONDITIONS = {
+    "": ({}, None),
+    "for fedqvr and fedqvr_e": ({"algorithm": "fedqvr"}, {"algorithm": "fedavg"}),
+    "for fedqvr": ({"algorithm": "fedqvr"}, {"algorithm": "fedavg"}),
+    "for the MLP": ({"model_kind": learner.MLP}, {"model_kind": learner.LOGISTIC}),
+    "with hlu off": ({"hlu": False}, {"hlu": True}),
+    "with hlu on": ({"hlu": True}, {"hlu": False}),
+    "with wireless enabled": ({"wireless enabled": True}, {"wireless enabled": False}),
+}
+_DOMAIN_CASES = [(name, interval, when) for when, _, intervals in harness._DOMAINS
+                 for name, interval in intervals.items()]
+
+
+@pytest.mark.parametrize("name,interval,when", _DOMAIN_CASES,
+                         ids=[name for name, _, _ in _DOMAIN_CASES])
+def test_each_domain_holds_at_its_ends(name, interval, when):
+    """Generated from the table. At each finite end: the end itself, if
+    closed, is accepted; a value just outside (the end itself if open, else
+    one step out: 1 for an integer field, one ulp for a float field) is
+    rejected by one message naming the field, and accepted with the domain's
+    condition off. An end that names a field is that field's value."""
+    on, off = _CONDITIONS[when]
+
+    def config(settings):
+        cfg = small_config()
+        cfg.wireless_cfg = wireless_on()
+        for key, value in settings.items():
+            set_named(cfg, key, value)
+        return cfg
+
+    base = config(on)
+    integral = isinstance(named(base, name), int)
+    for end, bracket, outward in zip(interval[1:-1].split(", "), (interval[0], interval[-1]),
+                                     (-math.inf, math.inf)):
+        if end.endswith("inf"):
+            continue
+        if end.startswith("2**"):
+            at = 2 ** int(end[3:])
+        else:
+            try:
+                at = float(end)
+            except ValueError:  # another field
+                at = named(base, end)
+        at = int(at) if integral else at
+        if bracket in "()":
+            outside = at
+        else:
+            config({**on, name: at}).validate()
+            outside = (at + (1 if outward > 0 else -1) if integral
+                       else math.nextafter(at, outward))
+        with pytest.raises(ConfigError) as rejected:
+            config({**on, name: outside}).validate()
+        assert str(rejected.value) == (
+            f"{name} must lie in {interval}{when and ' ' + when}, got {outside!r}")
+        if off is not None:
+            config({**off, name: outside}).validate()
+
+
+def test_readme_domain_table_is_the_code_table():
+    """README's domain table lists exactly the fields of harness._DOMAINS,
+    in its order, each with its interval and condition."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| field | domain | condition |") + 2
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+    assert rows == [f"| `{name}` | `{interval}` | {when or 'always'} |"
+                    for name, interval, when in _DOMAIN_CASES]
+
+
+@pytest.mark.parametrize("r_min,r_max", [(1, 1), (1, 1e100), (1e100, 1e100)])
+def test_received_power_is_finite_at_the_placement_and_path_loss_corners(
+        monkeypatch, r_min, r_max):
+    """At each corner of the r_min, r_max domains, a path-loss exponent of 0
+    and 3000 dBm, the most a config allows, every received power the
+    allocator is given is finite. The allocation itself may fail, in one
+    line."""
+    powers, solve_alloc = [], alloc.solve_alloc
+    monkeypatch.setattr(alloc, "solve_alloc",
+                        lambda problem: powers.append(problem.gains) or solve_alloc(problem))
+    cfg = small_config(algorithm="fedqvr_e", rounds=1)
+    cfg.wireless_cfg = wireless_on(tx_power_dbm=3000, pathloss_exponent=0, r_min=r_min,
+                                   r_max=r_max)
+    with contextlib.suppress(alloc.AllocationError):
+        harness.run_experiment(cfg)
+    assert powers and all(np.isfinite(p).all() for p in powers)
 
 
 class TestMetrics:

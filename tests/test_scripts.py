@@ -110,3 +110,34 @@ def test_bench_pairs_verdict_counts_wins_and_the_spread():
     assert bench_pairs.verdict(parent, change, "lower", 0.25)[::2] == (8, "within bound")
     change[8] = 0.5
     assert bench_pairs.verdict(parent, change, "lower", 0.25)[::2] == (9, "gain")
+
+
+@pytest.mark.parametrize("config,block,key,value,code,line", [
+    ("synthetic_fedqvr", None, "seed", 0, 0, ""),
+    ("synthetic_fedqvr", None, "eta", 0, 1,
+     "error: invalid config: eta must lie in (0, inf), got 0"),
+    ("synthetic_fedqvr", "wireless_cfg", "r_max", 1e300, 1,
+     "error: invalid config: wireless r_max must lie in [wireless r_min, 1e100], got 1e+300"),
+    ("wireless_fedqvr_e", "wireless_cfg", "pathloss_exponent", -1e308, 1,
+     "error: invalid config: wireless pathloss_exponent must lie in [0, inf) with wireless "
+     "enabled, got -1e+308"),
+])
+def test_fuzz_config_runs_one_case_as_a_subprocess(config, block, key, value, code, line):
+    fuzz = load_script("fuzz_config")
+    assert len(fuzz.cases()) == 2 * 34 * 14
+    run = fuzz.run_case(config, block, key, value)
+    assert (run["exit"], run["stderr_lines"], run["stderr"], run["flags"]) == (
+        code, int(bool(line)), line, [])
+    assert run["value"] == json.dumps(value)
+
+
+def test_fuzz_config_flags_what_is_more_than_one_documented_line():
+    flags = load_script("fuzz_config").flags
+    assert flags({"algorithm": "fedqvr"}, "error: invalid config: x\n") == []
+    assert flags({"algorithm": "fedqvr"}, "Traceback (most recent call last):\n  ...\n") == [
+        "traceback", "second stderr line"]
+    assert flags({"algorithm": "fedqvr_e"}, "error: arithmetic error: OverflowError()\n") == [
+        "arithmetic error"]
+    assert flags({"algorithm": "fedqvr_e"}, "error: allocation failed: x\n") == []
+    assert flags({"algorithm": "fedavg"}, "error: allocation failed: x\n") == [
+        "allocation failed without an allocator"]
