@@ -30,7 +30,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from fedsim import fed, harness, learner
@@ -52,8 +51,9 @@ def criterion_9(seed: int, rounds: int) -> dict:
         theta -= 0.5 * learner.grad(spec, theta, train.features, train.labels)
     target = 0.9 * harness.evaluate(spec, theta, test.features, test.labels)
 
-    def milestone(algorithm: str):
-        rows = harness.run_experiment(dataclasses.replace(cfg, algorithm=algorithm))
+    def milestone(algorithm: str):  # runs no round past the first row at the target
+        rows = (rec.row for rec in harness.rounds(dataclasses.replace(cfg, algorithm=algorithm))
+                if rec.row)
         return next(((row.round, row.cumulative_uplink_bits) for row in rows
                      if row.test_accuracy >= target), None)
 
@@ -78,17 +78,14 @@ def criterion_10(seed: int, rounds: int) -> dict:
     return out
 
 
-def criterion_11(seed: int, rounds: int, work: Path) -> dict:
+def criterion_11(seed: int, rounds: int) -> dict:
     cfg = dataclasses.replace(harness.parse_config(WIRELESS), seed=seed, rounds=rounds,
                               eval_every=50)
-    trace = work / "rounds.jsonl"
-    equal = harness.run_experiment(dataclasses.replace(
-        cfg, algorithm="fedqvr", trace_rounds_out=str(trace)))[-1]
     sent = lost = 0
-    for line in trace.read_text().splitlines():
-        rec = json.loads(line)
-        sent += len(rec["active"])
-        lost += len(rec["active"]) - len(rec["delivered"])
+    for rec in harness.rounds(dataclasses.replace(cfg, algorithm="fedqvr")):
+        if rec.plan:
+            sent, lost = sent + len(rec.plan.active_set), lost + len(rec.plan.failed)
+        equal = rec.row or equal
     allocated = harness.run_experiment(cfg)[-1]  # the shipped algorithm, fedqvr_e
     return {"train_loss_equal": equal.train_loss, "train_loss_allocated": allocated.train_loss,
             "accuracy_equal": equal.test_accuracy, "accuracy_allocated": allocated.test_accuracy,
@@ -103,15 +100,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     per_seed = []
-    with tempfile.TemporaryDirectory() as work:
-        for seed in range(args.seeds):
-            row = {"seed": seed, "9": criterion_9(seed, args.rounds),
-                   "10": criterion_10(seed, args.rounds),
-                   "11": criterion_11(seed, args.rounds, Path(work))}
-            per_seed.append(row)
-            print(f"seed {seed}: 9 rounds {row['9']['fedqvr_rounds']} vs "
-                  f"{row['9']['fedavg_rounds']}, 10 margin {row['10']['margin']:+.3f}, "
-                  f"11 margin {row['11']['margin']:+.4f}", flush=True)
+    for seed in range(args.seeds):
+        row = {"seed": seed, "9": criterion_9(seed, args.rounds),
+               "10": criterion_10(seed, args.rounds), "11": criterion_11(seed, args.rounds)}
+        per_seed.append(row)
+        print(f"seed {seed}: 9 rounds {row['9']['fedqvr_rounds']} vs "
+              f"{row['9']['fedavg_rounds']}, 10 margin {row['10']['margin']:+.3f}, "
+              f"11 margin {row['11']['margin']:+.4f}", flush=True)
     wins = sum(row["11"]["margin"] > 0 for row in per_seed)
     lost = sum(row["11"]["lost"] for row in per_seed)
     sent = sum(row["11"]["sent"] for row in per_seed)

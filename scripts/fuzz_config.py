@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run ``fedsim run`` on configs with one key set to one odd value, as one JSON file.
 
-Each case takes a shipped config (``configs/*.json``), sets ``rounds`` to 2
-and sets one key to one of 14 values: null, "x", -1, 0, 0.5, [], {}, true,
-NaN, +-1e308, 1e300, 2**63 and -0.0. The keys are every top-level key but
-``rounds``, the output paths and the two nested objects; every key of the
-synthetic dataset object, ``kind`` included; and every ``wireless_cfg`` key
-but ``trace_out``. Each case runs as its own subprocess, in its own
-temporary directory, with this checkout's ``src/`` on the path.
+Each case takes a base, sets ``rounds`` to 2 and sets one key to one of 15
+values: null, "x", -1, 0, 0.5, [], {}, true, NaN, +-1e308, 1e300, 2**63,
+-0.0 and 5e-324. The bases are the shipped configs (``configs/*.json``) and
+``wireless_fedqvr_e+fedqvr``, the equal split with its delay check. The keys
+are every top-level key but ``rounds``, the output paths and the two nested
+objects; every key of the synthetic dataset object, ``kind`` included; and
+every ``wireless_cfg`` key but ``trace_out``. Each case runs as its own
+subprocess, in its own temporary directory, with this checkout's ``src/``
+on the path.
 
     python3 scripts/fuzz_config.py --workers 2 --out FUZZ.json
 
@@ -31,8 +33,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CONFIGS = ("synthetic_fedqvr", "wireless_fedqvr_e")
-VALUES = (None, "x", -1, 0, 0.5, [], {}, True, float("nan"), 1e308, -1e308, 1e300, 2**63, -0.0)
+# each base: a shipped config, or one with "+<algorithm>" run under that algorithm
+CONFIGS = ("synthetic_fedqvr", "wireless_fedqvr_e", "wireless_fedqvr_e+fedqvr")
+VALUES = (None, "x", -1, 0, 0.5, [], {}, True, float("nan"), 1e308, -1e308, 1e300, 2**63, -0.0,
+          5e-324)
 TOP_KEYS = ("algorithm", "model_kind", "hidden_dim", "num_clients", "sample_size",
             "batch_size", "eta", "eta_g", "gamma", "a", "bits", "hlu", "hlu_range",
             "local_epochs", "labels_per_client", "seed", "eval_every")
@@ -52,8 +56,11 @@ def cases() -> list[tuple[str, str | None, str, object]]:
 
 
 def mutated(config: str, block: str | None, key: str, value) -> dict:
-    raw = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    shipped, _, algorithm = config.partition("+")
+    raw = json.loads((ROOT / "configs" / f"{shipped}.json").read_text())
     raw["rounds"] = 2
+    if algorithm:
+        raw["algorithm"] = algorithm
     (raw if block is None else raw.setdefault(block, {}))[key] = value
     return raw
 

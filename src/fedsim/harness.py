@@ -87,7 +87,7 @@ _DOMAINS = (
         "eval_every": "[1, inf)", "labels_per_client": "[1, inf)",
         **dict.fromkeys(("dataset num_classes", "dataset dim", "dataset samples_per_class",
                          "dataset test_samples_per_class"), "[1, inf)"),
-        "wireless total_bandwidth_hz": "(0, inf)",
+        "wireless total_bandwidth_hz": "[1, inf)",  # share * N0 > 0 in the equal split
         # placement stays finite: no device is nearer than the 1 m reference
         # distance of wireless.PATHLOSS_REF, and no radius squares past 1e200
         "wireless r_min": "[1, inf)", "wireless r_max": "[wireless r_min, 1e100]"}),
@@ -390,10 +390,20 @@ def _allocated_plan(cfg, algo, spec, sampled, epochs, gains) -> tuple[RoundPlan,
             len(sampled) - len(bits))
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
-    """Run ``cfg`` and return its metrics rows. The metrics CSV and both
-    traces are opened before round 0 and written a line at a time, so a bad
-    path fails before any round and a failed run keeps the lines it wrote."""
+class RoundRecord(NamedTuple):
+    """One round of a run. The first is round 0's evaluation: no plan, no report."""
+
+    round: int
+    channel: list[tuple[int, float, float]]  # (device, distance m, gain), wireless on
+    plan: RoundPlan | None
+    report: fed.RoundReport | None
+    dropped: int  # devices the plan drops or loses
+    row: MetricsRow | None  # on evaluation rounds
+
+
+def rounds(cfg: ExperimentConfig) -> Iterator[RoundRecord]:
+    """Validate ``cfg`` and build its run (task, client views, server, p and C,
+    placement); return an iterator that runs a round as each record is taken."""
     cfg.validate()
     train, test, shards = _build_task(cfg)
     spec = ModelSpec(cfg.model_kind, train.features.shape[1], train.num_classes, cfg.hidden_dim)
@@ -410,65 +420,65 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     p, C = np.array(sizes) / train_y.size, np.zeros((len(sizes), spec.dim))
 
     algo = ALGORITHMS[cfg.algorithm]
-    run_round = getattr(fed, f"run_round_{algo.name}")
     plan_round = _allocated_plan if cfg.algorithm == "fedqvr_e" else _equal_split_plan
-
     wcfg = cfg.wireless_cfg
     distances = wireless.place_devices(cfg.num_clients, place_rng,
                                        r_min=wcfg.r_min, r_max=wcfg.r_max)
 
-    with contextlib.ExitStack() as files:
-        def writer(path: str | None):
-            if not path:
-                return None
-            f = files.enter_context(open(path, "w"))
-            return lambda line: f.write(line + "\n")
-
-        write_row, write_channel, write_round = map(
-            writer, (cfg.out, wcfg.trace_out, cfg.trace_rounds_out))
-        rows: list[MetricsRow] = []
+    def records(server: ServerState) -> Iterator[RoundRecord]:
         cumulative_bits = 0
 
-        def snapshot(round_index: int, active: int, dropped: int) -> None:
-            rows.append(MetricsRow(
-                round=round_index,
-                train_loss=learner.loss(spec, server.theta, train_X, train_y),
-                test_accuracy=evaluate(spec, server.theta, test.features, test.labels),
-                cumulative_uplink_bits=cumulative_bits,
-                active_count=active, dropped_count=dropped))
-            if write_row:
-                write_row(rows[-1].csv_line())
+        def evaluated(round_index: int, active: int, dropped: int) -> MetricsRow:
+            return MetricsRow(round_index, learner.loss(spec, server.theta, train_X, train_y),
+                              evaluate(spec, server.theta, test.features, test.labels),
+                              cumulative_bits, active, dropped)
 
-        if write_row:
-            write_row(CSV_HEADER)
-        snapshot(0, 0, 0)
-
+        yield RoundRecord(0, [], None, None, 0, evaluated(0, 0, 0))
         for r, sampled, epochs, channel_seeds, client_seeds in _schedule(cfg):
-            gains: dict[int, float] = {}
-            if wcfg.enabled:
-                for cid, seeds in zip(sampled, channel_seeds):
-                    gains[cid] = wireless.sample_channel(
-                        float(distances[cid]), wcfg.pathloss_exponent, fed.generator(seeds))
-                if write_channel:
-                    for cid, g in gains.items():
-                        write_channel(json.dumps({"round": r, "device": cid,
-                                                  "distance_m": float(distances[cid]),
-                                                  "gain": g}))
-
-            plan, dropped_count = plan_round(cfg, algo, spec, sampled, epochs, gains)
+            channel = [(cid, d, wireless.sample_channel(d, wcfg.pathloss_exponent,
+                                                        fed.generator(seeds)))
+                       for cid, d, seeds in zip(sampled, distances[sampled].tolist(),
+                                                channel_seeds)] if wcfg.enabled else []
+            plan, dropped = plan_round(cfg, algo, spec, sampled, epochs,
+                                       {cid: gain for cid, _, gain in channel})
             rngs = {cid: fed.generator(seeds) for cid, seeds in zip(sampled, client_seeds)
                     if cid in plan.active_set and cid not in plan.failed}
-            server, report = run_round(spec, server, p, C, client_data, plan, rngs)
-
+            server, report = getattr(fed, f"run_round_{algo.name}")(
+                spec, server, p, C, client_data, plan, rngs)
             cumulative_bits += report.uplink_bits
-            if write_round:
+            evaluating = (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1
+            yield RoundRecord(r, channel, plan, report, dropped, evaluated(
+                r + 1, len(report.delivered_ids), dropped) if evaluating else None)
+
+    return records(server)
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
+    """Run ``cfg`` and return its metrics rows. Once the run is built, the metrics
+    CSV and both traces are opened and written a line per record, so a bad path
+    fails before any round and a failed run keeps the lines it wrote."""
+    records = rounds(cfg)
+    quantized = ALGORITHMS[cfg.algorithm].quantized
+    with contextlib.ExitStack() as files:
+        write_row, write_channel, write_round = (
+            files.enter_context(open(path, "w")).write if path else None
+            for path in (cfg.out, cfg.wireless_cfg.trace_out, cfg.trace_rounds_out))
+        if write_row:
+            write_row(CSV_HEADER + "\n")
+        rows: list[MetricsRow] = []
+        for r, channel, plan, report, _, row in records:
+            for cid, distance, gain in channel if write_channel else ():
+                write_channel(json.dumps({"round": r, "device": cid,
+                                          "distance_m": distance, "gain": gain}) + "\n")
+            if write_round and plan:
                 write_round(json.dumps({
-                    "round": r, "active": plan.active_set,
-                    "delivered": report.delivered_ids,
+                    "round": r, "active": plan.active_set, "delivered": report.delivered_ids,
                     "epochs": {str(k): v for k, v in plan.local_epochs.items()},
-                    "bits": {str(k): v for k, v in plan.bits.items()} if algo.quantized else {},
+                    "bits": {str(k): v for k, v in plan.bits.items()} if quantized else {},
                     "uplink_bits": report.uplink_bits,
-                }))
-            if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
-                snapshot(r + 1, len(report.delivered_ids), dropped_count)
+                }) + "\n")
+            if row:
+                rows.append(row)
+                if write_row:
+                    write_row(row.csv_line() + "\n")
     return rows

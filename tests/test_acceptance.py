@@ -187,7 +187,7 @@ def test_criterion_10_more_bits_never_hurt_final_accuracy():
            f"median final accuracy B=4: {med4:.3f} vs B=1: {med1:.3f}")
 
 
-def test_criterion_11_allocation_beats_equal_split_under_drops(tmp_path):
+def test_criterion_11_allocation_beats_equal_split_under_drops():
     """With a delay budget that drops at least 30% of equal-split uploads,
     the joint bandwidth/bit allocation (fedqvr_e) ends with a lower training
     loss than the equal split in at least 15 of the 20 seeds 0-19; under a
@@ -195,7 +195,7 @@ def test_criterion_11_allocation_beats_equal_split_under_drops(tmp_path):
     by round 150 and cannot separate the two; the training loss can. Both
     runs of a seed see the same channel realizations: no stream key holds
     the algorithm."""
-    recs = [claims.criterion_11(seed, 150, tmp_path) for seed in range(20)]
+    recs = [claims.criterion_11(seed, 150) for seed in range(20)]
     drop_frac = sum(rec["lost"] for rec in recs) / sum(rec["sent"] for rec in recs)
     wins = sum(rec["train_loss_allocated"] < rec["train_loss_equal"] for rec in recs)
     ok = drop_frac >= 0.30 and wins >= 15

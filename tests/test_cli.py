@@ -168,11 +168,35 @@ class TestRun:
             code = cli.main(["run", "--config", str(path)])
         out, err = capsys.readouterr()
         assert not caught
-        if code == 0:
+        if 10.0 ** log_w < 1:
+            assert (code, out) == (1, "")
+            assert err == ("error: invalid config: wireless total_bandwidth_hz must lie in "
+                           f"[1, inf), got {10.0 ** log_w!r}\n")
+        elif code == 0:
             assert err == "" and out.count("\n") == 1
         else:
             assert code == 1 and out == ""
             assert err.startswith("error: allocation failed: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("wireless_cfg", [
+        {"enabled": True, "total_bandwidth_hz": 5e-324},
+        {"enabled": True, "total_bandwidth_hz": 1e-300, "noise_psd_dbm_hz": -3000},
+    ], ids=["subnormal-share", "share-times-noise-underflows"])
+    def test_bandwidth_below_1_hz_is_one_line(self, tmp_path, wireless_cfg):
+        """An equal split of less than 1 Hz could make a share, or a share
+        times N0, underflow to 0 in the rate. Run in a subprocess, to see all
+        of stderr."""
+        raw = json.loads((CONFIGS / "synthetic_fedqvr.json").read_text())
+        raw.update(rounds=1, wireless_cfg=wireless_cfg)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "fedsim.cli", "run", "--config", str(cfg)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == ("error: invalid config: wireless total_bandwidth_hz must lie in "
+                               f"[1, inf), got {wireless_cfg['total_bandwidth_hz']!r}\n")
 
     @pytest.mark.parametrize("bits", [53, 64])
     def test_bit_width_beyond_float64_levels_is_one_line(self, tmp_path, capsys, bits):
@@ -243,7 +267,7 @@ class TestRun:
         ({"labels_per_client": 0}, "labels_per_client"),
         ({"num_clients": 2000}, "cannot build 2000 shards from 120 samples"),
         ({"wireless_cfg": {"total_bandwidth_hz": 0}},
-         "invalid config: wireless total_bandwidth_hz must lie in (0, inf), got 0\n"),
+         "invalid config: wireless total_bandwidth_hz must lie in [1, inf), got 0\n"),
         ({"wireless_cfg": {"trace_in": "chan.jsonl"}},
          "invalid config: unknown wireless_cfg fields: ['trace_in']"),
         ({"dataset": {**BASE_CONFIG["dataset"], "test_samples_per_clas": 7}},

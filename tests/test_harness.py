@@ -299,6 +299,28 @@ class TestRunExperiment:
         with pytest.raises(FileNotFoundError):
             harness.run_experiment(cfg)
 
+    def test_unbuildable_dataset_leaves_no_output_file(self, tmp_path):
+        """The run is built before its outputs open: a dataset too small to
+        shard for its clients ends the run with none of the three files."""
+        paths = [tmp_path / name for name in ("m.csv", "rounds.jsonl", "channel.jsonl")]
+        cfg = small_config(num_clients=2000, sample_size=3, out=str(paths[0]),
+                           trace_rounds_out=str(paths[1]))
+        cfg.wireless_cfg = wireless_on(trace_out=str(paths[2]))
+        with pytest.raises(ConfigError, match="cannot build 2000 shards"):
+            harness.run_experiment(cfg)
+        assert not any(path.exists() for path in paths)
+
+    def test_a_round_runs_only_when_its_record_is_taken(self, monkeypatch):
+        """Round 0's evaluation is the first record, and each later record
+        is one round: taking 3 records of a billion-round run runs 2."""
+        run_round, calls = fed.run_round_fedqvr, []
+        monkeypatch.setattr(fed, "run_round_fedqvr",
+                            lambda *args: calls.append(None) or run_round(*args))
+        records = list(itertools.islice(harness.rounds(small_config(rounds=10**9)), 3))
+        assert len(calls) == 2
+        assert [(rec.round, rec.plan is None, rec.row and rec.row.round) for rec in records] == [
+            (0, True, 0), (0, False, None), (1, False, 2)]
+
     def test_failed_run_keeps_the_lines_it_wrote(self, tmp_path, monkeypatch):
         """A run that diverges in round 3 (of 0..5) keeps its CSV rows up to
         the last evaluation before it, at round 2, and its round trace up to
@@ -337,14 +359,11 @@ class TestRunExperiment:
 
         assert peak(1000) - peak(50) < 2**20
 
-    def test_hlu_draws_epochs_within_range(self, tmp_path):
-        trace = str(tmp_path / "rounds.jsonl")
-        cfg = small_config(hlu=True, hlu_range=(1, 5), trace_rounds_out=trace)
-        harness.run_experiment(cfg)
+    def test_hlu_draws_epochs_within_range(self):
         seen = set()
-        for line in Path(trace).read_text().splitlines():
-            rec = json.loads(line)
-            seen.update(rec["epochs"].values())
+        for rec in harness.rounds(small_config(hlu=True, hlu_range=(1, 5))):
+            if rec.plan:
+                seen.update(rec.plan.local_epochs.values())
         assert seen <= set(range(1, 6))
         assert len(seen) > 1
 
@@ -355,52 +374,44 @@ class TestRunExperiment:
         assert all(r.dropped_count == cfg.sample_size for r in rows[1:])
         assert rows[-1].cumulative_uplink_bits == 0
 
-    def test_fedqvr_e_runs_and_respects_bit_cap(self, tmp_path):
-        trace = str(tmp_path / "rounds.jsonl")
-        cfg = small_config(algorithm="fedqvr_e", rounds=5, eval_every=5,
-                           trace_rounds_out=trace)
+    def test_fedqvr_e_runs_and_respects_bit_cap(self):
+        cfg = small_config(algorithm="fedqvr_e", rounds=5, eval_every=5)
         cfg.wireless_cfg = wireless_on(b_upper=6)
-        rows = harness.run_experiment(cfg)
-        assert rows[-1].cumulative_uplink_bits > 0
-        for line in Path(trace).read_text().splitlines():
-            for b in json.loads(line)["bits"].values():
-                assert 1 <= b <= 6
+        records = list(harness.rounds(cfg))
+        assert records[-1].row.cumulative_uplink_bits > 0
+        assert all(1 <= b <= 6 for rec in records[1:] for b in rec.plan.bits.values())
 
     @pytest.mark.parametrize("reach", [300.0, 0.0])
-    def test_zero_gain_devices_are_dropped_before_allocation(self, tmp_path, monkeypatch, reach):
+    def test_zero_gain_devices_are_dropped_before_allocation(self, monkeypatch, reach):
         """A device whose gain underflows to 0 (here: every one beyond
         ``reach`` metres) sits the round out and counts in dropped_count; the
         allocator plans for the others. With every gain 0 the rounds run empty."""
         sample_channel = wireless.sample_channel
         monkeypatch.setattr(wireless, "sample_channel", lambda distance, exponent, rng: (
             0.0 if distance > reach else sample_channel(distance, exponent, rng)))
-        channels, rounds = tmp_path / "channels.jsonl", tmp_path / "rounds.jsonl"
-        cfg = small_config(algorithm="fedqvr_e", rounds=8, eval_every=1,
-                           trace_rounds_out=str(rounds))
-        cfg.wireless_cfg = wireless_on(trace_out=str(channels))
-        rows = harness.run_experiment(cfg)
-        draws = [json.loads(line) for line in channels.read_text().splitlines()]
-        records = [json.loads(line) for line in rounds.read_text().splitlines()]
+        cfg = small_config(algorithm="fedqvr_e", rounds=8, eval_every=1)
+        cfg.wireless_cfg = wireless_on()
+        records = list(harness.rounds(cfg))[1:]
         mixed = 0
-        for r, rec in enumerate(records):
-            zero = {d["device"] for d in draws if d["round"] == r and d["gain"] == 0.0}
-            assert not zero & set(rec["active"])
-            assert rows[r + 1].dropped_count == cfg.sample_size - len(rec["active"])
-            mixed += bool(zero) and bool(rec["active"])
+        for rec in records:
+            zero = {cid for cid, _, gain in rec.channel if gain == 0.0}
+            assert not zero & set(rec.plan.active_set)
+            assert rec.row.dropped_count == cfg.sample_size - len(rec.plan.active_set)
+            mixed += bool(zero) and bool(rec.plan.active_set)
         if reach:
             assert mixed
         else:
-            assert all(not rec["active"] for rec in records)
-            assert rows[-1].cumulative_uplink_bits == 0
+            assert all(not rec.plan.active_set for rec in records)
+            assert records[-1].row.cumulative_uplink_bits == 0
 
     @pytest.mark.parametrize("algorithm,tau", [
         ("fedavg", 8e-6), ("scaffold", 1.6e-5), ("fedqvr", 2e-6), ("fedqvr_e", 2e-6)])
-    def test_uplink_cost_is_defined_once(self, tmp_path, monkeypatch, algorithm, tau):
+    def test_uplink_cost_is_defined_once(self, monkeypatch, algorithm, tau):
         """The algorithm's ``payload_bits`` is the cost the delay check tests,
         the payload d(B+1) + mu the allocator plans with, and the cost each
         round reports for its delivered uploads. In seven rounds every
         algorithm loses or drops some upload; fedqvr_e's first is in round 6
-        (found from the round traces)."""
+        (found from the round records)."""
         algo = harness.ALGORITHMS[algorithm]
         spec = learner.ModelSpec(kind=learner.LOGISTIC, input_dim=8, num_classes=3)
         checked, problems = [], []
@@ -409,10 +420,9 @@ class TestRunExperiment:
                             lambda bits, *a: checked.append(bits) or transmission_ok(bits, *a))
         monkeypatch.setattr(alloc, "solve_alloc",
                             lambda problem: problems.append(problem) or solve_alloc(problem))
-        trace = tmp_path / "rounds.jsonl"
-        cfg = small_config(algorithm=algorithm, rounds=7, trace_rounds_out=str(trace))
+        cfg = small_config(algorithm=algorithm, rounds=7)
         cfg.wireless_cfg = wireless_on(tau=tau)
-        harness.run_experiment(cfg)
+        records = list(harness.rounds(cfg))[1:]
         if algorithm == "fedqvr_e":
             assert len(problems) == cfg.rounds and not checked
             for problem in problems:
@@ -421,11 +431,10 @@ class TestRunExperiment:
                     assert problem.d * (B + 1) + problem.mu == algo.payload_bits(spec, B)
         else:
             assert checked == [algo.payload_bits(spec, cfg.bits)] * (cfg.rounds * cfg.sample_size)
-        records = [json.loads(line) for line in trace.read_text().splitlines()]
         for rec in records:
-            assert rec["uplink_bits"] == sum(
-                algo.payload_bits(spec, rec["bits"].get(str(cid))) for cid in rec["delivered"])
-        delivered = sum(len(rec["delivered"]) for rec in records)
+            assert rec.report.uplink_bits == sum(
+                algo.payload_bits(spec, rec.plan.bits[cid]) for cid in rec.report.delivered_ids)
+        delivered = sum(len(rec.report.delivered_ids) for rec in records)
         assert 0 < delivered < cfg.rounds * cfg.sample_size  # some uploads lost or dropped
 
     def test_unknown_dataset_kind_rejected(self):

@@ -121,10 +121,12 @@ def test_bench_pairs_verdict_counts_wins_and_the_spread():
     ("wireless_fedqvr_e", "wireless_cfg", "pathloss_exponent", -1e308, 1,
      "error: invalid config: wireless pathloss_exponent must lie in [0, inf) with wireless "
      "enabled, got -1e+308"),
+    ("wireless_fedqvr_e+fedqvr", "wireless_cfg", "total_bandwidth_hz", 5e-324, 1,
+     "error: invalid config: wireless total_bandwidth_hz must lie in [1, inf), got 5e-324"),
 ])
 def test_fuzz_config_runs_one_case_as_a_subprocess(config, block, key, value, code, line):
     fuzz = load_script("fuzz_config")
-    assert len(fuzz.cases()) == 2 * 34 * 14
+    assert len(fuzz.cases()) == 3 * 34 * 15
     run = fuzz.run_case(config, block, key, value)
     assert (run["exit"], run["stderr_lines"], run["stderr"], run["flags"]) == (
         code, int(bool(line)), line, [])
