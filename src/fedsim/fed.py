@@ -6,14 +6,16 @@ model differences) alongside plain federated averaging and the SCAFFOLD
 baseline. The three share one round engine, ``run_round``; each algorithm is
 an object with its start point, local step, aggregate and upload cost.
 The engine steps the delivered clients a block at a time, in two buffers of
-one block that every block reuses, and the aggregate folds each finished
-block into the server's theta and c (fedqvr one quantized upload at a time)
-before the next block steps, so a round's memory does not grow with the
-cohort. All randomness flows through streams keyed by the five 32-bit words
-(seed low, seed high, label, round, client), so results are independent of
-client scheduling order; ``stream_keys`` lays the keys out and ``stream_seeds``
-hashes them, many keys at a time. The caller counts the rounds and hands
-each round its streams; the state is the server's theta and c and the clients' p and C.
+one block that every block and every step reuses, the iterates and one
+gradient; the steps read each client's control variate from its row of C in
+place. The aggregate folds each finished block into the server's theta and c
+(fedqvr one quantized upload at a time) before the next block steps, so a
+round's memory does not grow with the cohort. All randomness flows through
+streams keyed by the five 32-bit words (seed low, seed high, label, round,
+client), so results are independent of client scheduling order;
+``stream_keys`` lays the keys out and ``stream_seeds`` hashes them, many keys
+at a time. The caller counts the rounds and hands each round its streams;
+the state is the server's theta and c and the clients' p and C.
 """
 
 from __future__ import annotations
@@ -240,13 +242,12 @@ def _cohort(plan: RoundPlan) -> tuple[list[int], np.ndarray]:
 
 class Block(NamedTuple):
     """A block of the cohort after its local steps, one row per client,
-    longest local run first. ``theta`` and ``c_rows`` are views of buffers
-    that the next block overwrites."""
+    longest local run first. ``theta`` is a view of the buffer that the next
+    block overwrites; the aggregate may overwrite it too."""
 
     ids: list[int]                    # client id of each row
     epochs: np.ndarray                # local steps of each row
     theta: np.ndarray                 # final iterates, (k, dim)
-    c_rows: np.ndarray                # control variates at the start, (k, dim)
     rngs: list[np.random.Generator]   # each row's stream after its draws
     by_id: list[tuple[int, int]]      # (client id, row) by id, the order of every reduction
 
@@ -259,21 +260,20 @@ def _local_phase(
     datasets: list[tuple[np.ndarray, np.ndarray]],
     batch_size: int,
     rngs: list[np.random.Generator],
-    C: np.ndarray,
     step,
 ) -> Iterator[Block]:
     """Local iterations of the cohort as stacked arrays, a block of clients
     at a time; yields each block when its clients have taken all their steps.
 
-    Client ``ids[j]`` starts at ``start``, takes ``epochs[j]`` steps from its
-    stream ``rngs[j]`` and has control variate ``C[ids[j]]``. The clients run
-    in consecutive blocks of ``max(1, learner.BLOCK_ROWS // batch_size)``,
-    so one stacked gradient holds at most ``BLOCK_ROWS`` sample rows (or one
-    minibatch, if that is larger). Within a block, rows run longest first,
+    Client ``ids[j]`` starts at ``start`` and takes ``epochs[j]`` steps from
+    its stream ``rngs[j]``. The clients run in consecutive blocks of
+    ``max(1, learner.BLOCK_ROWS // batch_size)``, so one stacked gradient
+    holds at most ``BLOCK_ROWS`` sample rows (or one minibatch, if that is
+    larger). Within a block, rows run longest first,
     ties in the order of ``ids``, so the clients still stepping at step t are
-    a prefix of its rows. One buffer of iterates and one of control variates,
-    a block in size, serve every block, so memory does not grow with the
-    cohort; a block must be consumed before the next is asked for.
+    a prefix of its rows. One buffer of iterates and one of gradients, a
+    block in size, serve every block and every step, so memory does not grow
+    with the cohort; a block must be consumed before the next is asked for.
 
     Each client of a block first draws all its minibatches from its own
     stream in one ``integers`` call of shape (epochs, batch). That call
@@ -281,24 +281,23 @@ def _local_phase(
     the same state, since the bit generator keeps any spare 32-bit half
     between calls; ``test_fed.py::test_merged_minibatch_draw_keeps_the_stream``
     pins this. Step t gathers the features of the block's k clients still
-    running, computes one stacked gradient ``g`` for them and calls
-    ``step(theta, g, c)``, which updates ``theta``, their iterates, in place
-    from ``g`` and ``c``, their control variates (it may overwrite ``g``).
+    running, computes one stacked gradient ``g`` for them into the gradient
+    buffer and calls ``step(theta, g, ids)``, which updates ``theta``, their
+    iterates, in place from ``g`` (it may overwrite ``g``); ``ids`` are their
+    client ids, for a step that reads their control variates.
     """
     m, bs = len(ids), batch_size
     per_block = max(1, learner.BLOCK_ROWS // bs)
     rows = min(m, per_block)
-    theta_buf, c_buf = np.empty((rows, start.size)), np.empty((rows, start.size))
+    theta_buf, g_buf = np.empty((rows, start.size)), np.empty((rows, start.size))
     # one step's features of one block at a time, so memory stays at
     # block * batch * input
     xb = np.empty(learner.sized(rows, bs, spec.input_dim))
     for lo in range(0, m, per_block):
         order = sorted(range(lo, min(lo + per_block, m)), key=lambda j: -epochs[j])
         k, block_ids, block_epochs = len(order), [ids[j] for j in order], epochs[order]
-        theta, c_rows = theta_buf[:k], c_buf[:k]
+        theta = theta_buf[:k]
         theta[...] = start
-        # the ids are in range; "clip" only spares take's buffered copy
-        np.take(C, block_ids, axis=0, out=c_rows, mode="clip")
         feats: list[np.ndarray] = []  # per row, its client's features
         idx: list[np.ndarray] = []    # per row, its draws (epochs, batch)
         ys = np.empty(learner.sized(block_epochs[0], k, bs), dtype=np.intp)
@@ -316,12 +315,18 @@ def _local_phase(
             for t, n in enumerate(ks):
                 for row in range(n):
                     feats[row].take(idx[row][t], axis=0, out=xb[row], mode="clip")
-                g = learner.grad(spec, theta[:n], xb[:n], ys[t, :n])
-                step(theta[:n], g, c_rows[:n])
+                g = learner.grad(spec, theta[:n], xb[:n], ys[t, :n], out=g_buf[:n])
+                step(theta[:n], g, block_ids[:n])
                 if not np.isfinite(theta[:n]).all():
                     raise FloatingPointError("local update diverged to non-finite iterate")
-        yield Block(block_ids, block_epochs, theta, c_rows, [rngs[j] for j in order],
+        yield Block(block_ids, block_epochs, theta, [rngs[j] for j in order],
                     sorted((cid, row) for row, cid in enumerate(block_ids)))
+
+
+def _subtract_rows(g: np.ndarray, C: np.ndarray, ids: list[int]) -> None:
+    """``g[r] -= C[ids[r]]`` for each row r, read from ``C`` in place."""
+    for row, cid in enumerate(ids):
+        g[row] -= C[cid]
 
 
 def _add_rows(total: np.ndarray | None, block: Block) -> np.ndarray:
@@ -349,11 +354,12 @@ class FedAvg:
     def start(self, server: ServerState, plan: RoundPlan) -> np.ndarray:
         return server.theta
 
-    def stepper(self, server, plan, start):
-        """The round's local step: ``step(theta, g, c)`` updates ``theta``,
-        the iterates of some rows, in place from their gradients ``g`` and
-        control variates ``c``."""
-        def step(theta, g, c):
+    def stepper(self, server, plan, start, C):
+        """The round's local step: ``step(theta, g, ids)`` updates ``theta``,
+        the iterates of some rows, in place from their gradients ``g``;
+        ``ids`` are the rows' client ids, whose control variates are their
+        rows of ``C``. FedAvg reads none."""
+        def step(theta, g, ids):
             g *= plan.eta
             theta -= g
         return step
@@ -379,31 +385,31 @@ class Scaffold(FedAvg):
         """Uplink bits of one upload: the model and the control variate."""
         return 2 * RAW_BITS_PER_ELEMENT * spec.dim
 
-    def stepper(self, server, plan, start):
-        def step(theta, g, c):
+    def stepper(self, server, plan, start, C):
+        def step(theta, g, ids):
             # theta <- theta - eta * ((g + c) - c_i)
             g += server.c
-            g -= c
+            _subtract_rows(g, C, ids)
             g *= plan.eta
             theta -= g
         return step
 
     def aggregate(self, spec, server, p, C, plan, start, blocks) -> ServerState:
-        """Each block's models join the running sum of the mean; then its
-        c_i <- c_i - c + (theta - theta_i) / (E_i * eta), stacked over the
-        block in its buffers, and each c_i is committed in client-id order."""
+        """Each block's models join the running sum of the mean; then, in
+        client-id order, each c_i <- (c_i - c) + (theta - theta_i) / (E_i * eta)
+        is made from its row of ``C`` and of the block's iterates (which it
+        overwrites), folded into c and committed."""
         total, count, c_new = None, 0, server.c.copy()
         for block in blocks:
             total = _add_rows(total, block)
             count += len(block.ids)
-            c_rows, diff = block.c_rows, block.theta
-            c_rows -= server.c
-            np.subtract(server.theta, diff, out=diff)
-            diff /= (block.epochs * plan.eta)[:, None]
-            c_rows += diff
             for cid, j in block.by_id:
-                c_new += (c_rows[j] - C[cid]) / len(C)
-                C[cid] = c_rows[j]
+                diff = np.subtract(server.theta, block.theta[j], out=block.theta[j])
+                diff /= block.epochs[j] * plan.eta
+                c_i = C[cid] - server.c
+                c_i += diff
+                c_new += (c_i - C[cid]) / len(C)
+                C[cid] = c_i
         theta_new = (server.theta + plan.eta_g * (total / count - server.theta) if count
                      else server.theta.copy())
         return ServerState(theta=theta_new, c=c_new)
@@ -428,13 +434,13 @@ class FedQVR:
     def start(self, server: ServerState, plan: RoundPlan) -> np.ndarray:
         return broadcast_point(server, plan.gamma)
 
-    def stepper(self, server, plan, start):
+    def stepper(self, server, plan, start, C):
         ge = plan.gamma * plan.eta
         anchor = (ge / (1.0 + ge)) * start
 
-        def step(theta, g, c):
+        def step(theta, g, ids):
             # theta <- (theta - eta * (g - c_i)) / (1 + ge) + (ge / (1 + ge)) * theta0
-            g -= c
+            _subtract_rows(g, C, ids)
             g *= plan.eta
             theta -= g
             theta /= 1.0 + ge
@@ -457,7 +463,7 @@ class FedQVR:
         for block in blocks:
             for cid, j in block.by_id:
                 delta_hat, step_scale, C[cid] = client_finish(
-                    block.theta[j], start, block.c_rows[j], plan.bits[cid], plan.eta,
+                    block.theta[j], start, C[cid], plan.bits[cid], plan.eta,
                     e_tilde(plan.gamma, plan.eta, plan.local_epochs[cid]), plan.a,
                     block.rngs[j], groups=groups)
                 theta += (len(p) / m) * p[cid] * delta_hat
@@ -488,7 +494,7 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState, p: np
     The delivered clients step a block at a time (``_local_phase``), and the
     aggregate folds each block into the server's state, in client-id order,
     before the next block steps; so a round holds one block of iterates and
-    control variates, whatever the cohort's size. A round that raises after
+    one of gradients, whatever the cohort's size. A round that raises after
     its first block may have committed that block's control variates.
     This is the package's only local update. Every row equals the client's
     steps taken alone, one minibatch gradient at a time, bit for bit, so
@@ -497,7 +503,7 @@ def run_round(algo: FedAvg | FedQVR, spec: ModelSpec, server: ServerState, p: np
     ids, epochs = _cohort(plan)
     start = algo.start(server, plan)
     blocks = _local_phase(spec, start, ids, epochs, datasets, plan.batch_size,
-                          [rngs[cid] for cid in ids], C, algo.stepper(server, plan, start))
+                          [rngs[cid] for cid in ids], algo.stepper(server, plan, start, C))
     # a sum of finite iterates can overflow: that is divergence too
     with np.errstate(over="ignore", invalid="ignore"):
         new_server = algo.aggregate(spec, server, p, C, plan, start, blocks)

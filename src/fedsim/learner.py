@@ -169,7 +169,8 @@ def predict(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     return labels
 
 
-def grad(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def grad(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
+         out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of ``loss`` over the slice, flat layout.
 
     Also runs a whole cohort at once: ``theta`` (m, dim) with batches ``X``
@@ -177,17 +178,24 @@ def grad(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np
     slice goes through the same BLAS call and the same element-wise steps as
     a single gradient, so every row equals its own single-client result bit
     for bit.
+
+    ``out``, a C-contiguous float64 array of ``theta``'s shape, receives the
+    gradient and is returned; an ``out`` that is not one raises ValueError
+    before anything is written.
     """
     if X.shape[-2] == 0:
         raise ValueError("empty data slice")
+    if out is None:
+        out = np.empty(theta.shape)
+    elif out.shape != theta.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {theta.shape}")
     n = X.shape[-2]
     blocks = spec.unpack(theta)
     dZ, inputs = _forward(blocks, X)
     np.exp(_log_softmax(dZ), out=dZ)
     dZ.reshape(-1, spec.num_classes)[np.arange(y.size), y.ravel()] -= 1.0
     dZ /= n
-    g = np.empty(theta.shape)
-    grads = spec.unpack(g)
+    grads = spec.unpack(out)
     for i in reversed(range(len(inputs))):
         A = inputs[i]
         np.matmul(np.swapaxes(dZ, -1, -2), A, out=grads[2 * i])
@@ -197,5 +205,5 @@ def grad(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np
             A *= A
             np.subtract(1.0, A, out=A)
             dZ *= A
-    return g
+    return out
 

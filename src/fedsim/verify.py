@@ -120,15 +120,15 @@ def fedqvr_steps(spec: learner.ModelSpec, theta0: np.ndarray, c_i: np.ndarray,
     plan = RoundPlan(active_set=[0], local_epochs={0: epochs}, bits={},
                      batch_size=batch_size, eta=eta, gamma=gamma)
     server = ServerState(theta=theta0, c=np.zeros_like(theta0))  # broadcasts theta0
-    step = fed.FEDQVR.stepper(server, plan, theta0)
+    step = fed.FEDQVR.stepper(server, plan, theta0, c_i[None])
     grads: list[np.ndarray] = []
 
-    def recording_step(theta, g, c):
+    def recording_step(theta, g, ids):
         grads.append(g[0].copy())
-        step(theta, g, c)
+        step(theta, g, ids)
 
     block, = fed._local_phase(spec, theta0, [0], np.array([epochs]), [(X, y)], batch_size,
-                              [rng], c_i[None], recording_step)
+                              [rng], recording_step)
     return block.theta[0], grads
 
 

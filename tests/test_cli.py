@@ -875,12 +875,12 @@ class TestVerify:
     def test_closed_form_check_runs_the_engine_step(self, monkeypatch):
         """With fedqvr's step adding half its anchor, the closed-form check
         fails: it checks the step a run takes, not a copy of it."""
-        def halved_anchor(server, plan, start):
+        def halved_anchor(server, plan, start, C):
             ge = plan.gamma * plan.eta
             anchor = (ge / (1.0 + ge)) * start
 
-            def step(theta, g, c):
-                g -= c
+            def step(theta, g, ids):
+                g -= C[ids]
                 g *= plan.eta
                 theta -= g
                 theta /= 1.0 + ge

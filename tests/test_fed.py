@@ -522,9 +522,9 @@ class TestLostUploads:
         stepped = []
         grad = learner.grad
 
-        def counting_grad(spec, theta, X, y):
+        def counting_grad(spec, theta, X, y, out=None):
             stepped.append(theta.shape[0])
-            return grad(spec, theta, X, y)
+            return grad(spec, theta, X, y, out=out)
 
         monkeypatch.setattr(learner, "grad", counting_grad)
         p, C, datasets = make_clients(8, seed=28)
@@ -581,7 +581,7 @@ class TestLostUploads:
 def test_plan_without_local_steps_is_rejected(algo, epochs, batch_size, match, monkeypatch):
     """A client with 0 local epochs, or a batch of 0 samples, ends the round
     with ValueError before any gradient is taken or any state moves."""
-    def no_grad(*args):
+    def no_grad(*args, **kwargs):
         raise AssertionError("a gradient was taken")
 
     monkeypatch.setattr(learner, "grad", no_grad)
@@ -593,6 +593,24 @@ def test_plan_without_local_steps_is_rejected(algo, epochs, batch_size, match, m
         fed.run_round(algo, SPEC, fresh_server(32), p, C, datasets, plan,
                       client_rngs(0, 0, plan.active_set))
     np.testing.assert_array_equal(C, before)
+
+
+def test_fedavg_reads_no_control_variate():
+    """A fedavg round reads no row of ``C`` and writes none: with every c_i
+    NaN, in a read-only array, it makes the server state it makes from
+    zeros, across more than one block."""
+    p, C, datasets = make_clients(6, seed=33)
+    plan = uniform_plan(range(6), E=3)
+    plan.batch_size = learner.BLOCK_ROWS // 2
+    nan_C = np.full_like(C, np.nan)
+    nan_C.flags.writeable = False
+    server = fresh_server(33)
+    expected, _ = fed.run_round(fed.FEDAVG, SPEC, server, p, C, datasets, plan,
+                                client_rngs(33, 0, plan.active_set))
+    got, _ = fed.run_round(fed.FEDAVG, SPEC, server, p, nan_C, datasets, plan,
+                           client_rngs(33, 0, plan.active_set))
+    assert_same_state(got, C, expected, np.zeros_like(C))
+    assert np.isnan(nan_C).all()
 
 
 def reference_iterate(algo, spec, server, c_i, data, E, plan, rng):
@@ -626,9 +644,9 @@ class TestCohortBlocks:
         rows_seen, blocks, iterates = [], [], {}
         grad, phase = learner.grad, fed._local_phase
 
-        def counting_grad(spec, theta, X, y):
+        def counting_grad(spec, theta, X, y, out=None):
             rows_seen.append(y.size)
-            return grad(spec, theta, X, y)
+            return grad(spec, theta, X, y, out=out)
 
         def recording_phase(*args):
             for block in phase(*args):
@@ -689,16 +707,31 @@ class TestCohortBlocks:
 
     def test_round_memory_does_not_grow_with_the_cohort(self):
         """Under every algorithm, 32 clients in blocks of 4 peak within one
-        block of iterates of 8 clients: each block is folded into the server
-        before the next steps, in buffers the blocks share. Holding the
-        cohort's iterates and control variates costs 16 bytes per parameter
-        per client."""
+        (4, d) float64 block of 8 clients: each block is folded into the
+        server before the next steps, in the two buffers, of iterates and of
+        gradients, that the blocks share. Holding the cohort's iterates and
+        gradients would cost 16 bytes per parameter per client."""
         spec = ModelSpec(kind=LOGISTIC, input_dim=300, num_classes=10)
         batch = learner.BLOCK_ROWS // 4
         block = 4 * spec.dim * 8
         for algo in (fed.FEDAVG, fed.SCAFFOLD, fed.FEDQVR):
             peaks = [self.round_peak(algo, m, spec, batch) for m in (8, 32)]
             assert abs(peaks[1] - peaks[0]) < block, (algo.name, peaks)
+
+    def test_a_block_holds_two_rows_of_parameters_per_client(self):
+        """Under every algorithm, a round at blocks of 4 peaks below the same
+        round at blocks of 1 plus three more rows in each of two (block, d)
+        buffers, the iterates and the one gradient buffer every step reuses,
+        with half a row of slack per buffer. Both rounds step BLOCK_ROWS
+        sample rows at a time, so their feature stacks, gradient temporaries
+        and upload temporaries are the same size, and the blocks-of-1 round
+        measures them. A gathered copy of the block's c_i, and each step's
+        gradient kept alive while the next is computed, would make it four."""
+        spec = ModelSpec(kind=MLP, input_dim=30, num_classes=10, hidden_dim=100)
+        row = spec.dim * 8
+        for algo in (fed.FEDAVG, fed.SCAFFOLD, fed.FEDQVR):
+            one, four = (self.round_peak(algo, 8, spec, learner.BLOCK_ROWS // k) for k in (1, 4))
+            assert four < one + 3 * 2.5 * row, (algo.name, (four - one) / (3 * row))
 
 
 @settings(max_examples=40, deadline=None)

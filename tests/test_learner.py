@@ -131,6 +131,38 @@ class TestLossAndGrad:
             for j in range(m):
                 np.testing.assert_array_equal(G[j], learner.grad(spec, thetas[j], X[j], y[j]))
 
+    @pytest.mark.parametrize("spec", [LOG_SPEC, MLP_SPEC], ids=["logistic", "mlp"])
+    def test_grad_into_out_equals_the_allocating_call_bitwise(self, spec):
+        """``out`` receives the gradient and is returned, for one vector and
+        for a stack written into a prefix of a larger buffer, as the round
+        engine writes it; stale values in ``out`` do not leak through."""
+        rng = np.random.default_rng(12)
+        theta = 0.3 * rng.normal(size=spec.dim)
+        X, y = rng.normal(size=(7, spec.input_dim)), rng.integers(0, spec.num_classes, 7)
+        out = np.full(spec.dim, np.nan)
+        assert learner.grad(spec, theta, X, y, out=out) is out
+        np.testing.assert_array_equal(out, learner.grad(spec, theta, X, y))
+        thetas = 0.3 * rng.normal(size=(4, spec.dim))
+        Xs, ys = rng.normal(size=(4, 9, spec.input_dim)), rng.integers(0, spec.num_classes, (4, 9))
+        buf = np.full((6, spec.dim), np.nan)
+        prefix = buf[:4]
+        assert learner.grad(spec, thetas, Xs, ys, out=prefix) is prefix
+        np.testing.assert_array_equal(buf[:4], learner.grad(spec, thetas, Xs, ys))
+        assert np.isnan(buf[4:]).all()
+
+    @pytest.mark.parametrize("out", [np.zeros(LOG_SPEC.dim + 1), np.zeros((1, LOG_SPEC.dim)),
+                                     np.zeros(LOG_SPEC.dim, dtype=np.float32),
+                                     np.zeros(2 * LOG_SPEC.dim)[::2]],
+                             ids=["long", "stacked", "float32", "strided"])
+    def test_grad_rejects_an_out_it_cannot_fill(self, out):
+        """An ``out`` of the wrong shape or dtype, or one its layer views
+        would copy, raises ValueError before anything is written."""
+        X, y = make_data()
+        before = out.copy()
+        with pytest.raises(ValueError, match="out must be"):
+            learner.grad(LOG_SPEC, np.ones(LOG_SPEC.dim), X, y, out=out)
+        np.testing.assert_array_equal(out, before)
+
     def test_predict_is_the_most_likely_class(self):
         X, y = make_data(seed=11)
         theta = learner.init_params(MLP_SPEC, np.random.default_rng(11))
