@@ -5,10 +5,11 @@ server and clients, geometric-weighted local updates, quantized uplink of
 model differences) alongside plain federated averaging and the SCAFFOLD
 baseline. The three share one round engine, ``run_round``; each algorithm is
 an object with its start point, local step, aggregate and upload cost.
-The engine steps the delivered clients a block at a time, in two buffers of
-one block that every block and every step reuses, the iterates and one
-gradient; the steps read each client's control variate from its row of C in
-place. The aggregate folds each finished block into the server's theta and c
+The engine steps the delivered clients a block at a time, in as few blocks
+as keep each step's stacked gradient within ``learner.STEP_ROWS`` sample
+rows, equal in size to within one client. Two buffers of the largest block,
+the iterates and one gradient, serve every block and every step; the steps
+read each client's control variate from its row of C in place. The aggregate folds each finished block into the server's theta and c
 (fedqvr one quantized upload at a time) before the next block steps, so a
 round's memory does not grow with the cohort. All randomness flows through
 streams keyed by the five 32-bit words (seed low, seed high, label, round,
@@ -266,14 +267,15 @@ def _local_phase(
     at a time; yields each block when its clients have taken all their steps.
 
     Client ``ids[j]`` starts at ``start`` and takes ``epochs[j]`` steps from
-    its stream ``rngs[j]``. The clients run in consecutive blocks of
-    ``max(1, learner.BLOCK_ROWS // batch_size)``, so one stacked gradient
-    holds at most ``BLOCK_ROWS`` sample rows (or one minibatch, if that is
-    larger). Within a block, rows run longest first,
-    ties in the order of ``ids``, so the clients still stepping at step t are
-    a prefix of its rows. One buffer of iterates and one of gradients, a
-    block in size, serve every block and every step, so memory does not grow
-    with the cohort; a block must be consumed before the next is asked for.
+    its stream ``rngs[j]``. ``learner._row_blocks`` cuts ``ids``, in order,
+    into as few consecutive blocks as keep one stacked gradient within
+    ``learner.STEP_ROWS`` sample rows (or one minibatch, if that is larger),
+    equal in size to within one client. Within a block, rows run longest
+    first, ties in the order of ``ids``, so the clients still stepping at
+    step t are a prefix of its rows. One buffer of iterates and one of
+    gradients, the largest block in size, serve every block and every step,
+    so memory does not grow with the cohort; a block must be consumed before
+    the next is asked for.
 
     Each client of a block first draws all its minibatches from its own
     stream in one ``integers`` call of shape (epochs, batch). That call
@@ -286,15 +288,15 @@ def _local_phase(
     iterates, in place from ``g`` (it may overwrite ``g``); ``ids`` are their
     client ids, for a step that reads their control variates.
     """
-    m, bs = len(ids), batch_size
-    per_block = max(1, learner.BLOCK_ROWS // bs)
-    rows = min(m, per_block)
+    bs = batch_size
+    cuts = learner._row_blocks(len(ids), max(1, learner.STEP_ROWS // bs))
+    rows = max((cut.stop - cut.start for cut in cuts), default=0)
     theta_buf, g_buf = np.empty((rows, start.size)), np.empty((rows, start.size))
     # one step's features of one block at a time, so memory stays at
     # block * batch * input
     xb = np.empty(learner.sized(rows, bs, spec.input_dim))
-    for lo in range(0, m, per_block):
-        order = sorted(range(lo, min(lo + per_block, m)), key=lambda j: -epochs[j])
+    for cut in cuts:
+        order = sorted(range(cut.start, cut.stop), key=lambda j: -epochs[j])
         k, block_ids, block_epochs = len(order), [ids[j] for j in order], epochs[order]
         theta = theta_buf[:k]
         theta[...] = start

@@ -8,9 +8,10 @@ checks hold everywhere). Parameters live in a single float64 vector: per
 layer, weights row-major then biases. The gradient also takes a stack of
 such vectors, one per client, with one minibatch each.
 
-No stacked computation holds more than ``BLOCK_ROWS`` sample rows: ``loss``
-and ``predict`` walk their set in blocks, and the round engine steps its
-cohort in blocks of clients.
+``loss`` and ``predict`` walk their set in blocks of at most ``BLOCK_ROWS``
+sample rows, and the round engine steps its cohort in blocks of clients whose
+stacked gradient holds at most ``STEP_ROWS`` sample rows; both cut with
+``_row_blocks``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ import numpy as np
 LOGISTIC = "multinomial-logistic"
 MLP = "one-hidden-layer-mlp"
 
-BLOCK_ROWS = 1024  # the most sample rows one stacked computation holds
+BLOCK_ROWS = 1024  # the most sample rows one stacked evaluation holds
+# The most sample rows one local step's stacked gradient holds (one minibatch
+# if larger). A block of clients holds two rows of d float64 parameters per
+# client besides its features, so the bound sets a round's peak: against
+# 1,024 rows, 512 (10 clients at batch 50) lowered a wide MLP's (d = 159,010)
+# peak RSS from 193 to 166 MiB (README, Memory). Each client's products are
+# BLAS calls of their own, so, unlike BLOCK_ROWS, this bound moves no bit.
+STEP_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -125,20 +133,19 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _row_blocks(n: int) -> list[slice]:
+def _row_blocks(n: int, most: int = BLOCK_ROWS) -> list[slice]:
     """Slices that cover ``range(n)`` in order: as few blocks as hold at most
-    ``BLOCK_ROWS`` rows each, equal in size to within one row.
+    ``most`` rows each, equal in size to within one row; none for n = 0.
 
     Each output row of a product is computed from its own input row, so a
     block gives the rows of the whole stack bit for bit, as long as the BLAS
     runs it through the same kernel. OpenBLAS takes a separate small-matrix
     kernel for a product of few rows times a narrow layer, which rounds
-    differently; equal blocks, of at least half ``BLOCK_ROWS`` when there is
-    more than one, leave no short remainder block to land there.
+    differently; equal blocks, of at least half ``most`` when there is more
+    than one, leave no short remainder block to land there.
     """
-    count = -(-n // BLOCK_ROWS)
-    edges = [i * n // count for i in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in pairwise(edges)]
+    count = -(-n // most)
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
 def loss(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:

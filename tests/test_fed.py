@@ -601,7 +601,7 @@ def test_fedavg_reads_no_control_variate():
     zeros, across more than one block."""
     p, C, datasets = make_clients(6, seed=33)
     plan = uniform_plan(range(6), E=3)
-    plan.batch_size = learner.BLOCK_ROWS // 2
+    plan.batch_size = learner.STEP_ROWS // 2
     nan_C = np.full_like(C, np.nan)
     nan_C.flags.writeable = False
     server = fresh_server(33)
@@ -628,40 +628,49 @@ def reference_iterate(algo, spec, server, c_i, data, E, plan, rng):
 
 
 class TestCohortBlocks:
-    """A cohort wider than one block of ``learner.BLOCK_ROWS`` sample rows
-    steps a block of clients at a time, and the aggregate folds each block
-    before the next steps."""
+    """A cohort wider than one step of ``learner.STEP_ROWS`` sample rows
+    steps in as few equal blocks of clients as keep each step within it, a
+    block at a time, and the aggregate folds each block before the next
+    steps."""
+
+    @staticmethod
+    def recording(blocks, iterates=None):
+        """A ``fed._local_phase`` that appends each block's client ids to
+        ``blocks`` and copies its iterates into ``iterates`` by client id."""
+        phase = fed._local_phase
+
+        def recording_phase(*args):
+            for block in phase(*args):
+                blocks.append(list(block.ids))
+                if iterates is not None:
+                    # copied: the next block overwrites the buffer
+                    iterates.update((cid, block.theta[j].copy()) for cid, j in block.by_id)
+                yield block
+        return recording_phase
 
     @ALGOS
     def test_rows_across_blocks_equal_single_client_runs(self, algo, monkeypatch):
-        """Eight clients of batch BLOCK_ROWS // 3 run in blocks of 3, 3 and 2
-        (3, 3 and 1 when one upload is lost), consecutive in id order, with
+        """Eight clients of batch STEP_ROWS // 3 run in blocks of 2, 3 and 3
+        (2, 2 and 3 when one upload is lost), consecutive in id order, with
         uneven epochs inside and across the blocks. Within a block, rows run
         longest first, ties in id order. Every row equals its single-client
-        run bit for bit, and no gradient call holds more than BLOCK_ROWS
+        run bit for bit, and no gradient call holds more than STEP_ROWS
         sample rows."""
-        batch = learner.BLOCK_ROWS // 3
+        batch = learner.STEP_ROWS // 3
         rows_seen, blocks, iterates = [], [], {}
-        grad, phase = learner.grad, fed._local_phase
+        grad = learner.grad
 
         def counting_grad(spec, theta, X, y, out=None):
             rows_seen.append(y.size)
             return grad(spec, theta, X, y, out=out)
 
-        def recording_phase(*args):
-            for block in phase(*args):
-                blocks.append(list(block.ids))
-                # copied: the next block overwrites the buffer
-                iterates.update((cid, block.theta[j].copy()) for cid, j in block.by_id)
-                yield block
-
         monkeypatch.setattr(learner, "grad", counting_grad)
-        monkeypatch.setattr(fed, "_local_phase", recording_phase)
+        monkeypatch.setattr(fed, "_local_phase", self.recording(blocks, iterates))
         p, C, datasets = make_clients(8, seed=31, spec=MLP_SPEC)
         ref_C = C.copy()
         server = ref_server = fresh_server(31, spec=MLP_SPEC)
-        for r, (epochs, failed) in enumerate((([5, 2, 4, 4, 1, 3, 4, 2], {5}),
-                                              ([1, 3, 3, 2, 5, 1, 2, 4], set()))):
+        for r, (epochs, failed, sizes) in enumerate((([5, 2, 4, 4, 1, 3, 4, 2], {5}, [2, 2, 3]),
+                                                     ([1, 3, 3, 2, 5, 1, 2, 4], set(), [2, 3, 3]))):
             plan = RoundPlan(active_set=list(range(8)), local_epochs=dict(enumerate(epochs)),
                              bits={c: 3 for c in range(8)}, batch_size=batch, eta=0.05,
                              failed=frozenset(failed))
@@ -672,10 +681,12 @@ class TestCohortBlocks:
             server, _ = fed.run_round(algo, MLP_SPEC, server, p, C, datasets, plan,
                                       client_rngs(31, r, plan.active_set))
             delivered = [c for c in range(8) if c not in failed]
-            assert max(rows_seen) <= learner.BLOCK_ROWS
+            assert max(rows_seen) <= learner.STEP_ROWS
             assert sum(rows_seen) == batch * sum(epochs[c] for c in delivered)
             assert len(rows_seen) > max(epochs)  # more than one block ran
-            assert [sorted(b) for b in blocks] == [delivered[i:i + 3] for i in range(0, 7, 3)]
+            edges = np.cumsum([0, *sizes])
+            assert [sorted(b) for b in blocks] == [delivered[lo:hi]
+                                                   for lo, hi in zip(edges, edges[1:])]
             assert all(b == sorted(sorted(b), key=lambda c: -epochs[c]) for b in blocks)
             assert sorted(iterates) == delivered
             for cid in delivered:
@@ -686,6 +697,25 @@ class TestCohortBlocks:
             ref_server = reference_round(algo, MLP_SPEC, ref_server, p, ref_C, datasets, plan,
                                          31, r)
             assert_same_state(server, C, ref_server, ref_C)
+
+    @pytest.mark.parametrize("m,failed,layout", [
+        (3, set(), [[0, 1, 2]]),
+        (4, set(), [[0, 1], [2, 3]]),
+        (7, {3}, [[0, 1, 2], [4, 5, 6]]),
+        (3, {0, 1, 2}, []),
+    ], ids=["one_block", "one_client_over", "one_lost", "every_upload_lost"])
+    def test_blocks_split_the_cohort_evenly(self, m, failed, layout, monkeypatch):
+        """At batch STEP_ROWS // 3 a block holds three clients. One client
+        more makes two blocks of two, not a full block and a block of one; a
+        cohort whose every upload is lost makes no block."""
+        blocks = []
+        monkeypatch.setattr(fed, "_local_phase", self.recording(blocks))
+        p, C, datasets = make_clients(m, seed=34)
+        plan = uniform_plan(range(m), failed=frozenset(failed))
+        plan.batch_size = learner.STEP_ROWS // 3
+        fed.run_round(fed.FEDAVG, SPEC, fresh_server(34), p, C, datasets, plan,
+                      client_rngs(34, 0, plan.active_set))
+        assert blocks == layout
 
     @staticmethod
     def round_peak(algo, m, spec, batch):
@@ -712,7 +742,7 @@ class TestCohortBlocks:
         gradients, that the blocks share. Holding the cohort's iterates and
         gradients would cost 16 bytes per parameter per client."""
         spec = ModelSpec(kind=LOGISTIC, input_dim=300, num_classes=10)
-        batch = learner.BLOCK_ROWS // 4
+        batch = learner.STEP_ROWS // 4
         block = 4 * spec.dim * 8
         for algo in (fed.FEDAVG, fed.SCAFFOLD, fed.FEDQVR):
             peaks = [self.round_peak(algo, m, spec, batch) for m in (8, 32)]
@@ -722,7 +752,7 @@ class TestCohortBlocks:
         """Under every algorithm, a round at blocks of 4 peaks below the same
         round at blocks of 1 plus three more rows in each of two (block, d)
         buffers, the iterates and the one gradient buffer every step reuses,
-        with half a row of slack per buffer. Both rounds step BLOCK_ROWS
+        with half a row of slack per buffer. Both rounds step STEP_ROWS
         sample rows at a time, so their feature stacks, gradient temporaries
         and upload temporaries are the same size, and the blocks-of-1 round
         measures them. A gathered copy of the block's c_i, and each step's
@@ -730,7 +760,7 @@ class TestCohortBlocks:
         spec = ModelSpec(kind=MLP, input_dim=30, num_classes=10, hidden_dim=100)
         row = spec.dim * 8
         for algo in (fed.FEDAVG, fed.SCAFFOLD, fed.FEDQVR):
-            one, four = (self.round_peak(algo, 8, spec, learner.BLOCK_ROWS // k) for k in (1, 4))
+            one, four = (self.round_peak(algo, 8, spec, learner.STEP_ROWS // k) for k in (1, 4))
             assert four < one + 3 * 2.5 * row, (algo.name, (four - one) / (3 * row))
 
 

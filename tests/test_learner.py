@@ -186,13 +186,18 @@ class TestLossAndGrad:
 class TestBlockedEvaluation:
     """``loss`` and ``predict`` hold at most ``BLOCK_ROWS`` rows at a time."""
 
-    @pytest.mark.parametrize("n", [1, 511, 1024, 1025, 2048, 2049, 10_000])
+    @pytest.mark.parametrize("n", [0, 1, 511, 1024, 1025, 2048, 2049, 10_000])
     def test_row_blocks_cover_the_rows_in_equal_blocks(self, n):
-        blocks = learner._row_blocks(n)
-        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
-        sizes = [rows.stop - rows.start for rows in blocks]
-        assert max(sizes) <= learner.BLOCK_ROWS and max(sizes) - min(sizes) <= 1
-        assert len(blocks) == -(-n // learner.BLOCK_ROWS)
+        """For every bound, the evaluation's (the default), the local step's
+        and a few clients': as few blocks as the bound allows, in order,
+        equal in size to within one row, and none for no rows."""
+        assert learner._row_blocks(n) == learner._row_blocks(n, learner.BLOCK_ROWS)
+        for most in (learner.BLOCK_ROWS, learner.STEP_ROWS, 3, 1):
+            blocks = learner._row_blocks(n, most)
+            assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+            assert len(blocks) == -(-n // most)
+            sizes = [rows.stop - rows.start for rows in blocks] or [0]
+            assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
 
     @pytest.mark.parametrize("n", [1025, 3000])
     @pytest.mark.parametrize("spec", [ModelSpec(MLP, 50, 10, 64), ModelSpec(LOGISTIC, 30, 10)],

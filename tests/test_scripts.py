@@ -12,6 +12,7 @@ import pytest
 from oracles import load_script
 
 ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 ENV = {**os.environ,
@@ -61,6 +62,41 @@ def test_bench_pairs_writes_one_alternating_pair(tmp_path):
         assert set(run["result"]["metrics"]) == {"run_s", "steps_per_s", "setup_s", "peak_rss_mb"}
         assert run["info"]["workload"] == "wireless_alloc" and run["info"]["seed"] == 1000
     assert len(done.stdout.splitlines()) == 4  # one summary line per end-to-end metric
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="the child reads its peak from /proc/self/status")
+def test_mem_probe_reads_each_childs_own_peak(tmp_path):
+    """One fresh child per tree at --runs 1, in the order given: each records
+    its own VmHWM, a cold and WARM_RUNS warm run times, and the hash of the
+    CSV it wrote, which two copies of one tree share."""
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({**json.loads((CONFIGS / "synthetic_fedqvr.json").read_text()),
+                                  "rounds": 2}))
+    copy = tmp_path / "copy" / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    trees = [str(ROOT / "src"), str(copy)]
+    out = tmp_path / "mem.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mem_probe.py"), "--config", str(config),
+         "--src", trees[0], "--src", trees[1], "--runs", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(out.read_text())
+    assert list(probe) == ["description", "command", "config", "machine", "runs", "summary"]
+    assert probe["config"]["rounds"] == 2
+    assert [(r["run"], r["src"], r["first"]) for r in probe["runs"]] == [
+        (1, trees[0], trees[0]), (1, trees[1], trees[0])]
+    warm = load_script("mem_probe").WARM_RUNS
+    for run in probe["runs"]:
+        assert 0 < run["first_run_s"] < run["process_s"]
+        assert len(run["warm_run_s"]) == warm and min(run["warm_run_s"]) > 0
+        assert run["vmhwm_kib"] > 0
+    assert probe["summary"]["same_csv"]
+    assert list(probe["summary"]["trees"]) == trees
+    assert set(probe["summary"]["trees"][trees[0]]) == {
+        "vmhwm_mib", "first_run_s", "warm_run_s", "process_s"}
+    assert done.stdout.splitlines()[-1] == "same_csv: True"
 
 
 def synthetic_runs(values: dict[str, tuple[list[float], list[float]]]) -> list[dict]:
